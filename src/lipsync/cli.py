@@ -172,10 +172,18 @@ def _resolve_train_config(args) -> dict:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
-    if cfg["epochs"] < 1:
-        raise UsageError("--epochs must be >= 1")
-    if cfg["lr"] <= 0:
-        raise UsageError("--lr must be positive")
+    try:
+        loss_cfg = training.LossConfig(w_position=cfg["w_pos"], w_velocity=cfg["w_vel"])
+        train_cfg = training.TrainConfig(
+            learning_rate=cfg["lr"],
+            epochs=cfg["epochs"],
+            seed=cfg["seed"],
+            checkpoint_every=cfg["checkpoint_every"],
+            batch_size=cfg["batch_size"],
+            clip_norm=cfg["clip_norm"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     manifest = synthdata.CorpusManifest.load(args.manifest)
     train_items = synthdata.load_split(manifest, "train")
@@ -186,16 +194,6 @@ def _cmd_train(args) -> int:
     vertex_count = train_items[0].displacements.n_vertices
     arch = model.ArchConfig(use_conv=(args.arch == "conv-lstm"))
     net = model.init_params(cfg["seed"], vertex_count, arch)
-
-    loss_cfg = training.LossConfig(w_position=cfg["w_pos"], w_velocity=cfg["w_vel"])
-    train_cfg = training.TrainConfig(
-        learning_rate=cfg["lr"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        checkpoint_every=cfg["checkpoint_every"],
-        batch_size=cfg["batch_size"],
-        clip_norm=cfg["clip_norm"],
-    )
 
     def sink(event):
         if event["event"] == "epoch":

@@ -10,16 +10,23 @@ Layer stack (widths for the production preset):
       -> dense 50 linear (low-dimensional embedding)
       -> dense V*3 linear (vertex displacement decoder)
 
+``NetworkParams`` keeps the layers in three lists, ``convs``, ``lstms`` and
+``dense``; the number of LSTMs follows ``ArchConfig.lstm_sizes``. Every
+parameter array is a view into one contiguous float64 vector ``flat``, laid
+out by ``_bind`` in checkpoint tensor order. ``backward`` returns gradients
+in the same layout, so the optimizer works on whole vectors. Each LSTM holds
+its four gates fused into one (4H, H + input) matrix, row blocks f, i, o, C.
+
 Forward runs per sequence with zero initial LSTM state. Backward is full
 backpropagation through time against a cache captured during the forward
-pass. All math is float64 by default; ``forward`` accepts float32 for a
-fast path.
+pass. All math is float64.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +36,8 @@ from .features import FeatureSequence
 from .mesh import DisplacementSequence
 
 CHECKPOINT_MAGIC = b"LSN1"
+GATES = "fioC"  # row-block order of the fused LSTM gate matrix
+DENSE_LAYERS = (("fc1", "tanh"), ("fc2", "linear"), ("decoder", "linear"))
 
 
 def _sigmoid(z):
@@ -57,34 +66,29 @@ class Conv1dParams:
 
 @dataclass
 class LstmCellParams:
-    """Gate weights over the concatenated [h_prev, x_t] vector.
+    """Fused gate weights over the concatenated [h_prev, x_t] vector.
 
-    Each W_* has shape (H, H + input_dim); each bias has length H.
+    ``W`` has shape (4H, H + input_dim) and ``b`` length 4H; both stack the
+    gates in row blocks of H in the order f, i, o, C.
     """
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_C: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_C: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W_f.shape[0]
+        return self.W.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.W_f.shape[1] - self.W_f.shape[0]
+        return self.W.shape[1] - self.hidden_size
 
 
 @dataclass
 class DenseParams:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray
-    activation: str = "linear"  # relu | tanh | linear
+    activation: str = "linear"  # tanh | linear
 
 
 @dataclass(frozen=True)
@@ -102,124 +106,99 @@ class ArchConfig:
 
 @dataclass
 class NetworkParams:
-    conv1: Conv1dParams | None
-    conv2: Conv1dParams | None
-    lstm1: LstmCellParams
-    lstm2: LstmCellParams
-    lstm3: LstmCellParams
-    lstm4: LstmCellParams
-    fc1: DenseParams
-    fc2: DenseParams
-    decoder: DenseParams
+    convs: list[Conv1dParams]
+    lstms: list[LstmCellParams]
+    dense: list[DenseParams]  # fc1, fc2, decoder
     vertex_count: int
     arch: ArchConfig
+    flat: np.ndarray  # every layer array above is a view into this vector
+
+    @property
+    def layers(self) -> list:
+        return [*self.convs, *self.lstms, *self.dense]
 
     def items(self):
-        """Canonical (name, array) pairs; grads and optimizer state share these keys."""
+        """(LSN1 tensor name, view) pairs in ``flat`` order, one per LSTM gate block."""
         out = []
-        if self.conv1 is not None:
-            out += [("conv1.kernels", self.conv1.kernels), ("conv1.bias", self.conv1.bias)]
-            out += [("conv2.kernels", self.conv2.kernels), ("conv2.bias", self.conv2.bias)]
-        for idx, cell in enumerate((self.lstm1, self.lstm2, self.lstm3, self.lstm4), start=1):
-            for gate in ("f", "i", "o", "C"):
-                out.append((f"lstm{idx}.W_{gate}", getattr(cell, f"W_{gate}")))
-            for gate in ("f", "i", "o", "C"):
-                out.append((f"lstm{idx}.b_{gate}", getattr(cell, f"b_{gate}")))
-        for name, dense in (("fc1", self.fc1), ("fc2", self.fc2), ("decoder", self.decoder)):
-            out += [(f"{name}.weight", dense.weight), (f"{name}.bias", dense.bias)]
+        for n, conv in enumerate(self.convs, start=1):
+            out += [(f"conv{n}.kernels", conv.kernels), (f"conv{n}.bias", conv.bias)]
+        for n, cell in enumerate(self.lstms, start=1):
+            hid = cell.hidden_size
+            for part, arr in (("W", cell.W), ("b", cell.b)):
+                for k, gate in enumerate(GATES):
+                    out.append((f"lstm{n}.{part}_{gate}", arr[k * hid : (k + 1) * hid]))
+        for (name, _), layer in zip(DENSE_LAYERS, self.dense):
+            out += [(f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias)]
         return out
 
-    def copy(self) -> "NetworkParams":
-        def cp(layer):
-            if layer is None:
-                return None
-            fields = {
-                k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(layer).items()
-            }
-            return type(layer)(**fields)
+    def __getitem__(self, name: str) -> np.ndarray:
+        return dict(self.items())[name]
 
-        return NetworkParams(
-            conv1=cp(self.conv1),
-            conv2=cp(self.conv2),
-            lstm1=cp(self.lstm1),
-            lstm2=cp(self.lstm2),
-            lstm3=cp(self.lstm3),
-            lstm4=cp(self.lstm4),
-            fc1=cp(self.fc1),
-            fc2=cp(self.fc2),
-            decoder=cp(self.decoder),
-            vertex_count=self.vertex_count,
-            arch=self.arch,
-        )
+    def copy(self) -> "NetworkParams":
+        return _bind(self.arch, self.vertex_count, self.flat.copy())
+
+
+def _layout(arch: ArchConfig, vertex_count: int) -> list[tuple]:
+    """Parameter array shapes in ``flat`` order.
+
+    Conv, LSTM, then dense layers, each weight before its bias: the tensor
+    order of the LSN1 checkpoint.
+    """
+    n_conv = 2 if arch.use_conv else 0
+    n_lstm = len(arch.lstm_sizes)
+    widths = [arch.feature_dim, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
+    widths += [arch.fc1_size, arch.embedding_size, 3 * vertex_count]
+    io = list(zip(widths[:-1], widths[1:]))
+    shapes = [s for i, o in io[:n_conv] for s in ((o, i, arch.conv_kernel), (o,))]
+    shapes += [s for i, h in io[n_conv : n_conv + n_lstm] for s in ((4 * h, h + i), (4 * h,))]
+    shapes += [s for i, o in io[n_conv + n_lstm :] for s in ((o, i), (o,))]
+    return shapes
+
+
+def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
+    """Lay the layers of ``arch`` out as views into one float64 vector, zeros by default."""
+    shapes = _layout(arch, vertex_count)
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+    if flat is None:
+        flat = np.zeros(bounds[-1])
+    views = iter([flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)])
+    return NetworkParams(
+        convs=[Conv1dParams(next(views), next(views)) for _ in range(2 if arch.use_conv else 0)],
+        lstms=[LstmCellParams(next(views), next(views)) for _ in arch.lstm_sizes],
+        dense=[DenseParams(next(views), next(views), act) for _, act in DENSE_LAYERS],
+        vertex_count=vertex_count,
+        arch=arch,
+        flat=flat,
+    )
 
 
 def parameter_count(net: NetworkParams) -> int:
-    return sum(arr.size for _, arr in net.items())
+    return net.flat.size
 
 
 def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1.0."""
+    """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1.0.
+
+    Weights are drawn in layout order; a fused LSTM matrix takes one draw,
+    which yields the same numbers as four per-gate draws of H rows each.
+    """
     if vertex_count < 1:
         raise ValueError("vertex_count must be >= 1")
     rng = np.random.default_rng(seed)
+    net = _bind(arch, vertex_count)
 
-    def glorot(shape, fan_in, fan_out):
+    def glorot(arr, fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
+        arr[...] = rng.uniform(-limit, limit, size=arr.shape)
 
-    def conv(in_ch, out_ch):
-        k = arch.conv_kernel
-        return Conv1dParams(
-            kernels=glorot((out_ch, in_ch, k), in_ch * k, out_ch * k),
-            bias=np.zeros(out_ch),
-        )
-
-    def lstm(in_dim, hidden):
-        mats = {
-            f"W_{g}": glorot((hidden, hidden + in_dim), hidden + in_dim, hidden)
-            for g in ("f", "i", "o", "C")
-        }
-        biases = {f"b_{g}": np.zeros(hidden) for g in ("i", "o", "C")}
-        biases["b_f"] = np.ones(hidden)  # keeps long-range memory open early in training
-        return LstmCellParams(**mats, **biases)
-
-    def dense(in_dim, out_dim, activation):
-        return DenseParams(
-            weight=glorot((out_dim, in_dim), in_dim, out_dim),
-            bias=np.zeros(out_dim),
-            activation=activation,
-        )
-
-    if arch.use_conv:
-        conv1 = conv(arch.feature_dim, arch.conv_channels)
-        conv2 = conv(arch.conv_channels, arch.conv_channels)
-        lstm_in = arch.conv_channels
-    else:
-        conv1 = conv2 = None
-        lstm_in = arch.feature_dim
-
-    sizes = arch.lstm_sizes
-    lstm1 = lstm(lstm_in, sizes[0])
-    lstm2 = lstm(sizes[0], sizes[1])
-    lstm3 = lstm(sizes[1], sizes[2])
-    lstm4 = lstm(sizes[2], sizes[3])
-    fc1 = dense(sizes[3], arch.fc1_size, "tanh")
-    fc2 = dense(arch.fc1_size, arch.embedding_size, "linear")
-    decoder = dense(arch.embedding_size, vertex_count * 3, "linear")
-
-    return NetworkParams(
-        conv1=conv1,
-        conv2=conv2,
-        lstm1=lstm1,
-        lstm2=lstm2,
-        lstm3=lstm3,
-        lstm4=lstm4,
-        fc1=fc1,
-        fc2=fc2,
-        decoder=decoder,
-        vertex_count=vertex_count,
-        arch=arch,
-    )
+    for conv in net.convs:
+        glorot(conv.kernels, conv.in_channels * conv.width, conv.out_channels * conv.width)
+    for cell in net.lstms:
+        glorot(cell.W, cell.W.shape[1], cell.hidden_size)
+        cell.b[: cell.hidden_size] = 1.0  # keeps long-range memory open early in training
+    for layer in net.dense:
+        glorot(layer.weight, layer.weight.shape[1], layer.weight.shape[0])
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +209,29 @@ def lstm_step(p: LstmCellParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np
     """One LSTM cell update; returns (h_t, C_t).
 
     f = sig(W_f [h,x] + b_f),  i and o likewise,  C~ = tanh(W_C [h,x] + b_C),
-    C_t = f * C_prev + i * C~,  h_t = o * tanh(C_t).
+    C_t = f * C_prev + i * C~,  h_t = o * tanh(C_t), where W_f is the first
+    row block of ``p.W``. This is the reference for the layer recurrence.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     c_prev = np.asarray(c_prev, dtype=np.float64)
-    if len(h_prev) + len(x_t) != p.W_f.shape[1] or len(c_prev) != p.hidden_size:
+    hid = p.hidden_size
+    if len(h_prev) + len(x_t) != p.W.shape[1] or len(c_prev) != hid:
         raise ShapeError(
             f"lstm_step got x={len(x_t)}, h={len(h_prev)}, C={len(c_prev)} "
-            f"for a cell of hidden={p.hidden_size}, input={p.input_size}"
+            f"for a cell of hidden={hid}, input={p.input_size}"
         )
-    z = np.concatenate([h_prev, x_t])
-    f = _sigmoid(p.W_f @ z + p.b_f)
-    i = _sigmoid(p.W_i @ z + p.b_i)
-    o = _sigmoid(p.W_o @ z + p.b_o)
-    c_bar = np.tanh(p.W_C @ z + p.b_C)
-    c_t = f * c_prev + i * c_bar
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+    a = p.W @ np.concatenate([h_prev, x_t]) + p.b
+    f, i, o = _sigmoid(a[: 3 * hid]).reshape(3, hid)
+    c_t = f * c_prev + i * np.tanh(a[3 * hid :])
+    return o * np.tanh(c_t), c_t
 
 
 @dataclass
 class _LstmCache:
     x: np.ndarray
     h_prev: np.ndarray  # h_{t-1} rows, zeros at t=0
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray  # candidate cell values tanh(...)
+    gates: np.ndarray  # (T, 4H): sigmoid f, i, o and the candidate tanh(...)
     c: np.ndarray
     tanh_c: np.ndarray
 
@@ -267,74 +241,57 @@ def _lstm_forward(p: LstmCellParams, x: np.ndarray):
     hid = p.hidden_size
     if in_dim != p.input_size:
         raise ShapeError(f"lstm layer expects input dim {p.input_size}, got {in_dim}")
-    # Input contributions for the whole sequence in one product per gate;
-    # the loop only adds the recurrent term.
-    rec = {g: getattr(p, f"W_{g}")[:, :hid] for g in ("f", "i", "o", "C")}
-    pre_x = {
-        g: x @ getattr(p, f"W_{g}")[:, hid:].T + getattr(p, f"b_{g}") for g in ("f", "i", "o", "C")
-    }
+    # Input contributions for the whole sequence in one product; the loop
+    # only adds the recurrent term, one matvec over all four gates per step.
+    pre = x @ p.W[:, hid:].T + p.b
+    w_h = p.W[:, :hid]
+    gates = np.empty((t_len, 4 * hid))
+    c = np.empty((t_len, hid))
+    h_all = np.zeros((t_len + 1, hid))  # row t is h_{t-1}
 
-    dtype = x.dtype
-    h_prev = np.zeros((t_len, hid), dtype=dtype)
-    f = np.empty((t_len, hid), dtype=dtype)
-    i = np.empty((t_len, hid), dtype=dtype)
-    o = np.empty((t_len, hid), dtype=dtype)
-    g = np.empty((t_len, hid), dtype=dtype)
-    c = np.empty((t_len, hid), dtype=dtype)
-    h_seq = np.empty((t_len, hid), dtype=dtype)
-
-    h = np.zeros(hid, dtype=dtype)
-    c_state = np.zeros(hid, dtype=dtype)
+    c_state = np.zeros(hid)
     for t in range(t_len):
-        h_prev[t] = h
-        f[t] = _sigmoid(pre_x["f"][t] + rec["f"] @ h)
-        i[t] = _sigmoid(pre_x["i"][t] + rec["i"] @ h)
-        o[t] = _sigmoid(pre_x["o"][t] + rec["o"] @ h)
-        g[t] = np.tanh(pre_x["C"][t] + rec["C"] @ h)
-        c_state = f[t] * c_state + i[t] * g[t]
+        a = pre[t] + w_h @ h_all[t]
+        s = gates[t]
+        s[: 3 * hid] = _sigmoid(a[: 3 * hid])
+        s[3 * hid :] = np.tanh(a[3 * hid :])
+        c_state = s[:hid] * c_state + s[hid : 2 * hid] * s[3 * hid :]
         c[t] = c_state
-        h = o[t] * np.tanh(c_state)
-        h_seq[t] = h
+        np.multiply(s[2 * hid : 3 * hid], np.tanh(c_state), out=h_all[t + 1])
 
-    tanh_c = np.tanh(c)
-    return h_seq, _LstmCache(x=x, h_prev=h_prev, f=f, i=i, o=o, g=g, c=c, tanh_c=tanh_c)
+    cache = _LstmCache(x=x, h_prev=h_all[:-1], gates=gates, c=c, tanh_c=np.tanh(c))
+    return h_all[1:], cache
 
 
-def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq: np.ndarray):
+def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellParams):
     t_len, hid = dh_seq.shape
-    rec = {g: getattr(p, f"W_{g}")[:, :hid] for g in ("f", "i", "o", "C")}
-    dpre = {g: np.empty((t_len, hid)) for g in ("f", "i", "o", "C")}
+    w_h = p.W[:, :hid]
+    f, i, o, g = (cache.gates[:, k * hid : (k + 1) * hid] for k in range(4))
+    c_prev = np.vstack([np.zeros(hid), cache.c[:-1]])
+    # The recurrence only carries dh and dC; every other factor of the gate
+    # pre-activation gradients is known for all steps up front:
+    #   dpre[t] = dC_t * by_dc[t] + dh_t * [0, 0, by_dh_o[t], 0]
+    by_dc = np.stack(
+        [c_prev * f * (1.0 - f), g * i * (1.0 - i), np.zeros_like(o), i * (1.0 - g**2)], axis=1
+    )
+    by_dh_o = cache.tanh_c * o * (1.0 - o)
+    dc_by_dh = o * (1.0 - cache.tanh_c**2)
 
+    dpre = np.empty((t_len, 4 * hid))
     dh_carry = np.zeros(hid)
     dc = np.zeros(hid)
     for t in range(t_len - 1, -1, -1):
         dh = dh_seq[t] + dh_carry
-        do = dh * cache.tanh_c[t]
-        dc = dc + dh * cache.o[t] * (1.0 - cache.tanh_c[t] ** 2)
-        c_prev = cache.c[t - 1] if t > 0 else 0.0
-        df = dc * c_prev
-        di = dc * cache.g[t]
-        dg = dc * cache.i[t]
-        dpre["f"][t] = df * cache.f[t] * (1.0 - cache.f[t])
-        dpre["i"][t] = di * cache.i[t] * (1.0 - cache.i[t])
-        dpre["o"][t] = do * cache.o[t] * (1.0 - cache.o[t])
-        dpre["C"][t] = dg * (1.0 - cache.g[t] ** 2)
-        dh_carry = (
-            rec["f"].T @ dpre["f"][t]
-            + rec["i"].T @ dpre["i"][t]
-            + rec["o"].T @ dpre["o"][t]
-            + rec["C"].T @ dpre["C"][t]
-        )
-        dc = dc * cache.f[t]
+        dc = dc + dh * dc_by_dh[t]
+        d = dpre[t].reshape(4, hid)
+        np.multiply(by_dc[t], dc, out=d)
+        np.multiply(dh, by_dh_o[t], out=d[2])
+        dh_carry = dpre[t] @ w_h
+        dc = dc * f[t]
 
-    z = np.hstack([cache.h_prev, cache.x])
-    grads = {}
-    dx = np.zeros_like(cache.x)
-    for g in ("f", "i", "o", "C"):
-        grads[f"W_{g}"] = dpre[g].T @ z
-        grads[f"b_{g}"] = dpre[g].sum(axis=0)
-        dx += dpre[g] @ getattr(p, f"W_{g}")[:, hid:]
-    return dx, grads
+    grad.W[...] = dpre.T @ np.hstack([cache.h_prev, cache.x])
+    grad.b[...] = dpre.sum(axis=0)
+    return dpre @ p.W[:, hid:]
 
 
 def conv1d_forward(p: Conv1dParams, x: np.ndarray) -> np.ndarray:
@@ -349,7 +306,7 @@ def _conv_forward(p: Conv1dParams, x: np.ndarray):
         raise ShapeError(f"conv expects {p.in_channels} channels, got {in_ch}")
     k = p.width
     pad = (k - 1) // 2
-    xp = np.zeros((t_len + k - 1, in_ch), dtype=x.dtype)
+    xp = np.zeros((t_len + k - 1, in_ch))
     xp[pad : pad + t_len] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, in_ch, k)
     flat = windows.reshape(t_len, in_ch * k)
@@ -358,43 +315,45 @@ def _conv_forward(p: Conv1dParams, x: np.ndarray):
     return y, (xp, flat, pre > 0.0)
 
 
-def _conv_backward(p: Conv1dParams, cache, dy: np.ndarray):
+def _conv_backward(p: Conv1dParams, cache, dy: np.ndarray, grad: Conv1dParams):
     xp, flat, mask = cache
     k = p.width
     pad = (k - 1) // 2
     t_len = len(dy)
     dpre = dy * mask
-    dk = (dpre.T @ flat).reshape(p.kernels.shape)
-    db = dpre.sum(axis=0)
+    grad.kernels[...] = (dpre.T @ flat).reshape(p.kernels.shape)
+    grad.bias[...] = dpre.sum(axis=0)
     dxp = np.zeros_like(xp)
     for j in range(k):
         dxp[j : j + t_len] += dpre @ p.kernels[:, :, j]
-    return dxp[pad : pad + t_len], {"kernels": dk, "bias": db}
+    return dxp[pad : pad + t_len]
 
 
 def _dense_forward(p: DenseParams, x: np.ndarray):
-    pre = x @ p.weight.T + p.bias
+    y = x @ p.weight.T + p.bias
     if p.activation == "tanh":
-        y = np.tanh(pre)
-        cache = (x, y, None)
-    elif p.activation == "relu":
-        y = np.maximum(pre, 0.0)
-        cache = (x, None, pre > 0.0)
-    else:
-        y = pre
-        cache = (x, None, None)
-    return y, cache
+        y = np.tanh(y)
+    return y, (x, y)
 
 
-def _dense_backward(p: DenseParams, cache, dy: np.ndarray):
-    x, y, mask = cache
-    if p.activation == "tanh":
-        dpre = dy * (1.0 - y**2)
-    elif p.activation == "relu":
-        dpre = dy * mask
-    else:
-        dpre = dy
-    return dpre @ p.weight, {"weight": dpre.T @ x, "bias": dpre.sum(axis=0)}
+def _dense_backward(p: DenseParams, cache, dy: np.ndarray, grad: DenseParams):
+    x, y = cache
+    dpre = dy * (1.0 - y**2) if p.activation == "tanh" else dy
+    grad.weight[...] = dpre.T @ x
+    grad.bias[...] = dpre.sum(axis=0)
+    return dpre @ p.weight
+
+
+_FORWARD = {
+    Conv1dParams: _conv_forward,
+    LstmCellParams: _lstm_forward,
+    DenseParams: _dense_forward,
+}
+_BACKWARD = {
+    Conv1dParams: _conv_backward,
+    LstmCellParams: _lstm_backward,
+    DenseParams: _dense_backward,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,88 +362,39 @@ def _dense_backward(p: DenseParams, cache, dy: np.ndarray):
 
 @dataclass
 class ForwardCache:
-    conv: list
-    lstm: list
-    dense: list
+    layers: list  # one tape entry per entry of NetworkParams.layers
     out_shape: tuple
-    fps: int
 
 
-def _cast_params(net: NetworkParams, dtype) -> NetworkParams:
-    def cast(layer):
-        if layer is None:
-            return None
-        fields = {
-            k: (v.astype(dtype) if isinstance(v, np.ndarray) else v) for k, v in vars(layer).items()
-        }
-        return type(layer)(**fields)
-
-    return replace(
-        net,
-        conv1=cast(net.conv1),
-        conv2=cast(net.conv2),
-        lstm1=cast(net.lstm1),
-        lstm2=cast(net.lstm2),
-        lstm3=cast(net.lstm3),
-        lstm4=cast(net.lstm4),
-        fc1=cast(net.fc1),
-        fc2=cast(net.fc2),
-        decoder=cast(net.decoder),
-    )
-
-
-def forward_with_cache(net: NetworkParams, feats: FeatureSequence, dtype=np.float64):
+def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
     """Run the network over a feature sequence and keep the tape for backward."""
-    x = np.asarray(feats.data, dtype=dtype)
+    x = np.asarray(feats.data, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.feature_dim:
         raise ShapeError(
             f"network expects T x {net.arch.feature_dim} features, got {x.shape}"
         )
     t_len = len(x)
-
-    conv_caches = []
-    if net.conv1 is not None:
-        x, c1 = _conv_forward(net.conv1, x)
-        x, c2 = _conv_forward(net.conv2, x)
-        conv_caches = [c1, c2]
-
-    lstm_caches = []
-    for cell in (net.lstm1, net.lstm2, net.lstm3, net.lstm4):
-        x, cache = _lstm_forward(cell, x)
-        lstm_caches.append(cache)
-
-    dense_caches = []
-    for layer in (net.fc1, net.fc2, net.decoder):
-        x, cache = _dense_forward(layer, x)
-        dense_caches.append(cache)
-
+    caches = []
+    for layer in net.layers:
+        x, cache = _FORWARD[type(layer)](layer, x)
+        caches.append(cache)
     frames = x.reshape(t_len, net.vertex_count, 3)
     out = DisplacementSequence(frames=frames, fps=feats.fps)
-    tape = ForwardCache(
-        conv=conv_caches,
-        lstm=lstm_caches,
-        dense=dense_caches,
-        out_shape=frames.shape,
-        fps=feats.fps,
-    )
-    return out, tape
+    return out, ForwardCache(layers=caches, out_shape=frames.shape)
 
 
-def forward(net: NetworkParams, feats: FeatureSequence, dtype=np.float64) -> DisplacementSequence:
+def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
     """Vertex displacements for a feature sequence, one pose per input frame."""
-    if dtype == np.float64:
-        out, _ = forward_with_cache(net, feats)
-        return out
-    low = _cast_params(net, dtype)
-    out, _ = forward_with_cache(low, feats, dtype=dtype)
+    out, _ = forward_with_cache(net, feats)
     return out
 
 
-def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> dict:
+def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> NetworkParams:
     """Gradients of sum(upstream * output) w.r.t. every parameter.
 
     ``upstream`` is dLoss/dOutput with shape T x V x 3 from a matching
-    forward_with_cache call. Returns a dict keyed like ``net.items()``.
+    forward_with_cache call. The result has the layout of ``net``: its
+    ``flat`` is the gradient vector and ``items()`` names its pieces.
     """
     if cache is None:
         raise StateError("backward needs the cache returned by forward_with_cache")
@@ -493,33 +403,10 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> d
         raise ShapeError(
             f"upstream gradient shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
-    t_len = cache.out_shape[0]
-    d = upstream.reshape(t_len, -1)
-
-    grads = {}
-    for name, layer, layer_cache in (
-        ("decoder", net.decoder, cache.dense[2]),
-        ("fc2", net.fc2, cache.dense[1]),
-        ("fc1", net.fc1, cache.dense[0]),
-    ):
-        d, g = _dense_backward(layer, layer_cache, d)
-        grads[f"{name}.weight"] = g["weight"]
-        grads[f"{name}.bias"] = g["bias"]
-
-    for idx in (4, 3, 2, 1):
-        cell = getattr(net, f"lstm{idx}")
-        d, g = _lstm_backward(cell, cache.lstm[idx - 1], d)
-        for key, val in g.items():
-            grads[f"lstm{idx}.{key}"] = val
-
-    if net.conv1 is not None:
-        d, g = _conv_backward(net.conv2, cache.conv[1], d)
-        grads["conv2.kernels"] = g["kernels"]
-        grads["conv2.bias"] = g["bias"]
-        d, g = _conv_backward(net.conv1, cache.conv[0], d)
-        grads["conv1.kernels"] = g["kernels"]
-        grads["conv1.bias"] = g["bias"]
-
+    grads = _bind(net.arch, net.vertex_count)
+    d = upstream.reshape(len(upstream), -1)
+    for layer, grad, tape in reversed(list(zip(net.layers, grads.layers, cache.layers))):
+        d = _BACKWARD[type(layer)](layer, tape, d, grad)
     return grads
 
 
@@ -561,83 +448,59 @@ def load_checkpoint(path) -> NetworkParams:
             pos += 4
             dims = struct.unpack_from(f"<{rank}I", raw, pos)
             pos += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            payload = raw[pos : pos + 8 * count]
-            if len(payload) < 8 * count:
-                raise FileFormatError("truncated tensor payload", path=str(path), offset=pos)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-            pos += 8 * count
         except struct.error:
             raise FileFormatError("truncated tensor table", path=str(path), offset=pos)
+        except UnicodeDecodeError:
+            raise FileFormatError("tensor name is not UTF-8", path=str(path), offset=pos)
+        count = math.prod(dims)
+        payload = raw[pos : pos + 8 * count]
+        if len(payload) < 8 * count:
+            raise FileFormatError("truncated tensor payload", path=str(path), offset=pos)
+        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
+        pos += 8 * count
 
     return _params_from_tensors(tensors, vertex_count, str(path))
 
 
 def _params_from_tensors(tensors: dict, vertex_count: int, path: str) -> NetworkParams:
-    def need(name):
+    def dim(name, axis):
         if name not in tensors:
             raise FileFormatError(f"missing tensor {name}", path=path)
-        return tensors[name]
+        if tensors[name].ndim <= axis:
+            raise FileFormatError(f"tensor {name} has shape {tensors[name].shape}", path=path)
+        return tensors[name].shape[axis]
 
     use_conv = "conv1.kernels" in tensors
+    n_lstm = 0
+    while f"lstm{n_lstm + 1}.W_f" in tensors:
+        n_lstm += 1
     if use_conv:
-        conv1 = Conv1dParams(kernels=need("conv1.kernels"), bias=need("conv1.bias"))
-        conv2 = Conv1dParams(kernels=need("conv2.kernels"), bias=need("conv2.bias"))
-        feature_dim = conv1.in_channels
-        conv_channels = conv1.out_channels
-        kernel = conv1.width
-    else:
-        conv1 = conv2 = None
-        kernel = 5
-        conv_channels = 32  # unused without conv layers
-
-    cells = []
-    for idx in range(1, 5):
-        cells.append(
-            LstmCellParams(
-                W_f=need(f"lstm{idx}.W_f"),
-                W_i=need(f"lstm{idx}.W_i"),
-                W_o=need(f"lstm{idx}.W_o"),
-                W_C=need(f"lstm{idx}.W_C"),
-                b_f=need(f"lstm{idx}.b_f"),
-                b_i=need(f"lstm{idx}.b_i"),
-                b_o=need(f"lstm{idx}.b_o"),
-                b_C=need(f"lstm{idx}.b_C"),
-            )
-        )
-    if not use_conv:
-        feature_dim = cells[0].input_size
-
-    fc1 = DenseParams(weight=need("fc1.weight"), bias=need("fc1.bias"), activation="tanh")
-    fc2 = DenseParams(weight=need("fc2.weight"), bias=need("fc2.bias"), activation="linear")
-    decoder = DenseParams(
-        weight=need("decoder.weight"), bias=need("decoder.bias"), activation="linear"
-    )
-    if decoder.weight.shape[0] != vertex_count * 3:
-        raise FileFormatError(
-            f"decoder rows {decoder.weight.shape[0]} disagree with header V={vertex_count}",
-            path=path,
-        )
-
+        feature_dim = dim("conv1.kernels", 1)
+    else:  # clamped at 0 so that a too narrow lstm1.W_f fails the shape check below
+        feature_dim = max(dim("lstm1.W_f", 1) - dim("lstm1.W_f", 0), 0)
     arch = ArchConfig(
         feature_dim=feature_dim,
-        conv_channels=conv_channels,
-        conv_kernel=kernel,
-        lstm_sizes=tuple(c.hidden_size for c in cells),
-        fc1_size=fc1.weight.shape[0],
-        embedding_size=fc2.weight.shape[0],
+        conv_channels=dim("conv1.kernels", 0) if use_conv else ArchConfig.conv_channels,
+        conv_kernel=dim("conv1.kernels", 2) if use_conv else ArchConfig.conv_kernel,
+        lstm_sizes=tuple(dim(f"lstm{n}.W_f", 0) for n in range(1, n_lstm + 1)),
+        fc1_size=dim("fc1.weight", 0),
+        embedding_size=dim("fc2.weight", 0),
         use_conv=use_conv,
     )
-    return NetworkParams(
-        conv1=conv1,
-        conv2=conv2,
-        lstm1=cells[0],
-        lstm2=cells[1],
-        lstm3=cells[2],
-        lstm4=cells[3],
-        fc1=fc1,
-        fc2=fc2,
-        decoder=decoder,
-        vertex_count=vertex_count,
-        arch=arch,
-    )
+    # A header V or a zero-size tensor can describe a network far larger
+    # than the file; refuse before allocating it.
+    if sum(map(math.prod, _layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):
+        raise FileFormatError("tensor shapes describe a network larger than the payload", path=path)
+    net = _bind(arch, vertex_count)
+    for name, view in net.items():
+        arr = tensors.pop(name, None)
+        if arr is None:
+            raise FileFormatError(f"missing tensor {name}", path=path)
+        if arr.shape != view.shape:
+            raise FileFormatError(
+                f"tensor {name} has shape {arr.shape}, the layout needs {view.shape}", path=path
+            )
+        view[...] = arr
+    if tensors:
+        raise FileFormatError(f"unexpected tensor {min(tensors)}", path=path)
+    return net

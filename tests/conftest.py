@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ def tiny_net(seed=0, vertices=5, use_conv=True):
 
 def random_features(rng, t_len, dim=29):
     return features.FeatureSequence(data=rng.standard_normal((t_len, dim)) * 0.5)
+
+
+def write_lsn1(path, vertex_count, named):
+    """LSN1 bytes from (name bytes, array) pairs, written independently of save_checkpoint."""
+    blobs = [b"LSN1", struct.pack("<II", vertex_count, len(named))]
+    for name, arr in named:
+        blobs += [struct.pack("<I", len(name)), name, struct.pack("<I", arr.ndim)]
+        blobs += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(blobs))
 
 
 @pytest.fixture(scope="session")

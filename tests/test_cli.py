@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 
+from conftest import write_lsn1
 from lipsync import audio, cli, features, mesh, model, synthdata
 from lipsync.features import FeatureKind
 
@@ -43,6 +44,24 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--w-pos", "-1"), ("--batch-size", "0"), ("--lr", "nan"), ("--clip-norm", "-1")]
+    )
+    def test_bad_train_config_is_one_line(self, mini_corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.lsn1"
+        code = run_cli(
+            "train",
+            "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+            "--out", str(out),
+            "--epochs", "1",
+            flag, value,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
@@ -69,6 +88,41 @@ class TestDataErrors:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("defect", ["shape", "name"])
+    def test_malformed_checkpoint_is_exit_2(self, tmp_path, wav_2s, capsys, defect):
+        named = [(name.encode(), arr) for name, arr in model.init_params(0, 5).items()]
+        if defect == "shape":
+            named[0] = (named[0][0], np.zeros((32, 30, 5)))
+        else:
+            named[0] = (b"conv1.\xffkernels", named[0][1])
+        bad = tmp_path / "bad.lsn1"
+        write_lsn1(bad, 5, named)
+        code = run_cli(
+            "infer", "--checkpoint", str(bad), "--wav", str(wav_2s), "--out", str(tmp_path / "o.lsa1")
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_training_is_exit_2_without_checkpoint(self, mini_corpus, tmp_path, monkeypatch, capsys):
+        def nan_net(seed, vertex_count, arch):
+            net = model._bind(arch, vertex_count)
+            net.flat[...] = np.nan
+            return net
+
+        monkeypatch.setattr(model, "init_params", nan_net)
+        out = tmp_path / "m.lsn1"
+        code = run_cli(
+            "train", "--manifest", str(mini_corpus["root"] / "corpus.jsonl"), "--out", str(out),
+            "--epochs", "1", "--checkpoint-dir", str(tmp_path / "ckpts"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in err and err.count("\n") == 1
+        assert not out.exists()
+        assert list((tmp_path / "ckpts").iterdir()) == []
 
 
 class TestInfer:
@@ -181,7 +235,7 @@ class TestGenCorpusAndTrain:
             "--seed", "2",
         ) == 0
         net = model.load_checkpoint(ckpt)
-        assert net.conv1 is None
+        assert net.convs == []
 
 
 class TestEvalSelfTest:

@@ -1,22 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import TINY_ARCH, random_features, tiny_net
+from conftest import TINY_ARCH, random_features, tiny_net, write_lsn1
 from lipsync import model, training
 from lipsync.errors import FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
 from lipsync.mesh import DisplacementSequence
-from lipsync.model import Conv1dParams, LstmCellParams
+from lipsync.model import ArchConfig, Conv1dParams, LstmCellParams
 
 
 def zero_cell(hidden, input_dim):
-    shape = (hidden, hidden + input_dim)
-    return LstmCellParams(
-        W_f=np.zeros(shape), W_i=np.zeros(shape), W_o=np.zeros(shape), W_C=np.zeros(shape),
-        b_f=np.zeros(hidden), b_i=np.zeros(hidden), b_o=np.zeros(hidden), b_C=np.zeros(hidden),
-    )
+    return LstmCellParams(W=np.zeros((4 * hidden, hidden + input_dim)), b=np.zeros(4 * hidden))
 
 
 class TestLstmStep:
@@ -39,14 +36,8 @@ class TestLstmStep:
         rng = np.random.default_rng(9)
         hidden, input_dim = 2, 3
         p = LstmCellParams(
-            W_f=rng.standard_normal((hidden, hidden + input_dim)),
-            W_i=rng.standard_normal((hidden, hidden + input_dim)),
-            W_o=rng.standard_normal((hidden, hidden + input_dim)),
-            W_C=rng.standard_normal((hidden, hidden + input_dim)),
-            b_f=rng.standard_normal(hidden),
-            b_i=rng.standard_normal(hidden),
-            b_o=rng.standard_normal(hidden),
-            b_C=rng.standard_normal(hidden),
+            W=rng.standard_normal((4 * hidden, hidden + input_dim)),
+            b=rng.standard_normal(4 * hidden),
         )
         x = rng.standard_normal(input_dim)
         h_prev = rng.standard_normal(hidden)
@@ -55,13 +46,18 @@ class TestLstmStep:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
+        def gate(block, r):
+            # row r of gate block f=0, i=1, o=2, C=3 of the fused matrix
+            row = block * hidden + r
+            return sum(p.W[row][k] * z[k] for k in range(len(z))) + p.b[row]
+
         z = list(h_prev) + list(x)
         h_exp, c_exp = [], []
         for r in range(hidden):
-            f = sig(sum(p.W_f[r][k] * z[k] for k in range(len(z))) + p.b_f[r])
-            i = sig(sum(p.W_i[r][k] * z[k] for k in range(len(z))) + p.b_i[r])
-            o = sig(sum(p.W_o[r][k] * z[k] for k in range(len(z))) + p.b_o[r])
-            g = math.tanh(sum(p.W_C[r][k] * z[k] for k in range(len(z))) + p.b_C[r])
+            f = sig(gate(0, r))
+            i = sig(gate(1, r))
+            o = sig(gate(2, r))
+            g = math.tanh(gate(3, r))
             c = f * c_prev[r] + i * g
             c_exp.append(c)
             h_exp.append(o * math.tanh(c))
@@ -78,14 +74,47 @@ class TestLstmStep:
     def test_layer_matches_repeated_steps(self):
         rng = np.random.default_rng(4)
         net = tiny_net(seed=4)
-        cell = net.lstm3
-        x = rng.standard_normal((12, cell.input_size))
-        h_seq, _ = model._lstm_forward(cell, x)
-        h = np.zeros(cell.hidden_size)
-        c = np.zeros(cell.hidden_size)
-        for t in range(12):
-            h, c = model.lstm_step(cell, x[t], h, c)
-            assert np.allclose(h_seq[t], h, atol=1e-12)
+        for cell in (net.lstms[0], net.lstms[2]):
+            x = rng.standard_normal((12, cell.input_size))
+            h_seq, cache = model._lstm_forward(cell, x)
+            h = np.zeros(cell.hidden_size)
+            c = np.zeros(cell.hidden_size)
+            for t in range(12):
+                h, c = model.lstm_step(cell, x[t], h, c)
+                assert np.allclose(h_seq[t], h, atol=1e-12)
+                assert np.allclose(cache.c[t], c, atol=1e-12)
+
+    def test_layer_backward_matches_per_gate_reference(self):
+        # reference: BPTT written with one product per gate block
+        rng = np.random.default_rng(11)
+        cell = tiny_net(seed=11).lstms[1]
+        hid = cell.hidden_size
+        x = rng.standard_normal((10, cell.input_size))
+        dh_seq = rng.standard_normal((10, hid))
+        _, cache = model._lstm_forward(cell, x)
+        grad = zero_cell(hid, cell.input_size)
+        dx = model._lstm_backward(cell, cache, dh_seq, grad)
+
+        blocks = [slice(k * hid, (k + 1) * hid) for k in range(4)]
+        f, i, o, g = (cache.gates[:, b] for b in blocks)
+        dpre = np.zeros((10, 4 * hid))
+        dh_carry, dc = np.zeros(hid), np.zeros(hid)
+        for t in range(9, -1, -1):
+            dh = dh_seq[t] + dh_carry
+            dc = dc + dh * o[t] * (1.0 - cache.tanh_c[t] ** 2)
+            c_prev = cache.c[t - 1] if t > 0 else 0.0
+            dpre[t, blocks[0]] = dc * c_prev * f[t] * (1.0 - f[t])
+            dpre[t, blocks[1]] = dc * g[t] * i[t] * (1.0 - i[t])
+            dpre[t, blocks[2]] = dh * cache.tanh_c[t] * o[t] * (1.0 - o[t])
+            dpre[t, blocks[3]] = dc * i[t] * (1.0 - g[t] ** 2)
+            dh_carry = sum(cell.W[b, :hid].T @ dpre[t, b] for b in blocks)
+            dc = dc * f[t]
+        z = np.hstack([cache.h_prev, x])
+        for b in blocks:
+            assert np.allclose(grad.W[b], dpre[:, b].T @ z, rtol=1e-12, atol=1e-14)
+            assert np.allclose(grad.b[b], dpre[:, b].sum(axis=0), rtol=1e-12, atol=1e-14)
+        expected_dx = sum(dpre[:, b] @ cell.W[b, hid:] for b in blocks)
+        assert np.allclose(dx, expected_dx, rtol=1e-12, atol=1e-14)
 
 
 class TestConv1d:
@@ -167,14 +196,6 @@ class TestForward:
         assert np.array_equal(out[:5], base[:5])
         assert not np.allclose(out[5:], base[5:])
 
-    def test_f32_fast_path_close_to_f64(self):
-        net = tiny_net(seed=6)
-        feats = random_features(np.random.default_rng(6), 30)
-        full = model.forward(net, feats).frames
-        fast = model.forward(net, feats, dtype=np.float32).frames
-        assert fast.dtype == np.float32
-        assert np.allclose(fast, full, rtol=1e-3, atol=1e-5)
-
     def test_feature_dim_mismatch(self):
         net = tiny_net()
         with pytest.raises(ShapeError):
@@ -187,9 +208,9 @@ def scalar_loss(net, feats, truth, cfg):
     return total
 
 
-def max_gradient_error(seed, eps=1e-5):
+def max_gradient_error(seed, eps=1e-5, arch=TINY_ARCH):
     """Central finite differences over every parameter of the reduced net."""
-    net = tiny_net(seed=seed)
+    net = model.init_params(seed, 5, arch)
     rng = np.random.default_rng(seed + 1000)
     feats = random_features(rng, 9)
     truth = DisplacementSequence(frames=rng.standard_normal((9, 5, 3)) * 0.1)
@@ -225,7 +246,7 @@ class TestBackward:
         feats = random_features(np.random.default_rng(2), 8)
         _, tape = model.forward_with_cache(net, feats)
         grads = model.backward(net, tape, np.zeros((8, 5, 3)))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        assert np.array_equal(grads.flat, np.zeros_like(net.flat))
 
     def test_decoder_bias_gradient_is_upstream_sum(self):
         net = tiny_net()
@@ -238,6 +259,15 @@ class TestBackward:
 
     def test_gradients_match_finite_differences(self):
         assert max_gradient_error(seed=0) < 1e-4
+
+    def test_gradients_share_the_parameter_layout(self):
+        net = tiny_net(seed=1)
+        _, tape = model.forward_with_cache(net, random_features(np.random.default_rng(1), 6))
+        grads = model.backward(net, tape, np.ones((6, 5, 3)))
+        assert grads.flat.shape == net.flat.shape
+        assert [(n, a.shape) for n, a in grads.items()] == [(n, a.shape) for n, a in net.items()]
+        for _, arr in grads.items():
+            assert np.shares_memory(arr, grads.flat)
 
     def test_requires_cache(self):
         net = tiny_net()
@@ -260,9 +290,11 @@ class TestInitParams:
 
     def test_forget_gate_bias_is_one(self):
         net = model.init_params(0, 5, TINY_ARCH)
-        for cell in (net.lstm1, net.lstm2, net.lstm3, net.lstm4):
-            assert np.array_equal(cell.b_f, np.ones_like(cell.b_f))
-            assert np.array_equal(cell.b_i, np.zeros_like(cell.b_i))
+        assert len(net.lstms) == 4
+        for cell in net.lstms:
+            hid = cell.hidden_size
+            assert np.array_equal(cell.b[:hid], np.ones(hid))
+            assert np.array_equal(cell.b[hid:], np.zeros(3 * hid))
 
     def test_glorot_bounds(self):
         net = model.init_params(1, 9, TINY_ARCH)
@@ -270,10 +302,10 @@ class TestInitParams:
         def limit(fan_in, fan_out):
             return np.sqrt(6.0 / (fan_in + fan_out))
 
-        assert np.abs(net.conv1.kernels).max() <= limit(29 * 5, 4 * 5)
-        assert np.abs(net.lstm1.W_f).max() <= limit(6 + 4, 6)
-        assert np.abs(net.fc1.weight).max() <= limit(3, 10)
-        assert np.abs(net.decoder.weight).max() <= limit(6, 27)
+        assert np.abs(net.convs[0].kernels).max() <= limit(29 * 5, 4 * 5)
+        assert np.abs(net.lstms[0].W).max() <= limit(6 + 4, 6)
+        assert np.abs(net.dense[0].weight).max() <= limit(3, 10)
+        assert np.abs(net.dense[2].weight).max() <= limit(6, 27)
 
     def test_parameter_count_production_preset(self):
         # closed-form total of the production shape chain with V = 5713
@@ -305,7 +337,7 @@ class TestCheckpoint:
         net = tiny_net(seed=14, use_conv=False)
         model.save_checkpoint(net, tmp_path / "n.lsn1")
         back = model.load_checkpoint(tmp_path / "n.lsn1")
-        assert back.conv1 is None
+        assert back.convs == []
         assert back.arch.use_conv is False
         assert back.arch.feature_dim == 29
 
@@ -328,3 +360,123 @@ class TestCheckpoint:
         model.save_checkpoint(net, tmp_path / "f.lsn1")
         back = model.load_checkpoint(tmp_path / "f.lsn1")
         assert np.array_equal(model.forward(net, feats).frames, model.forward(back, feats).frames)
+
+
+class TestMalformedCheckpoint:
+    def named(self, net):
+        return [(name.encode(), arr) for name, arr in net.items()]
+
+    def test_shape_outside_layout(self, tmp_path):
+        # fc1 widened by one input column no longer fits the LSTM below it
+        named = self.named(tiny_net())
+        named = [(n, np.zeros((10, 4)) if n == b"fc1.weight" else a) for n, a in named]
+        write_lsn1(tmp_path / "s.lsn1", 5, named)
+        with pytest.raises(FileFormatError, match="fc1.weight"):
+            model.load_checkpoint(tmp_path / "s.lsn1")
+
+    def test_decoder_rows_disagree_with_header(self, tmp_path):
+        write_lsn1(tmp_path / "v.lsn1", 4, self.named(tiny_net()))
+        with pytest.raises(FileFormatError, match="decoder.weight"):
+            model.load_checkpoint(tmp_path / "v.lsn1")
+
+    @pytest.mark.parametrize("defect", ["header", "empty"])
+    def test_huge_layout_refused_before_allocation(self, tmp_path, defect):
+        # a header V of 2**31, or an empty lstm1 gate claiming 10**9 rows,
+        # would need terabytes; the loader must refuse, not allocate
+        named = self.named(tiny_net())
+        vertices = 2**31 if defect == "header" else 5
+        if defect == "empty":
+            named = [(n, np.zeros((10**9, 0)) if n == b"lstm1.W_f" else a) for n, a in named]
+        write_lsn1(tmp_path / "h.lsn1", vertices, named)
+        with pytest.raises(FileFormatError, match="larger than the payload"):
+            model.load_checkpoint(tmp_path / "h.lsn1")
+
+    def test_name_not_utf8(self, tmp_path):
+        named = self.named(tiny_net())
+        named[3] = (b"\xff\xfe", named[3][1])
+        write_lsn1(tmp_path / "u.lsn1", 5, named)
+        with pytest.raises(FileFormatError, match="UTF-8"):
+            model.load_checkpoint(tmp_path / "u.lsn1")
+
+    def test_unexpected_tensor(self, tmp_path):
+        named = self.named(tiny_net()) + [(b"conv3.bias", np.zeros(4))]
+        write_lsn1(tmp_path / "x.lsn1", 5, named)
+        with pytest.raises(FileFormatError, match="conv3.bias"):
+            model.load_checkpoint(tmp_path / "x.lsn1")
+
+    def test_missing_gate(self, tmp_path):
+        named = [(n, a) for n, a in self.named(tiny_net()) if n != b"lstm2.b_o"]
+        named.append((b"lstm2.b_x", np.zeros(6)))
+        write_lsn1(tmp_path / "m.lsn1", 5, named)
+        with pytest.raises(FileFormatError, match="missing tensor lstm2.b_o"):
+            model.load_checkpoint(tmp_path / "m.lsn1")
+
+    def test_independent_writer_matches_save(self, tmp_path):
+        net = tiny_net(seed=3)
+        write_lsn1(tmp_path / "w.lsn1", 5, self.named(net))
+        model.save_checkpoint(net, tmp_path / "s.lsn1")
+        assert (tmp_path / "w.lsn1").read_bytes() == (tmp_path / "s.lsn1").read_bytes()
+
+
+class TestLayout:
+    # sha256 of the LSN1 bytes of freshly initialised nets, pinned when each
+    # LSTM still held eight per-gate arrays; fails if the draw order, the
+    # tensor names or order, or the container layout drift
+    PINNED = {
+        (0, 100, ArchConfig()): "3b9d964878ff4f92cb7dbf92ed900e86652f57642e6214a11e75ece6c3ad85a7",
+        (13, 5, TINY_ARCH): "d1c3ca23ec6169e4886b0a63524d0658827931f9b24b5bbd9c1041fe8150fa53",
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED), ids=["production", "tiny"])
+    def test_fresh_checkpoint_bytes_pinned(self, key, tmp_path):
+        seed, vertices, arch = key
+        model.save_checkpoint(model.init_params(seed, vertices, arch), tmp_path / "p.lsn1")
+        assert hashlib.sha256((tmp_path / "p.lsn1").read_bytes()).hexdigest() == self.PINNED[key]
+
+    def test_items_tile_the_flat_vector_in_order(self):
+        net = tiny_net(seed=2)
+        assert net.flat.flags.c_contiguous and net.flat.dtype == np.float64
+        pieces = [arr.ravel() for _, arr in net.items()]
+        assert all(np.shares_memory(arr, net.flat) for _, arr in net.items())
+        assert np.array_equal(np.concatenate(pieces), net.flat)
+        assert sum(p.size for p in pieces) == net.flat.size
+
+    def test_gate_names_are_row_blocks(self):
+        net = tiny_net(seed=2)
+        cell = net.lstms[1]
+        hid = cell.hidden_size
+        for k, gate in enumerate("fioC"):
+            assert np.array_equal(net[f"lstm2.W_{gate}"], cell.W[k * hid : (k + 1) * hid])
+            assert np.array_equal(net[f"lstm2.b_{gate}"], cell.b[k * hid : (k + 1) * hid])
+
+    def test_copy_is_independent(self):
+        net = tiny_net(seed=2)
+        dup = net.copy()
+        assert np.array_equal(dup.flat, net.flat) and dup.arch == net.arch
+        dup.lstms[0].W[0, 0] += 1.0
+        assert not np.array_equal(dup.flat, net.flat)
+        assert not np.shares_memory(dup.flat, net.flat)
+        assert all(np.shares_memory(arr, dup.flat) for _, arr in dup.items())
+
+
+def depth_arch(sizes):
+    return ArchConfig(conv_channels=4, lstm_sizes=sizes, fc1_size=10, embedding_size=6)
+
+
+@pytest.mark.parametrize("sizes", [(6, 3), (6, 6, 3, 3, 3)], ids=["2-lstm", "5-lstm"])
+class TestLstmDepth:
+    def test_builds_requested_layers(self, sizes):
+        net = model.init_params(0, 5, depth_arch(sizes))
+        assert [c.hidden_size for c in net.lstms] == list(sizes)
+        out = model.forward(net, random_features(np.random.default_rng(0), 7))
+        assert out.frames.shape == (7, 5, 3)
+
+    def test_round_trip(self, sizes, tmp_path):
+        net = model.init_params(1, 5, depth_arch(sizes))
+        model.save_checkpoint(net, tmp_path / "d.lsn1")
+        back = model.load_checkpoint(tmp_path / "d.lsn1")
+        assert back.arch == depth_arch(sizes)
+        assert np.array_equal(back.flat, net.flat)
+
+    def test_gradients_match_finite_differences(self, sizes):
+        assert max_gradient_error(seed=2, arch=depth_arch(sizes)) < 1e-4

@@ -129,34 +129,59 @@ class TestLossTotal:
         with pytest.raises(ValueError):
             LossConfig(w_position=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"w_velocity": float("nan")}, {"w_position": float("inf")}])
+    def test_non_finite_weights_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LossConfig(**kwargs)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": 0.0},
+            {"clip_norm": -1.0},
+            {"clip_norm": float("nan")},
+            {"batch_size": 0},
+            {"epochs": 0},
+        ],
+    )
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    def test_zero_clip_norm_disables_clipping(self):
+        assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         net = tiny_net()
-        before = {name: arr.copy() for name, arr in net.items()}
-        grads = {name: np.zeros_like(arr) for name, arr in net.items()}
-        training.adam_step(net, grads, training.AdamState.zeros(net), TrainConfig())
-        for name, arr in net.items():
-            assert np.array_equal(arr, before[name])
+        before = net.flat.copy()
+        training.adam_step(net, np.zeros_like(net.flat), training.AdamState.zeros(net), TrainConfig())
+        assert np.array_equal(net.flat, before)
 
     def test_first_step_closed_form(self):
         # after one step: delta = -lr * g / (|g| + eps)
         net = tiny_net(seed=2)
         rng = np.random.default_rng(2)
         before = {name: arr.copy() for name, arr in net.items()}
-        grads = {name: rng.standard_normal(arr.shape) for name, arr in net.items()}
+        grads = net.copy()  # gradient vector in the parameter layout, named per tensor
+        grads.flat[...] = rng.standard_normal(net.flat.shape)
         cfg = TrainConfig(learning_rate=1e-3)
-        training.adam_step(net, grads, training.AdamState.zeros(net), cfg)
+        training.adam_step(net, grads.flat, training.AdamState.zeros(net), cfg)
         for name, arr in net.items():
             g = grads[name]
             expected = before[name] - cfg.learning_rate * g / (np.abs(g) + cfg.eps)
             assert np.allclose(arr, expected, atol=1e-12), name
 
     def test_clip_scales_to_max_norm(self):
-        grads = {"a": np.array([3.0, 4.0]) * 10}
+        grads = np.array([3.0, 4.0]) * 10
         norm, clipped = training.clip_gradients(grads, 5.0)
         assert clipped and abs(norm - 50.0) < 1e-12
-        assert np.allclose(grads["a"], [0.3 * 10, 0.4 * 10], atol=1e-12)
+        assert np.allclose(grads, [0.3 * 10, 0.4 * 10], atol=1e-12)
 
 
 def make_corpus(rng, n_items, t_len=20, vertices=5):
@@ -173,6 +198,50 @@ class TestTrain:
     def test_empty_corpus_raises(self):
         with pytest.raises(DataError):
             training.train([], tiny_net(), LossConfig(), TrainConfig())
+
+    def test_nan_parameters_raise_and_save_nothing(self, tmp_path):
+        rng = np.random.default_rng(1)
+        net = tiny_net()
+        net.flat[...] = np.nan
+        with pytest.raises(DataError, match="non-finite training loss"):
+            training.train(
+                make_corpus(rng, 2),
+                net,
+                LossConfig(),
+                TrainConfig(checkpoint_every=1),
+                val_items=make_corpus(rng, 1),
+                checkpoint_dir=tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_validation_loss_raises(self, tmp_path):
+        rng = np.random.default_rng(2)
+        val = make_corpus(rng, 1)
+        val[0].displacements = DisplacementSequence(frames=np.full_like(val[0].displacements.frames, np.nan))
+        with pytest.raises(DataError, match="non-finite validation loss"):
+            training.train(
+                make_corpus(rng, 1), tiny_net(), LossConfig(), TrainConfig(), val_items=val,
+                checkpoint_dir=tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batches_average_per_sequence_gradients(self):
+        # one step over a batch of two equals Adam on the mean of the two
+        # per-sequence gradients taken at the starting parameters
+        rng = np.random.default_rng(8)
+        items = make_corpus(rng, 2)
+        net = tiny_net(seed=8)
+        expected = net.copy()
+        grads = []
+        for s in items:
+            pred, tape = model.forward_with_cache(expected, s.features)
+            _, dpred = training.loss_total(pred, s.displacements, LossConfig())
+            grads.append(model.backward(expected, tape, dpred).flat)
+        mean = (grads[0] + grads[1]) / 2
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=2, clip_norm=0.0)
+        training.adam_step(expected, mean, training.AdamState.zeros(expected), cfg)
+        training.train(items, net, LossConfig(), cfg)
+        assert np.allclose(net.flat, expected.flat, rtol=0, atol=1e-15)
 
     def test_frame_mismatch_names_item(self):
         rng = np.random.default_rng(0)
