@@ -6,6 +6,8 @@ corpus and prints the landmark error table per seed plus a trend summary:
 whether the velocity loss lowers velocity error and whether the temporal
 convolution front end lowers positional error.
 
+The matrix defined here is also the one the acceptance tests train.
+
 Example:
     python3 scripts/run_ablation.py --out /tmp/ablation --epochs 80
 """
@@ -13,6 +15,7 @@ Example:
 import argparse
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 
@@ -23,7 +26,25 @@ from lipsync.features import SurrogateProvider
 from lipsync.model import ArchConfig
 from lipsync.training import LossConfig, TrainConfig
 
-VARIANTS = {
+# The corpus is fixed; the four seeds vary initialization and epoch order.
+# The oracle anticipates two future feature frames (mouth leads sound), so
+# the temporal window of the conv stack carries signal the strictly causal
+# LSTM cannot reach, and its smoothing keeps the ground truth less jittery
+# than the features that drive it.
+ABLATION = {
+    "corpus_seed": 100,
+    "vertices": 40,
+    "sentences": 14,
+    "split_ratio": (8, 2, 4),
+    "duration_range": (0.7, 1.1),
+    "smoothing": 0.75,
+    "anticipation": 2,
+    "epochs": 80,
+    "learning_rate": 1e-3,
+    "train_seeds": (0, 1, 2, 3),
+}
+
+VARIANTS = {  # label: (temporal conv front end, velocity loss weight)
     "lstm": (False, 0.0),
     "lstm+v": (False, 0.5),
     "conv": (True, 0.0),
@@ -31,64 +52,83 @@ VARIANTS = {
 }
 
 
+def build_corpus(out, cfg=ABLATION):
+    """Generate the corpus under ``out``; returns (head, train items, test items)."""
+    head = synthdata.make_head(cfg["vertices"], seed=cfg["corpus_seed"])
+    oracle = synthdata.OracleArticulator.seeded(
+        head, seed=cfg["corpus_seed"], smoothing=cfg["smoothing"], anticipation=cfg["anticipation"]
+    )
+    manifest = synthdata.generate_corpus(
+        out,
+        cfg["sentences"],
+        duration_range=cfg["duration_range"],
+        provider=SurrogateProvider.seeded(cfg["corpus_seed"]),
+        oracle=oracle,
+        seed=cfg["corpus_seed"],
+        split_ratio=cfg["split_ratio"],
+    )
+    return head, synthdata.load_split(manifest, "train"), synthdata.load_split(manifest, "test")
+
+
+def run_matrix(head, train_items, test_items, cfg=ABLATION):
+    """Train every variant for every seed; yields (seed, label, trained params, test EvalReport)."""
+    for seed in cfg["train_seeds"]:
+        for label, (use_conv, w_vel) in VARIANTS.items():
+            net = model.init_params(seed, cfg["vertices"], ArchConfig(use_conv=use_conv))
+            result = training.train(
+                train_items,
+                net,
+                LossConfig(w_velocity=w_vel),
+                TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed),
+            )
+            yield seed, label, result.params, evaluation.evaluate(result.params, head, test_items)
+
+
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out", required=True, help="working directory for the corpus")
-    p.add_argument("--seeds", default="0,1,2,3", help="comma-separated training seeds")
-    p.add_argument("--corpus-seed", type=int, default=100)
-    p.add_argument("--sentences", type=int, default=14)
-    p.add_argument("--vertices", type=int, default=40)
-    p.add_argument("--epochs", type=int, default=80)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--smoothing", type=float, default=0.75)
-    p.add_argument("--anticipation", type=int, default=2)
+    p.add_argument("--seeds", default=",".join(map(str, ABLATION["train_seeds"])),
+                   help="comma-separated training seeds")
+    p.add_argument("--corpus-seed", type=int, default=ABLATION["corpus_seed"])
+    p.add_argument("--sentences", type=int, default=ABLATION["sentences"])
+    p.add_argument("--vertices", type=int, default=ABLATION["vertices"])
+    p.add_argument("--epochs", type=int, default=ABLATION["epochs"])
+    p.add_argument("--lr", type=float, default=ABLATION["learning_rate"])
+    p.add_argument("--smoothing", type=float, default=ABLATION["smoothing"])
+    p.add_argument("--anticipation", type=int, default=ABLATION["anticipation"])
     return p.parse_args()
 
 
 def main():
     args = parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-    out = Path(args.out)
-
-    head = synthdata.make_head(args.vertices, seed=args.corpus_seed)
-    provider = SurrogateProvider.seeded(args.corpus_seed)
-    oracle = synthdata.OracleArticulator.seeded(
-        head, seed=args.corpus_seed, smoothing=args.smoothing, anticipation=args.anticipation
+    cfg = dict(
+        ABLATION,
+        corpus_seed=args.corpus_seed,
+        vertices=args.vertices,
+        sentences=args.sentences,
+        smoothing=args.smoothing,
+        anticipation=args.anticipation,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        train_seeds=seeds,
     )
-    manifest = synthdata.generate_corpus(
-        out,
-        args.sentences,
-        duration_range=(0.7, 1.1),
-        provider=provider,
-        oracle=oracle,
-        seed=args.corpus_seed,
-        split_ratio=(8, 2, 4),
-    )
-    train_items = synthdata.load_split(manifest, "train")
-    test_items = synthdata.load_split(manifest, "test")
+    head, train_items, test_items = build_corpus(Path(args.out), cfg)
     print(
         f"corpus: {len(train_items)} train / {len(test_items)} test sentences, "
         f"V={args.vertices}, smoothing={args.smoothing}, anticipation={args.anticipation}"
     )
 
-    per_seed = {}
-    for seed in seeds:
-        reports = {}
-        for label, (use_conv, w_vel) in VARIANTS.items():
-            t0 = time.time()
-            net = model.init_params(seed, args.vertices, ArchConfig(use_conv=use_conv))
-            result = training.train(
-                train_items,
-                net,
-                LossConfig(w_velocity=w_vel),
-                TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=seed),
-            )
-            reports[label] = evaluation.evaluate(result.params, head, test_items)
-            print(f"  seed {seed} {label}: trained in {time.time() - t0:.0f}s")
-        per_seed[seed] = reports
-        print(f"\nseed {seed}")
-        print(evaluation.format_table(reports))
-        print()
+    per_seed = defaultdict(dict)
+    t0 = time.time()
+    for seed, label, _, report in run_matrix(head, train_items, test_items, cfg):
+        per_seed[seed][label] = report
+        print(f"  seed {seed} {label}: trained in {time.time() - t0:.0f}s")
+        t0 = time.time()
+        if len(per_seed[seed]) == len(VARIANTS):
+            print(f"\nseed {seed}")
+            print(evaluation.format_table(per_seed[seed]))
+            print()
 
     n = len(seeds)
     vel_conv = sum(per_seed[s]["conv+v"].vel_all < per_seed[s]["conv"].vel_all for s in seeds)

@@ -7,9 +7,8 @@ mel filters spanning 0-8000 Hz, and 13 cepstral coefficients.
 
 from __future__ import annotations
 
-import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,6 @@ class MfccFrames:
     frames: np.ndarray
     frame_rate: int
     source_duration: float
-    config_fingerprint: str = field(default="", compare=False)
 
     @property
     def n_frames(self) -> int:
@@ -181,27 +179,6 @@ def _mel_filterbank(n_filters: int, nfft: int, rate: int, f_lo: float, f_hi: flo
     return fbank
 
 
-def _fingerprint() -> str:
-    key = ";".join(
-        [
-            f"rate={CANONICAL_RATE}",
-            f"window_s={WINDOW_SECONDS}",
-            f"hop_s={HOP_SECONDS}",
-            f"n_filters={N_MEL_FILTERS}",
-            f"n_cepstra={N_CEPSTRA}",
-            f"preemphasis={PREEMPHASIS}",
-            f"nfft={NFFT}",
-            f"log_floor={LOG_FLOOR}",
-            "window=hann",
-            "dct=ortho",
-        ]
-    )
-    return hashlib.sha256(key.encode()).hexdigest()[:12]
-
-
-MFCC_FINGERPRINT = _fingerprint()
-
-
 def mfcc(w: Waveform) -> MfccFrames:
     """13 mel-frequency cepstral coefficients per 10 ms frame.
 
@@ -233,5 +210,12 @@ def mfcc(w: Waveform) -> MfccFrames:
         frames=coeffs,
         frame_rate=CANONICAL_RATE // hop,
         source_duration=w.duration,
-        config_fingerprint=MFCC_FINGERPRINT,
     )
+
+
+def mfcc_from_wav(path) -> MfccFrames:
+    """The WAV front end: load, resample to 16 kHz when needed, MFCC."""
+    w = load_wav(path)
+    if w.sample_rate != CANONICAL_RATE:
+        w = resample(w, CANONICAL_RATE)
+    return mfcc(w)

@@ -7,23 +7,31 @@ taking --seed is bit-reproducible across runs on the same platform.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 
 from . import audio, evaluation, features, mesh, model, synthdata, training
-from .errors import LipSyncError, UsageError
+from .errors import ConfigError, LipSyncError, TopologyError, UsageError
 
-TRAIN_DEFAULTS = {
-    "epochs": 10,
-    "lr": 1e-4,
-    "w_pos": 1.0,
-    "w_vel": 0.5,
-    "seed": 0,
-    "checkpoint_every": 0,
-    "batch_size": 1,
-    "clip_norm": 5.0,
+# Each train flag and config-file key, and the config field it sets; the
+# field's default is the default and its type the cast.
+TRAIN_FIELDS = {
+    "epochs": (training.TrainConfig, "epochs"),
+    "lr": (training.TrainConfig, "learning_rate"),
+    "w_pos": (training.LossConfig, "w_position"),
+    "w_vel": (training.LossConfig, "w_velocity"),
+    "seed": (training.TrainConfig, "seed"),
+    "checkpoint_every": (training.TrainConfig, "checkpoint_every"),
+    "batch_size": (training.TrainConfig, "batch_size"),
+    "clip_norm": (training.TrainConfig, "clip_norm"),
 }
+
+
+def _train_cast(key):
+    cls, name = TRAIN_FIELDS[key]
+    return type(next(f.default for f in dataclasses.fields(cls) if f.name == name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,14 +77,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--metrics", help="CSV metrics log path")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--arch", choices=["conv-lstm", "lstm"], default="conv-lstm")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--w-pos", type=float)
-    p.add_argument("--w-vel", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--clip-norm", type=float)
+    for key in TRAIN_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), type=_train_cast(key))
     p.add_argument("--checkpoint-dir")
 
     p = sub.add_parser("infer", help="run a checkpoint over audio or features")
@@ -138,10 +140,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    w = audio.load_wav(args.wav)
-    if w.sample_rate != audio.CANONICAL_RATE:
-        w = audio.resample(w, audio.CANONICAL_RATE)
-    frames = audio.mfcc(w)
+    frames = audio.mfcc_from_wav(args.wav)
     if args.kind == "surrogate":
         seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(args.seed))
     else:
@@ -151,39 +150,27 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _resolve_train_config(args) -> dict:
-    merged = dict(TRAIN_DEFAULTS)
+def _train_configs(args):
+    """(LossConfig, TrainConfig): explicit flags over the --config file over field defaults."""
+    chosen = {}
     if args.config:
-        file_vals = _load_config_file(args.config)
-        casts = {k: type(v) for k, v in TRAIN_DEFAULTS.items()}
-        for key, raw in file_vals.items():
-            if key not in casts:
+        for key, raw in _load_config_file(args.config).items():
+            if key not in TRAIN_FIELDS:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                merged[key] = casts[key](raw)
+                chosen[key] = _train_cast(key)(raw)
             except ValueError:
                 raise UsageError(f"bad value for config key {key!r}: {raw!r}")
-    for key in TRAIN_DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    return merged
+    chosen.update((key, getattr(args, key)) for key in TRAIN_FIELDS if getattr(args, key) is not None)
+    kwargs = {training.LossConfig: {}, training.TrainConfig: {}}
+    for key, value in chosen.items():
+        cls, name = TRAIN_FIELDS[key]
+        kwargs[cls][name] = value
+    return tuple(cls(**fields) for cls, fields in kwargs.items())
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_train_config(args)
-    try:
-        loss_cfg = training.LossConfig(w_position=cfg["w_pos"], w_velocity=cfg["w_vel"])
-        train_cfg = training.TrainConfig(
-            learning_rate=cfg["lr"],
-            epochs=cfg["epochs"],
-            seed=cfg["seed"],
-            checkpoint_every=cfg["checkpoint_every"],
-            batch_size=cfg["batch_size"],
-            clip_norm=cfg["clip_norm"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    loss_cfg, train_cfg = _train_configs(args)
 
     manifest = synthdata.CorpusManifest.load(args.manifest)
     train_items = synthdata.load_split(manifest, "train")
@@ -193,7 +180,7 @@ def _cmd_train(args) -> int:
 
     vertex_count = train_items[0].displacements.n_vertices
     arch = model.ArchConfig(use_conv=(args.arch == "conv-lstm"))
-    net = model.init_params(cfg["seed"], vertex_count, arch)
+    net = model.init_params(train_cfg.seed, vertex_count, arch)
 
     def sink(event):
         if event["event"] == "epoch":
@@ -262,8 +249,6 @@ def _cmd_export_obj_seq(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     head = mesh.load_obj(args.template, landmark_path=args.landmarks)
     if head.n_vertices != net.vertex_count:
-        from .errors import TopologyError
-
         raise TopologyError(
             f"template has {head.n_vertices} vertices but checkpoint decodes {net.vertex_count}; "
             "the topology must match the training template"
@@ -321,7 +306,7 @@ def run(argv) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:  # ConfigError: a flag value out of range
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (LipSyncError, OSError) as exc:

@@ -5,17 +5,24 @@ class LipSyncError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class AudioFormatError(LipSyncError):
-    """Malformed RIFF/WAVE container."""
+class LocatedError(LipSyncError):
+    """An error at a place in a file: ``path`` plus a byte ``offset`` or a ``line``."""
 
-    def __init__(self, message, path=None, offset=None):
+    def __init__(self, message, path=None, offset=None, line=None):
         self.path = path
         self.offset = offset
+        self.line = line
         if path is not None:
             message = f"{path}: {message}"
         if offset is not None:
             message = f"{message} (byte offset {offset})"
+        if line is not None:
+            message = f"{message} (line {line})"
         super().__init__(message)
+
+
+class AudioFormatError(LocatedError):
+    """Malformed RIFF/WAVE container."""
 
 
 class UnsupportedAudioError(LipSyncError):
@@ -30,30 +37,12 @@ class InsufficientFramesError(LipSyncError):
     """An operation needs more time steps than the input provides."""
 
 
-class FileFormatError(LipSyncError):
+class FileFormatError(LocatedError):
     """Binary feature/animation/checkpoint file violates its format."""
 
-    def __init__(self, message, path=None, offset=None):
-        self.path = path
-        self.offset = offset
-        if path is not None:
-            message = f"{path}: {message}"
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
 
-
-class MeshParseError(LipSyncError):
+class MeshParseError(LocatedError):
     """Wavefront OBJ or landmark sidecar could not be parsed."""
-
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        if path is not None:
-            message = f"{path}: {message}"
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
 
 
 class TopologyError(LipSyncError):
@@ -70,6 +59,10 @@ class StateError(LipSyncError):
 
 class DataError(LipSyncError):
     """Training corpus is empty or internally inconsistent."""
+
+
+class ConfigError(LipSyncError, ValueError):
+    """A configuration value is outside its valid range."""
 
 
 class UsageError(LipSyncError):

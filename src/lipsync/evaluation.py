@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientFramesError, ShapeError
+from .errors import ConfigError, InsufficientFramesError, ShapeError
 from .mesh import DisplacementSequence, TemplateMesh
 from .model import NetworkParams, forward
 
@@ -35,7 +35,7 @@ class ProjectionConfig:
 
     def __post_init__(self):
         if self.px_per_unit <= 0:
-            raise ValueError("px_per_unit must be positive")
+            raise ConfigError("px_per_unit must be positive")
 
 
 @dataclass
@@ -82,26 +82,26 @@ def project_landmarks(
     return np.stack([u, v], axis=2)
 
 
-def positional_error(pred_traj: np.ndarray, truth_traj: np.ndarray) -> float:
-    """Mean Euclidean landmark distance over all frames and landmarks."""
+def _distances(pred_traj, truth_traj):
+    """Per (frame, landmark) position distances, and velocity distances from the second frame."""
     p = np.asarray(pred_traj, dtype=np.float64)
     y = np.asarray(truth_traj, dtype=np.float64)
     if p.shape != y.shape:
         raise ShapeError(f"trajectory shapes differ: {p.shape} vs {y.shape}")
-    return float(np.linalg.norm(p - y, axis=2).mean())
+    return np.linalg.norm(p - y, axis=2), np.linalg.norm((p[1:] - p[:-1]) - (y[1:] - y[:-1]), axis=2)
+
+
+def positional_error(pred_traj: np.ndarray, truth_traj: np.ndarray) -> float:
+    """Mean Euclidean landmark distance over all frames and landmarks."""
+    return float(_distances(pred_traj, truth_traj)[0].mean())
 
 
 def velocity_error(pred_traj: np.ndarray, truth_traj: np.ndarray) -> float:
     """Mean distance between backward frame differences, from the second frame."""
-    p = np.asarray(pred_traj, dtype=np.float64)
-    y = np.asarray(truth_traj, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ShapeError(f"trajectory shapes differ: {p.shape} vs {y.shape}")
-    if len(p) < 2:
+    vel = _distances(pred_traj, truth_traj)[1]
+    if not len(vel):
         raise InsufficientFramesError("velocity error needs at least two frames")
-    dp = p[1:] - p[:-1]
-    dy = y[1:] - y[:-1]
-    return float(np.linalg.norm(dp - dy, axis=2).mean())
+    return float(vel.mean())
 
 
 def lip_trajectory_csv(traj: np.ndarray, landmark: int, path) -> None:
@@ -122,18 +122,29 @@ def default_lip_landmark(mesh: TemplateMesh) -> int:
     return int(flagged[0])
 
 
-def _accumulate(pred_traj, truth_traj, lip_cols):
-    """Pooled sums so sentence aggregation weights every (frame, landmark) pair."""
-    dist = np.linalg.norm(pred_traj - truth_traj, axis=2)
-    vel = np.linalg.norm(
-        (pred_traj[1:] - pred_traj[:-1]) - (truth_traj[1:] - truth_traj[:-1]), axis=2
-    )
-    return {
-        "pos_all": (dist.sum(), dist.size),
-        "pos_lip": (dist[:, lip_cols].sum(), dist[:, lip_cols].size),
-        "vel_all": (vel.sum(), vel.size),
-        "vel_lip": (vel[:, lip_cols].sum(), vel[:, lip_cols].size),
-    }
+def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> EvalReport:
+    """Landmark metrics of ``predict(sample)`` against ground truth, pooled over every
+    (frame, landmark) pair so that long sentences weigh more."""
+    lip_cols = np.flatnonzero(mesh.lip_mask)
+    totals = {k: [0.0, 0] for k in METRIC_KEYS}
+    per_sentence = {}
+    for s in samples:
+        dist, vel = _distances(
+            project_landmarks(mesh, predict(s), cfg=cfg), project_landmarks(mesh, s.displacements, cfg=cfg)
+        )
+        sums = {
+            "pos_all": (dist.sum(), dist.size),
+            "pos_lip": (dist[:, lip_cols].sum(), dist[:, lip_cols].size),
+            "vel_all": (vel.sum(), vel.size),
+            "vel_lip": (vel[:, lip_cols].sum(), vel[:, lip_cols].size),
+        }
+        per_sentence[s.id] = {k: sums[k][0] / sums[k][1] for k in METRIC_KEYS}
+        for k in METRIC_KEYS:
+            totals[k][0] += sums[k][0]
+            totals[k][1] += sums[k][1]
+
+    pooled = {k: (totals[k][0] / totals[k][1] if totals[k][1] else 0.0) for k in METRIC_KEYS}
+    return EvalReport(per_sentence=per_sentence, **pooled)
 
 
 def evaluate(
@@ -147,38 +158,12 @@ def evaluate(
         raise ShapeError(
             f"checkpoint decodes {net.vertex_count} vertices, mesh has {mesh.n_vertices}"
         )
-    lip_cols = np.flatnonzero(mesh.lip_mask)
-    totals = {k: [0.0, 0] for k in METRIC_KEYS}
-    per_sentence = {}
-
-    for s in samples:
-        pred = forward(net, s.features)
-        pred_traj = project_landmarks(mesh, pred, cfg=cfg)
-        truth_traj = project_landmarks(mesh, s.displacements, cfg=cfg)
-        sums = _accumulate(pred_traj, truth_traj, lip_cols)
-        per_sentence[s.id] = {k: sums[k][0] / sums[k][1] for k in METRIC_KEYS}
-        for k in METRIC_KEYS:
-            totals[k][0] += sums[k][0]
-            totals[k][1] += sums[k][1]
-
-    pooled = {k: (totals[k][0] / totals[k][1] if totals[k][1] else 0.0) for k in METRIC_KEYS}
-    return EvalReport(per_sentence=per_sentence, **pooled)
+    return _aggregate(mesh, samples, lambda s: forward(net, s.features), cfg)
 
 
 def evaluate_self(mesh: TemplateMesh, samples, cfg: ProjectionConfig = ProjectionConfig()) -> EvalReport:
     """Ground truth against itself; a correct pipeline reports all zeros."""
-    lip_cols = np.flatnonzero(mesh.lip_mask)
-    totals = {k: [0.0, 0] for k in METRIC_KEYS}
-    per_sentence = {}
-    for s in samples:
-        traj = project_landmarks(mesh, s.displacements, cfg=cfg)
-        sums = _accumulate(traj, traj, lip_cols)
-        per_sentence[s.id] = {k: sums[k][0] / sums[k][1] for k in METRIC_KEYS}
-        for k in METRIC_KEYS:
-            totals[k][0] += sums[k][0]
-            totals[k][1] += sums[k][1]
-    pooled = {k: (totals[k][0] / totals[k][1] if totals[k][1] else 0.0) for k in METRIC_KEYS}
-    return EvalReport(per_sentence=per_sentence, **pooled)
+    return _aggregate(mesh, samples, lambda s: s.displacements, cfg)
 
 
 def format_table(reports: dict) -> str:

@@ -10,19 +10,20 @@ the ``EXTERNAL`` feature-file kind without code changes.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, MfccFrames, load_wav, mfcc, resample
+from .audio import MfccFrames, mfcc_from_wav
+from .container import Format
 from .errors import FileFormatError, InsufficientFramesError
 
 FEATURE_FPS = 60
 CHAR_PROB_DIM = 29  # 26 letters + apostrophe + space + blank
 
 FEATURE_MAGIC = b"LSF1"
+_LSF1 = Format(FEATURE_MAGIC, "<IIIB")  # T, D, fps, kind
 _MAX_DIM = 2**32 - 1
 
 
@@ -145,10 +146,7 @@ def mfcc_features(m: MfccFrames) -> FeatureSequence:
 
 def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:
     """Full front end: load WAV, resample to 16 kHz, MFCC, surrogate rows."""
-    w = load_wav(path)
-    if w.sample_rate != CANONICAL_RATE:
-        w = resample(w, CANONICAL_RATE)
-    return surrogate_features(mfcc(w), provider)
+    return surrogate_features(mfcc_from_wav(path), provider)
 
 
 def save_features(f: FeatureSequence, path) -> None:
@@ -157,28 +155,14 @@ def save_features(f: FeatureSequence, path) -> None:
     t, d = data.shape
     if t > _MAX_DIM or d > _MAX_DIM:
         raise FileFormatError("feature array too large for container", path=str(path))
-    header = FEATURE_MAGIC + struct.pack("<IIIB", t, d, int(f.fps), int(f.kind))
-    Path(path).write_bytes(header + data.tobytes())
+    _LSF1.write(path, (t, d, int(f.fps), int(f.kind)), data.tobytes())
 
 
 def load_features(path) -> FeatureSequence:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 17:
-        raise FileFormatError("file too short for header", path=str(path), offset=0)
-    if raw[:4] != FEATURE_MAGIC:
-        raise FileFormatError("bad magic, expected LSF1", path=str(path), offset=0)
-    t, d, fps, kind_code = struct.unpack_from("<IIIB", raw, 4)
+    raw, (t, d, fps, kind_code) = _LSF1.read(path)
     try:
         kind = FeatureKind(kind_code)
     except ValueError:
         raise FileFormatError(f"unknown feature kind {kind_code}", path=str(path), offset=16)
-    expected = 17 + 4 * t * d
-    if len(raw) != expected:
-        raise FileFormatError(
-            f"payload size mismatch: expected {expected} bytes, found {len(raw)}",
-            path=str(path),
-            offset=min(len(raw), expected),
-        )
-    data = np.frombuffer(raw[17:], dtype="<f4").reshape(t, d)
-    return FeatureSequence(data=data, fps=int(fps), kind=kind)
+    return FeatureSequence(data=_LSF1.array(raw, path, "<f4", (t, d)), fps=int(fps), kind=kind)

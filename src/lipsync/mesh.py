@@ -9,15 +9,16 @@ trajectory plots.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .container import Format
 from .errors import FileFormatError, MeshParseError, TopologyError
 
 ANIM_MAGIC = b"LSA1"
+_LSA1 = Format(ANIM_MAGIC, "<III")  # T, V, fps
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ class TemplateMesh:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @property
-    def lip_landmarks(self) -> np.ndarray:
-        return self.landmarks[self.lip_mask]
 
 
 @dataclass(frozen=True)
@@ -175,24 +172,10 @@ def save_anim(d: DisplacementSequence, path) -> None:
     t, v, c = frames.shape
     if c != 3:
         raise FileFormatError("displacement frames must be T x V x 3", path=str(path))
-    header = ANIM_MAGIC + struct.pack("<III", t, v, int(d.fps))
-    Path(path).write_bytes(header + frames.tobytes())
+    _LSA1.write(path, (t, v, int(d.fps)), frames.tobytes())
 
 
 def load_anim(path) -> DisplacementSequence:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise FileFormatError("file too short for header", path=str(path), offset=0)
-    if raw[:4] != ANIM_MAGIC:
-        raise FileFormatError("bad magic, expected LSA1", path=str(path), offset=0)
-    t, v, fps = struct.unpack_from("<III", raw, 4)
-    expected = 16 + 12 * t * v
-    if len(raw) != expected:
-        raise FileFormatError(
-            f"payload size mismatch: expected {expected} bytes, found {len(raw)}",
-            path=str(path),
-            offset=min(len(raw), expected),
-        )
-    frames = np.frombuffer(raw[16:], dtype="<f4").reshape(t, v, 3)
-    return DisplacementSequence(frames=frames, fps=int(fps))
+    raw, (t, v, fps) = _LSA1.read(path)
+    return DisplacementSequence(frames=_LSA1.array(raw, path, "<f4", (t, v, 3)), fps=int(fps))

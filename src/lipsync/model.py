@@ -31,11 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import Format, check_finite
 from .errors import FileFormatError, ShapeError, StateError
 from .features import FeatureSequence
 from .mesh import DisplacementSequence
 
 CHECKPOINT_MAGIC = b"LSN1"
+_LSN1 = Format(CHECKPOINT_MAGIC, "<II")  # V, tensor count
 GATES = "fioC"  # row-block order of the fused LSTM gate matrix
 DENSE_LAYERS = (("fc1", "tanh"), ("fc2", "linear"), ("decoder", "linear"))
 
@@ -416,28 +418,24 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> N
 
 def save_checkpoint(net: NetworkParams, path) -> None:
     """LSN1 container: magic | u32 V | u32 tensor count | named f64 tensors."""
-    blobs = [CHECKPOINT_MAGIC, struct.pack("<II", net.vertex_count, len(net.items()))]
-    for name, arr in net.items():
+    items = net.items()
+    blobs = []
+    for name, arr in items:
         encoded = name.encode()
         blobs.append(struct.pack("<I", len(encoded)))
         blobs.append(encoded)
         blobs.append(struct.pack("<I", arr.ndim))
         blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(blobs))
+    _LSN1.write(path, (net.vertex_count, len(items)), b"".join(blobs))
 
 
 def load_checkpoint(path) -> NetworkParams:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12:
-        raise FileFormatError("file too short for header", path=str(path), offset=0)
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FileFormatError("bad magic, expected LSN1", path=str(path), offset=0)
-    vertex_count, n_tensors = struct.unpack_from("<II", raw, 4)
+    raw, (vertex_count, n_tensors) = _LSN1.read(path)
 
     tensors = {}
-    pos = 12
+    pos = _LSN1.header_size
     for _ in range(n_tensors):
         try:
             (name_len,) = struct.unpack_from("<I", raw, pos)
@@ -457,6 +455,7 @@ def load_checkpoint(path) -> NetworkParams:
         if len(payload) < 8 * count:
             raise FileFormatError("truncated tensor payload", path=str(path), offset=pos)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
+        check_finite(tensors[name], path, pos)
         pos += 8 * count
 
     return _params_from_tensors(tensors, vertex_count, str(path))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .audio import CANONICAL_RATE, Waveform, mfcc
-from .errors import FileFormatError, ShapeError
+from .errors import ConfigError, FileFormatError, ShapeError
 from .features import (
     CHAR_PROB_DIM,
     FeatureSequence,
@@ -188,7 +188,7 @@ def _fibonacci_directions(n: int) -> np.ndarray:
 def make_head(v_target: int = 100, seed: int = 0) -> TemplateMesh:
     """Procedural ellipsoid head with a denser lip patch and 20 landmarks."""
     if v_target < 20:
-        raise ValueError("v_target must be >= 20")
+        raise ConfigError("v_target must be >= 20")
     rng = np.random.default_rng(seed)
     n_lip = max(8, v_target // 6)
     n_base = v_target - n_lip
@@ -268,13 +268,13 @@ def synth_speech(duration: float, rng, sample_rate: int = CANONICAL_RATE) -> Wav
 
 def split_counts(n: int, ratio=(18, 1, 1)) -> tuple[int, int, int]:
     if n < 3:
-        raise ValueError("need at least 3 sentences, one per split")
+        raise ConfigError("need at least 3 sentences, one per split")
     total = sum(ratio)
     n_val = max(1, int(round(n * ratio[1] / total)))
     n_test = max(1, int(round(n * ratio[2] / total)))
     n_train = n - n_val - n_test
     if n_train < 1:
-        raise ValueError(f"split ratio {ratio} leaves no training items for n={n}")
+        raise ConfigError(f"split ratio {ratio} leaves no training items for n={n}")
     return n_train, n_val, n_test
 
 
@@ -297,15 +297,17 @@ def generate_corpus(
     if oracle is None:
         raise ValueError("generate_corpus needs an OracleArticulator (build one from the head mesh)")
 
+    lo, hi = duration_range
+    if min(lo, hi) <= 0:
+        raise ConfigError(f"sentence durations must be positive, got {lo}..{hi}")
+    n_train, n_val, n_test = split_counts(n_sentences, split_ratio)
+    splits = ["train"] * n_train + ["val"] * n_val + ["test"] * n_test
+
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "anims").mkdir(parents=True, exist_ok=True)
 
-    n_train, n_val, n_test = split_counts(n_sentences, split_ratio)
-    splits = ["train"] * n_train + ["val"] * n_val + ["test"] * n_test
-
     items = []
-    lo, hi = duration_range
     for i in range(n_sentences):
         rng = np.random.default_rng([seed, i])
         duration = float(rng.uniform(lo, hi))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .features import FeatureSequence
 from .mesh import DisplacementSequence
 from .model import NetworkParams, backward, forward_with_cache, save_checkpoint
@@ -36,9 +36,13 @@ class LossConfig:
 
     def __post_init__(self):
         if not all(math.isfinite(w) and w >= 0 for w in (self.w_position, self.w_velocity)):
-            raise ValueError("loss weights must be finite and non-negative")
+            raise ConfigError("loss weights must be finite and non-negative")
         if self.reduction not in (REDUCTION_SUM, REDUCTION_MEAN):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
+            raise ConfigError(f"unknown reduction {self.reduction!r}")
+
+    def total(self, lp, lv):
+        """w_pos * lp + w_vel * lv, for the loss terms and for their gradients."""
+        return self.w_position * lp + self.w_velocity * lv
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    epochs: int = 1
+    epochs: int = 10
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     batch_size: int = 1  # sequences accumulated per optimizer step
@@ -55,13 +59,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+            raise ConfigError("learning_rate must be finite and positive")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
-            raise ValueError("clip_norm must be finite and non-negative")
+            raise ConfigError("clip_norm must be finite and non-negative")
 
 
 @dataclass
@@ -90,43 +94,21 @@ class TrainResult:
     best_epoch: int
 
 
-def _frames(tensor) -> np.ndarray:
-    arr = tensor.frames if isinstance(tensor, DisplacementSequence) else tensor
-    return np.asarray(arr, dtype=np.float64)
-
-
-def _check_shapes(pred, truth):
-    if pred.shape != truth.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != ground truth shape {truth.shape}")
-
-
 def loss_position(pred, truth, reduction: str = REDUCTION_SUM) -> float:
     """Sum over frames of the squared Frobenius norm of the error."""
-    p, y = _frames(pred), _frames(truth)
-    _check_shapes(p, y)
-    value = float(((y - p) ** 2).sum())
-    if reduction == REDUCTION_MEAN:
-        value /= len(p)
-    return value
+    return _loss_terms(pred, truth, LossConfig(reduction=reduction))[0]
 
 
 def loss_velocity(pred, truth, reduction: str = REDUCTION_SUM) -> float:
     """Backward-difference velocity mismatch, summed from the second frame."""
-    p, y = _frames(pred), _frames(truth)
-    _check_shapes(p, y)
-    if len(p) < 2:
-        return 0.0
-    d = (y[1:] - y[:-1]) - (p[1:] - p[:-1])
-    value = float((d**2).sum())
-    if reduction == REDUCTION_MEAN:
-        value /= len(p) - 1
-    return value
+    return _loss_terms(pred, truth, LossConfig(reduction=reduction))[1]
 
 
 def _loss_terms(pred, truth, cfg: LossConfig):
     """(lp, lv, total, dTotal/dPred) with the configured reduction applied."""
-    p, y = _frames(pred), _frames(truth)
-    _check_shapes(p, y)
+    p, y = (np.asarray(getattr(a, "frames", a), dtype=np.float64) for a in (pred, truth))
+    if p.shape != y.shape:
+        raise ShapeError(f"prediction shape {p.shape} != ground truth shape {y.shape}")
     t_len = len(p)
 
     err = y - p
@@ -149,9 +131,7 @@ def _loss_terms(pred, truth, cfg: LossConfig):
             lv /= t_len - 1
             grad_v /= t_len - 1
 
-    total = cfg.w_position * lp + cfg.w_velocity * lv
-    grad = cfg.w_position * grad_p + cfg.w_velocity * grad_v
-    return lp, lv, total, grad
+    return lp, lv, cfg.total(lp, lv), cfg.total(grad_p, grad_v)
 
 
 def loss_total(pred, truth, cfg: LossConfig = LossConfig()):
@@ -265,6 +245,12 @@ def train(
         if sink is not None:
             sink(event)
 
+    def log_row(epoch, split, lp, lv):
+        total = loss_cfg.total(lp, lv)
+        metrics.append(MetricRow(epoch=epoch, split=split, lp=lp, lv=lv, total=total))
+        emit({"event": "epoch", "split": split, "epoch": epoch, "lp": lp, "lv": lv})
+        return total
+
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(train_items))
         epoch_lp, epoch_lv = [], []
@@ -289,24 +275,13 @@ def train(
                 emit({"event": "clip", "epoch": epoch, "norm": norm})
             adam_step(net, pending, state, train_cfg)
 
-        row = MetricRow(
-            epoch=epoch,
-            split="train",
-            lp=float(np.mean(epoch_lp)),
-            lv=float(np.mean(epoch_lv)),
-            total=loss_cfg.w_position * float(np.mean(epoch_lp))
-            + loss_cfg.w_velocity * float(np.mean(epoch_lv)),
-        )
-        metrics.append(row)
-        emit({"event": "epoch", "split": "train", "epoch": epoch, "lp": row.lp, "lv": row.lv})
+        log_row(epoch, "train", float(np.mean(epoch_lp)), float(np.mean(epoch_lv)))
 
         if val_items:
             vlp, vlv = evaluate_loss(val_items, net, loss_cfg)
             if not math.isfinite(vlp + vlv):
                 raise DataError(f"epoch {epoch}: non-finite validation loss")
-            vtotal = loss_cfg.w_position * vlp + loss_cfg.w_velocity * vlv
-            metrics.append(MetricRow(epoch=epoch, split="val", lp=vlp, lv=vlv, total=vtotal))
-            emit({"event": "epoch", "split": "val", "epoch": epoch, "lp": vlp, "lv": vlv})
+            vtotal = log_row(epoch, "val", vlp, vlv)
             if vtotal < best[0]:
                 best = (vtotal, net.copy(), epoch)
                 if ckpt_dir is not None:

@@ -1,10 +1,16 @@
 import struct
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lipsync import features, model, synthdata, training
+from lipsync import evaluation, features, mesh, model, synthdata
 from lipsync.model import ArchConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from run_ablation import ABLATION, build_corpus, run_matrix  # noqa: E402
 
 # Reduced stack for gradient checks and fast unit tests: conv channels 4,
 # LSTM 6/6/3/3, small dense head, 5 vertices.
@@ -36,8 +42,6 @@ def mini_corpus(tmp_path_factory):
     """Small corpus + head for CLI and evaluation tests: 8 sentences, V=40."""
     root = tmp_path_factory.mktemp("mini_corpus")
     head = synthdata.make_head(40, seed=5)
-    from lipsync import mesh
-
     mesh.save_obj(head, root / "template.obj", landmark_path=root / "template.landmarks.txt")
     provider = features.SurrogateProvider.seeded(5)
     oracle = synthdata.OracleArticulator.seeded(head, seed=5)
@@ -78,97 +82,24 @@ def corpus60(tmp_path_factory):
     }
 
 
-# Ablation matrix configuration (acceptance criteria on trend reproduction).
-# The corpus is fixed; the four seeds vary initialization and epoch order.
-# The oracle anticipates two future feature frames (mouth leads sound), so
-# the temporal window of the conv stack carries signal the strictly causal
-# LSTM cannot reach, and its smoothing keeps the ground truth less jittery
-# than the features that drive it.
-ABLATION = {
-    "corpus_seed": 100,
-    "vertices": 40,
-    "sentences": 14,
-    "split_ratio": (8, 2, 4),
-    "duration_range": (0.7, 1.1),
-    "smoothing": 0.75,
-    "anticipation": 2,
-    "epochs": 80,
-    "learning_rate": 1e-3,
-    "train_seeds": (0, 1, 2, 3),
-}
+def _lip_stats(head, disp, lip_col):
+    """Mean |dv| and motion range of one landmark's vertical pixel trajectory."""
+    v_col = evaluation.project_landmarks(head, disp)[:, lip_col, 1]
+    return {"jitter": float(np.abs(np.diff(v_col)).mean()), "range": float(v_col.max() - v_col.min())}
 
 
 @pytest.fixture(scope="session")
 def ablation_results(tmp_path_factory):
-    """Train the four-model matrix over four seeds on one synthetic corpus.
+    """Train the four-model matrix of ``scripts/run_ablation.py`` over its four seeds.
 
     Returns per-seed EvalReports plus per-sentence upper-lip trajectory
     stats (mean |dv| and motion range) for every model variant.
     """
-    from lipsync import evaluation
-
-    cfg = ABLATION
-    root = tmp_path_factory.mktemp("ablation")
-    head = synthdata.make_head(cfg["vertices"], seed=cfg["corpus_seed"])
-    provider = features.SurrogateProvider.seeded(cfg["corpus_seed"])
-    oracle = synthdata.OracleArticulator.seeded(
-        head,
-        seed=cfg["corpus_seed"],
-        smoothing=cfg["smoothing"],
-        anticipation=cfg["anticipation"],
-    )
-    manifest = synthdata.generate_corpus(
-        root,
-        cfg["sentences"],
-        duration_range=cfg["duration_range"],
-        provider=provider,
-        oracle=oracle,
-        seed=cfg["corpus_seed"],
-        split_ratio=cfg["split_ratio"],
-    )
-    train_items = synthdata.load_split(manifest, "train")
-    test_items = synthdata.load_split(manifest, "test")
+    head, train_items, test_items = build_corpus(tmp_path_factory.mktemp("ablation"))
     lip_col = evaluation.default_lip_landmark(head)
-
-    variants = {
-        "lstm": (False, 0.0),
-        "lstm+v": (False, 0.5),
-        "conv": (True, 0.0),
-        "conv+v": (True, 0.5),
-    }
-
-    results = {}
-    for seed in cfg["train_seeds"]:
-        per_variant = {}
-        for label, (use_conv, w_vel) in variants.items():
-            net = model.init_params(seed, cfg["vertices"], ArchConfig(use_conv=use_conv))
-            outcome = training.train(
-                train_items,
-                net,
-                training.LossConfig(w_velocity=w_vel),
-                training.TrainConfig(
-                    learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed
-                ),
-            )
-            report = evaluation.evaluate(outcome.params, head, test_items)
-            traj_stats = {}
-            for s in test_items:
-                pred = model.forward(outcome.params, s.features)
-                traj = evaluation.project_landmarks(head, pred)
-                v_col = traj[:, lip_col, 1]
-                traj_stats[s.id] = {
-                    "jitter": float(np.abs(np.diff(v_col)).mean()),
-                    "range": float(v_col.max() - v_col.min()),
-                }
-            per_variant[label] = {"report": report, "traj": traj_stats}
-        results[seed] = per_variant
-
-    truth_stats = {}
-    for s in test_items:
-        traj = evaluation.project_landmarks(head, s.displacements)
-        v_col = traj[:, lip_col, 1]
-        truth_stats[s.id] = {
-            "jitter": float(np.abs(np.diff(v_col)).mean()),
-            "range": float(v_col.max() - v_col.min()),
-        }
-    return {"per_seed": results, "truth": truth_stats, "config": cfg}
+    results = defaultdict(dict)
+    for seed, label, params, report in run_matrix(head, train_items, test_items):
+        traj = {s.id: _lip_stats(head, model.forward(params, s.features), lip_col) for s in test_items}
+        results[seed][label] = {"report": report, "traj": traj}
+    truth = {s.id: _lip_stats(head, s.displacements, lip_col) for s in test_items}
+    return {"per_seed": dict(results), "truth": truth, "config": ABLATION}

@@ -169,7 +169,6 @@ class TestMfcc:
         a = audio.mfcc(w)
         b = audio.mfcc(w)
         assert np.array_equal(a.frames, b.frames)
-        assert a.config_fingerprint == b.config_fingerprint != ""
 
     def test_too_short_raises(self):
         w = audio.Waveform(samples=np.zeros(399), sample_rate=16000)

@@ -129,6 +129,15 @@ class TestAnimIO:
         with pytest.raises(FileFormatError):
             mesh.load_anim(tmp_path / "t.lsa1")
 
+    @pytest.mark.parametrize("t, value, offset", [(3, np.nan, 16 + 4 * 5), (3, -np.inf, 16 + 4 * 5), (0, 0.0, 16)])
+    def test_non_finite_or_empty_payload(self, tmp_path, t, value, offset):
+        frames = np.zeros((t, 4, 3), dtype=np.float32)
+        frames.flat[5:6] = value
+        mesh.save_anim(DisplacementSequence(frames=frames), tmp_path / "n.lsa1")
+        with pytest.raises(FileFormatError) as err:
+            mesh.load_anim(tmp_path / "n.lsa1")
+        assert err.value.offset == offset
+
     def test_mismatched_template_rejected_later(self, tmp_path):
         mesh.save_anim(DisplacementSequence(frames=np.zeros((2, 6, 3), dtype=np.float32)), tmp_path / "v.lsa1")
         anim = mesh.load_anim(tmp_path / "v.lsa1")

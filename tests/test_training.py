@@ -238,7 +238,7 @@ class TestTrain:
             _, dpred = training.loss_total(pred, s.displacements, LossConfig())
             grads.append(model.backward(expected, tape, dpred).flat)
         mean = (grads[0] + grads[1]) / 2
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=2, clip_norm=0.0)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, clip_norm=0.0)
         training.adam_step(expected, mean, training.AdamState.zeros(expected), cfg)
         training.train(items, net, LossConfig(), cfg)
         assert np.allclose(net.flat, expected.flat, rtol=0, atol=1e-15)
