@@ -7,6 +7,7 @@ mel filters spanning 0-8000 Hz, and 13 cepstral coefficients.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,8 @@ LOG_FLOOR = 1e-10
 # sinc, and the Kaiser shape parameter.
 _SINC_CROSSINGS = 16
 _KAISER_BETA = 8.6
+# Outputs per resampling block; bounds the gathered input windows.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,12 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     The output has exactly round(n * target/source) samples, so duration is
     preserved to within one sample period. Downsampling low-passes at the
     target Nyquist to avoid aliasing into the mel bands.
+
+    Both rates are integers, so with g = gcd(source, target) output
+    k = p + up*r (up = target/g, down = source/g) sits at input position
+    p*down/up + down*r: its kernel row is that of phase p, and its input
+    window starts down*r samples after phase p's. The kernel is evaluated
+    once per phase, then applied to every repeat of that phase.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -144,20 +153,31 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     cutoff = min(1.0, ratio)
     half = _SINC_CROSSINGS / cutoff
     n_taps = int(2 * half) + 2
+    g = math.gcd(w.sample_rate, target_rate)
+    up, down = target_rate // g, w.sample_rate // g
 
-    out = np.empty(n_out)
+    # out[r, p] is output p + up*r; the last row runs past n_out into zeros.
+    n_phases = min(up, n_out)
+    out = np.empty((-(-n_out // up), n_phases))
     offsets = np.arange(n_taps)
-    for start in range(0, n_out, 8192):
-        stop = min(start + 8192, n_out)
-        centers = np.arange(start, stop) / ratio
+    for p0 in range(0, n_phases, _BLOCK):
+        centers = np.arange(p0, min(p0 + _BLOCK, n_phases)) / ratio
         first = np.ceil(centers - half).astype(np.int64)
-        idx = first[:, None] + offsets[None, :]
-        delta = centers[:, None] - idx
-        kernel = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
-        valid = (idx >= 0) & (idx < n_in)
-        gathered = np.where(valid, x[np.clip(idx, 0, n_in - 1)], 0.0)
-        out[start:stop] = np.einsum("ij,ij->i", kernel, gathered)
-    return Waveform(samples=out, sample_rate=int(target_rate))
+        delta = centers[:, None] - (first[:, None] + offsets)
+        table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
+        repeats = max(1, _BLOCK // len(centers))
+        for r0 in range(0, len(out), repeats):
+            rows = slice(r0, min(r0 + repeats, len(out)))
+            starts = first[:, None] + down * np.arange(rows.start, rows.stop)
+            # Zero-padded input span that this block of outputs reads.
+            lo, hi = starts[0, 0], starts[-1, -1] + n_taps
+            span = np.zeros(hi - lo)
+            a, b = np.clip((lo, hi), 0, n_in)
+            span[a - lo : b - lo] = x[a:b]
+            # (phase, repeat, tap): the table row of each phase meets all its repeats.
+            windows = np.lib.stride_tricks.sliding_window_view(span, n_taps)[starts - lo]
+            out[rows, p0 : p0 + len(centers)] = np.matmul(windows, table[:, :, None])[..., 0].T
+    return Waveform(samples=out.ravel()[:n_out], sample_rate=int(target_rate))
 
 
 def _mel_filterbank(n_filters: int, nfft: int, rate: int, f_lo: float, f_hi: float) -> np.ndarray:

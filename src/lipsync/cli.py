@@ -13,7 +13,7 @@ from pathlib import Path
 
 
 from . import audio, evaluation, features, mesh, model, synthdata, training
-from .errors import ConfigError, LipSyncError, TopologyError, UsageError
+from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
 
 # Each train flag and config-file key, and the config field it sets; the
 # field's default is the default and its type the cast.
@@ -119,9 +119,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen_corpus(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     head = synthdata.make_head(args.vertices, seed=args.seed)
-    mesh.save_obj(head, out_dir / "template.obj", landmark_path=out_dir / "template.landmarks.txt")
     provider = features.SurrogateProvider.seeded(args.seed)
     oracle = synthdata.OracleArticulator.seeded(head, seed=args.seed)
     manifest = synthdata.generate_corpus(
@@ -132,6 +130,7 @@ def _cmd_gen_corpus(args) -> int:
         oracle=oracle,
         seed=args.seed,
     )
+    mesh.save_obj(head, out_dir / "template.obj", landmark_path=out_dir / "template.landmarks.txt")
     n_train = len(manifest.split("train"))
     n_val = len(manifest.split("val"))
     n_test = len(manifest.split("test"))
@@ -227,6 +226,8 @@ def _cmd_eval(args) -> int:
     manifest = synthdata.CorpusManifest.load(args.manifest)
     head = mesh.load_obj(args.template, landmark_path=args.landmarks)
     samples = synthdata.load_split(manifest, args.split)
+    if not samples:
+        raise DataError(f"split {args.split!r} of {args.manifest} has no sentences to score")
     cfg = evaluation.ProjectionConfig(px_per_unit=args.px_per_unit)
 
     if args.self_test:

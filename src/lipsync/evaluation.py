@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientFramesError, ShapeError
+from .errors import ConfigError, DataError, InsufficientFramesError, ShapeError
 from .mesh import DisplacementSequence, TemplateMesh
 from .model import NetworkParams, forward
 
@@ -125,6 +125,8 @@ def default_lip_landmark(mesh: TemplateMesh) -> int:
 def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> EvalReport:
     """Landmark metrics of ``predict(sample)`` against ground truth, pooled over every
     (frame, landmark) pair so that long sentences weigh more."""
+    if not samples:
+        raise DataError("no samples to score")
     lip_cols = np.flatnonzero(mesh.lip_mask)
     totals = {k: [0.0, 0] for k in METRIC_KEYS}
     per_sentence = {}

@@ -101,21 +101,24 @@ def test_2_loss_gradient_fidelity(capsys):
 
 
 def test_3_shape_contract(capsys, tmp_path):
-    """A T-second WAV produces exactly round(60 T) output frames end to end."""
+    """A T-second WAV produces exactly round(60 T) output frames end to end,
+    at 16 kHz and through the resampler from 8, 44.1 and 48 kHz."""
     ckpt = tmp_path / "net.lsn1"
     model.save_checkpoint(model.init_params(0, 5), ckpt)
     results = []
-    for seconds in (0.5, 1.0, 2.0, 3.7):
-        wav_path = tmp_path / f"clip_{seconds}.wav"
-        audio.save_wav(synthdata.synth_speech(seconds, np.random.default_rng(1)), wav_path)
-        out = tmp_path / f"anim_{seconds}.lsa1"
-        code = cli.run(
-            ["infer", "--checkpoint", str(ckpt), "--wav", str(wav_path), "--out", str(out)]
-        )
-        frames = mesh.load_anim(out).n_frames if code == 0 else -1
-        results.append((seconds, frames, round(60 * seconds)))
+    for rate in (16000, 8000, 44100, 48000):
+        for seconds in (0.5, 1.0, 2.0, 3.7):
+            wav_path = tmp_path / f"clip_{rate}_{seconds}.wav"
+            audio.save_wav(synthdata.synth_speech(seconds, np.random.default_rng(1), rate), wav_path)
+            out = tmp_path / f"anim_{rate}_{seconds}.lsa1"
+            code = cli.run(
+                ["infer", "--checkpoint", str(ckpt), "--wav", str(wav_path), "--out", str(out)]
+            )
+            frames = mesh.load_anim(out).n_frames if code == 0 else -1
+            label = f"{seconds}s" if rate == 16000 else f"{rate / 1000:g}kHz {seconds}s"
+            results.append((label, frames, round(60 * seconds)))
     ok = all(got == want for _, got, want in results)
-    report(capsys, 3, "shape-contract", ok, ", ".join(f"{s}s->{g} (want {w})" for s, g, w in results))
+    report(capsys, 3, "shape-contract", ok, ", ".join(f"{s}->{g} (want {w})" for s, g, w in results))
 
 
 def test_4_learnability(capsys, corpus60):

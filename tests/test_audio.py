@@ -1,8 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipsync import audio
@@ -77,6 +78,45 @@ class TestLoadWav:
         assert np.allclose(back.samples, w.samples, atol=1.0 / 32768)
 
 
+def reference_resample(w, target_rate):
+    """The resampler before the per-phase kernel table, kept as the oracle.
+
+    It evaluates the windowed-sinc kernel afresh for every output sample, at
+    input position k / ratio, and reads zeros outside the input.
+    """
+    x = np.asarray(w.samples, dtype=np.float64)
+    n_in = len(x)
+    ratio = target_rate / w.sample_rate
+    n_out = int(round(n_in * ratio))
+    cutoff = min(1.0, ratio)
+    half = audio._SINC_CROSSINGS / cutoff
+    n_taps = int(2 * half) + 2
+
+    out = np.empty(n_out)
+    offsets = np.arange(n_taps)
+    for start in range(0, n_out, 8192):
+        stop = min(start + 8192, n_out)
+        centers = np.arange(start, stop) / ratio
+        first = np.ceil(centers - half).astype(np.int64)
+        idx = first[:, None] + offsets[None, :]
+        delta = centers[:, None] - idx
+        kernel = cutoff * np.sinc(cutoff * delta) * audio._kaiser_window(delta / half, audio._KAISER_BETA)
+        valid = (idx >= 0) & (idx < n_in)
+        gathered = np.where(valid, x[np.clip(idx, 0, n_in - 1)], 0.0)
+        out[start:stop] = np.einsum("ij,ij->i", kernel, gathered)
+    return audio.Waveform(samples=out, sample_rate=int(target_rate))
+
+
+def tone_gain_db(resampler, source_rate, freq):
+    """Gain of a unit tone through a resampler to 16 kHz, from the RMS of an
+    interior stretch of 200 periods of 1 kHz (a whole number of periods of
+    every tone tested, also after aliasing)."""
+    t = np.arange(source_rate // 4) / source_rate
+    w = audio.Waveform(samples=np.sin(2 * np.pi * freq * t), sample_rate=source_rate)
+    interior = resampler(w, 16000).samples[400:3600]
+    return 20 * np.log10(np.sqrt(2 * np.mean(interior**2)))
+
+
 class TestResample:
     def test_48k_to_16k_length(self):
         w = audio.Waveform(samples=np.zeros(48000), sample_rate=48000)
@@ -113,6 +153,47 @@ class TestResample:
         out = audio.resample(w, dst)
         assert len(out.samples) == round(n * dst / src)
         assert abs(out.duration - w.duration) <= 1.0 / dst
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20000),
+        rates=st.sampled_from(
+            [(src, 16000) for src in (8000, 11025, 22050, 22051, 44100, 48000, 96000)] + [(16000, 48000)]
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=1, rates=(48000, 16000), seed=0)  # no output sample at all
+    @example(n=1, rates=(16000, 48000), seed=0)
+    @example(n=440, rates=(11025, 16000), seed=0)  # n_out < up = 640
+    @example(n=20000, rates=(22051, 16000), seed=0)  # coprime: up = 16000 > n_out
+    @example(n=20000, rates=(11025, 16000), seed=1)  # n_out spans many repeats of up
+    def test_matches_per_output_kernel(self, n, rates, seed):
+        src, dst = rates
+        w = audio.Waveform(samples=np.random.default_rng(seed).uniform(-1, 1, n), sample_rate=src)
+        got = audio.resample(w, dst).samples
+        want = reference_resample(w, dst).samples
+        assert len(got) == len(want) == round(n * dst / src)
+        assert len(got) == 0 or np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("source_rate", [44100, 48000])
+    def test_tone_response(self, source_rate):
+        for freq in (1000, 6000):
+            gain = tone_gain_db(audio.resample, source_rate, freq)
+            assert abs(gain - tone_gain_db(reference_resample, source_rate, freq)) <= 0.01
+            assert abs(gain) <= 0.01
+        assert tone_gain_db(audio.resample, source_rate, 10000) <= -80
+
+    def test_memory_bounded_on_long_input(self):
+        # 60 s at 48 kHz; the output alone is 7.3 MiB.
+        w = audio.Waveform(samples=np.random.default_rng(0).uniform(-1, 1, 60 * 48000), sample_rate=48000)
+        tracemalloc.start()
+        try:
+            out = audio.resample(w, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.samples) == 60 * 16000
+        assert peak <= 48 * 2**20
 
 
 def speechlike(seconds=1.0):

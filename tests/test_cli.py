@@ -218,6 +218,12 @@ class TestGenCorpusAndTrain:
         manifest = synthdata.CorpusManifest.load(out / "corpus.jsonl")
         assert len(manifest.items) == 4
 
+    def test_failed_gen_corpus_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("gen-corpus", "--sentences", "2", "--out", str(out)) == 1
+        assert not (out / "template.obj").exists()
+        assert not (out / "template.landmarks.txt").exists()
+
     def test_train_and_eval_flow(self, mini_corpus, tmp_path, capsys):
         manifest_path = mini_corpus["root"] / "corpus.jsonl"
         ckpt = tmp_path / "model.lsn1"
@@ -353,6 +359,30 @@ class TestEvalSelfTest:
         data = json.loads(report_path.read_text())
         assert data["pos_all"] == data["vel_all"] == 0.0
         assert data["pos_lip"] == data["vel_lip"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["self-test", "checkpoint"])
+    def test_unknown_split_is_exit_2(self, mini_corpus, tmp_path, capsys, mode):
+        root = mini_corpus["root"]
+        ckpt = tmp_path / "net.lsn1"
+        model.save_checkpoint(model.init_params(0, mini_corpus["head"].n_vertices), ckpt)
+        scorer = ["--self-test"] if mode == "self-test" else ["--checkpoint", str(ckpt)]
+        report_path = tmp_path / "bogus.json"
+        code = run_cli(
+            "eval",
+            "--manifest", str(root / "corpus.jsonl"),
+            "--template", str(root / "template.obj"),
+            "--landmarks", str(root / "template.landmarks.txt"),
+            "--split", "bogus",
+            "--out", str(report_path),
+            *scorer,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'bogus'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not report_path.exists()
 
 
 class TestExportObjSeq:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lipsync import evaluation, model, synthdata
-from lipsync.errors import InsufficientFramesError, ShapeError
+from lipsync.errors import DataError, InsufficientFramesError, ShapeError
 from lipsync.evaluation import ProjectionConfig
 from lipsync.mesh import DisplacementSequence
 
@@ -143,6 +143,13 @@ class TestEvaluate:
         assert all(
             v == 0.0 for metrics in report.per_sentence.values() for v in metrics.values()
         )
+
+    def test_no_samples_is_data_error(self, mini_corpus):
+        head = mini_corpus["head"]
+        with pytest.raises(DataError):
+            evaluation.evaluate_self(head, [])
+        with pytest.raises(DataError):
+            evaluation.evaluate(model.init_params(0, head.n_vertices), head, [])
 
     def test_evaluate_runs_model(self, mini_corpus):
         head = mini_corpus["head"]

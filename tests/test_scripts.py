@@ -1,6 +1,9 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -13,3 +16,33 @@ def test_run_ablation_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "trend summary" in proc.stdout
+
+
+def plot(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "plot_trajectory.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def write_traj(path, values):
+    path.write_text("frame,v_pixels\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values)))
+    return path
+
+
+@pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None, reason="matplotlib is installed")
+def test_plot_trajectory_without_matplotlib(tmp_path):
+    csv = write_traj(tmp_path / "truth.csv", [0.0, 1.5, -0.5])
+    proc = plot(csv, "-o", tmp_path / "curves.png")
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("plotting needs matplotlib") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "curves.png").exists()
+
+
+def test_plot_trajectory_writes_png(tmp_path):
+    pytest.importorskip("matplotlib")
+    truth = write_traj(tmp_path / "truth.csv", [0.0, 1.5, -0.5, 0.25])
+    pred = write_traj(tmp_path / "pred.csv", [0.1, 1.2, -0.4, 0.3])
+    proc = plot(truth, pred, "-o", tmp_path / "curves.png")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "curves.png").read_bytes().startswith(b"\x89PNG")
