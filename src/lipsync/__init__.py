@@ -25,13 +25,10 @@ from .model import (
     ArchConfig,
     NetworkParams,
     backward,
-    conv1d_forward,
     forward,
     forward_with_cache,
     init_params,
     load_checkpoint,
-    lstm_step,
-    parameter_count,
     save_checkpoint,
 )
 from .synthdata import CorpusManifest, OracleArticulator, articulate, generate_corpus, make_head

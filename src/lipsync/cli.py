@@ -42,7 +42,11 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path) -> dict:
     """Plain key=value lines; '#' starts a comment."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason}")
+    for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -197,8 +201,7 @@ def _cmd_train(args) -> int:
         sink=sink,
         checkpoint_dir=args.checkpoint_dir,
     )
-    chosen = result.best_params if val_items else result.params
-    model.save_checkpoint(chosen, args.out)
+    model.save_checkpoint(result.best_params, args.out)
     if args.metrics:
         training.write_metrics_csv(result.metrics, args.metrics)
     print(f"saved checkpoint to {args.out} (best epoch {result.best_epoch})")

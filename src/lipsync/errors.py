@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from pathlib import Path
+
 
 class LipSyncError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -19,6 +21,15 @@ class LocatedError(LipSyncError):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
+
+    @classmethod
+    def read_lines(cls, path) -> list[str]:
+        """Lines of a UTF-8 text file; bytes that do not decode raise ``cls`` at their line."""
+        raw = Path(path).read_bytes()
+        try:
+            return raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise cls(f"not UTF-8 text: {exc.reason}", path=str(path), line=raw.count(b"\n", 0, exc.start) + 1)
 
 
 class AudioFormatError(LocatedError):

@@ -10,6 +10,7 @@ backward frame differences and therefore ignores any constant offset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,11 +32,10 @@ _METRIC_LABELS = {
 @dataclass(frozen=True)
 class ProjectionConfig:
     px_per_unit: float = 100.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.px_per_unit <= 0:
-            raise ConfigError("px_per_unit must be positive")
+        if not (math.isfinite(self.px_per_unit) and self.px_per_unit > 0):
+            raise ConfigError("px_per_unit must be finite and positive")
 
 
 @dataclass
@@ -59,29 +59,26 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@np.errstate(over="ignore")  # an overflow is reported below, not warned about
 def project_landmarks(
-    mesh: TemplateMesh,
-    d: DisplacementSequence,
-    indices=None,
-    cfg: ProjectionConfig = ProjectionConfig(),
+    mesh: TemplateMesh, d: DisplacementSequence, cfg: ProjectionConfig = ProjectionConfig()
 ) -> np.ndarray:
     """Pixel trajectories (T, L, 2) of the landmark vertices across an animation."""
-    if indices is None:
-        indices = mesh.landmarks
-    indices = np.asarray(indices, dtype=int)
-    if len(indices) and (indices.min() < 0 or indices.max() >= mesh.n_vertices):
-        raise IndexError(f"landmark index out of range 0..{mesh.n_vertices - 1}")
     if d.n_vertices != mesh.n_vertices:
         raise ShapeError(
             f"animation has {d.n_vertices} vertices, mesh has {mesh.n_vertices}"
         )
-    posed = mesh.vertices[None, indices, :] + np.asarray(d.frames, dtype=np.float64)[:, indices, :]
+    lm = mesh.landmarks
+    posed = mesh.vertices[None, lm, :] + np.asarray(d.frames, dtype=np.float64)[:, lm, :]
     s = cfg.px_per_unit
-    u = posed[:, :, 0] * s + cfg.origin[0]
-    v = -posed[:, :, 1] * s + cfg.origin[1]
-    return np.stack([u, v], axis=2)
+    # v is flipped to image convention; 0.0 - y keeps an exact zero at +0.0
+    traj = np.stack([posed[:, :, 0] * s, (0.0 - posed[:, :, 1]) * s], axis=2)
+    if not np.isfinite(traj).all():
+        raise DataError(f"landmark pixel coordinates overflow at {s} px per unit")
+    return traj
 
 
+@np.errstate(over="ignore")
 def _distances(pred_traj, truth_traj):
     """Per (frame, landmark) position distances, and velocity distances from the second frame."""
     p = np.asarray(pred_traj, dtype=np.float64)
@@ -108,18 +105,23 @@ def lip_trajectory_csv(traj: np.ndarray, landmark: int, path) -> None:
     """Write `frame,v_pixels` rows for one landmark's vertical pixel motion."""
     traj = np.asarray(traj)
     if not 0 <= landmark < traj.shape[1]:
-        raise IndexError(f"unknown landmark id {landmark}, trajectory has {traj.shape[1]}")
+        raise ConfigError(f"landmark index {landmark} is outside the {traj.shape[1]} landmarks")
     lines = ["frame,v_pixels"]
     lines += [f"{t},{float(traj[t, landmark, 1])!r}" for t in range(len(traj))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def default_lip_landmark(mesh: TemplateMesh) -> int:
-    """Position of the upper-lip-middle point in the landmark list."""
+def _lip_columns(mesh: TemplateMesh) -> np.ndarray:
+    """Positions of the lip-flagged landmarks in the landmark list; there must be some."""
     flagged = np.flatnonzero(mesh.lip_mask)
     if not len(flagged):
         raise ShapeError("mesh has no lip-flagged landmarks")
-    return int(flagged[0])
+    return flagged
+
+
+def default_lip_landmark(mesh: TemplateMesh) -> int:
+    """Position of the upper-lip-middle point in the landmark list."""
+    return int(_lip_columns(mesh)[0])
 
 
 def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> EvalReport:
@@ -127,7 +129,7 @@ def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> E
     (frame, landmark) pair so that long sentences weigh more."""
     if not samples:
         raise DataError("no samples to score")
-    lip_cols = np.flatnonzero(mesh.lip_mask)
+    lip_cols = _lip_columns(mesh)
     totals = {k: [0.0, 0] for k in METRIC_KEYS}
     per_sentence = {}
     for s in samples:
@@ -146,6 +148,8 @@ def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> E
             totals[k][1] += sums[k][1]
 
     pooled = {k: (totals[k][0] / totals[k][1] if totals[k][1] else 0.0) for k in METRIC_KEYS}
+    if not np.isfinite(list(pooled.values())).all():
+        raise DataError(f"landmark errors overflow at {cfg.px_per_unit} px per unit")
     return EvalReport(per_sentence=per_sentence, **pooled)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MfccFrames, mfcc_from_wav
+from .audio import N_CEPSTRA, MfccFrames, mfcc_from_wav
 from .container import Format
 from .errors import FileFormatError, InsufficientFramesError
 
@@ -25,6 +25,10 @@ CHAR_PROB_DIM = 29  # 26 letters + apostrophe + space + blank
 FEATURE_MAGIC = b"LSF1"
 _LSF1 = Format(FEATURE_MAGIC, "<IIIB")  # T, D, fps, kind
 _MAX_DIM = 2**32 - 1
+_CONTEXT = 2  # MFCC frames averaged on each side before projection
+# The logit scale trades softmax confidence against smoothness; 0.25 gives
+# confident rows that still move with the cepstral content.
+_LOGIT_SCALE = 0.25
 
 
 class FeatureKind(enum.IntEnum):
@@ -54,42 +58,26 @@ class FeatureSequence:
 class SurrogateProvider:
     """Fixed random projection standing in for a recognizer front end.
 
-    ``context`` MFCC frames on each side are averaged before projection, a
+    ``_CONTEXT`` MFCC frames on each side are averaged before projection, a
     cheap nod to the temporal receptive field of the network it replaces.
     """
 
-    projection: np.ndarray  # (mfcc_dim, out_dim)
-    bias: np.ndarray  # (out_dim,)
-    context: int = 2
-    seed: int = 0
+    projection: np.ndarray  # (N_CEPSTRA, CHAR_PROB_DIM)
+    bias: np.ndarray  # (CHAR_PROB_DIM,)
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        mfcc_dim: int = 13,
-        out_dim: int = CHAR_PROB_DIM,
-        context: int = 2,
-        logit_scale: float = 0.25,
-    ):
+    def seeded(cls, seed: int):
         rng = np.random.default_rng(seed)
-        # logit_scale trades softmax confidence against smoothness; 0.25 gives
-        # confident rows that still move with the cepstral content.
-        projection = rng.standard_normal((mfcc_dim, out_dim)) * logit_scale
-        bias = rng.standard_normal(out_dim) * 0.1
-        return cls(projection=projection, bias=bias, context=context, seed=seed)
+        projection = rng.standard_normal((N_CEPSTRA, CHAR_PROB_DIM)) * _LOGIT_SCALE
+        bias = rng.standard_normal(CHAR_PROB_DIM) * 0.1
+        return cls(projection=projection, bias=bias)
 
 
-def resample_features(
-    data: np.ndarray,
-    source_rate: float,
-    target_fps: float = FEATURE_FPS,
-    duration: float | None = None,
-) -> np.ndarray:
-    """Linear time interpolation of feature rows onto the target frame grid.
+def resample_features(data: np.ndarray, source_rate: float, duration: float | None = None) -> np.ndarray:
+    """Linear time interpolation of feature rows onto the FEATURE_FPS frame grid.
 
-    Output row k is the source signal evaluated at time k / target_fps,
-    clamped to the source's frame range, for k = 0 .. round(target_fps * T)-1
+    Output row k is the source signal evaluated at time k / FEATURE_FPS,
+    clamped to the source's frame range, for k = 0 .. round(FEATURE_FPS * T)-1
     where T defaults to n_rows / source_rate. Rows on the probability simplex
     stay on it: every output row is a convex combination of two inputs.
     """
@@ -98,8 +86,8 @@ def resample_features(
         raise InsufficientFramesError("feature resampling needs at least two rows")
     if duration is None:
         duration = len(data) / source_rate
-    n_out = int(round(target_fps * duration))
-    times = np.arange(n_out) / target_fps
+    n_out = int(round(FEATURE_FPS * duration))
+    times = np.arange(n_out) / FEATURE_FPS
     pos = np.clip(times * source_rate, 0.0, len(data) - 1.0)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, len(data) - 1)
@@ -113,14 +101,12 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _context_average(frames: np.ndarray, context: int) -> np.ndarray:
-    if context <= 0:
-        return frames
+def _context_average(frames: np.ndarray) -> np.ndarray:
     n = len(frames)
     out = np.empty_like(frames)
     for i in range(n):
-        lo = max(0, i - context)
-        hi = min(n, i + context + 1)
+        lo = max(0, i - _CONTEXT)
+        hi = min(n, i + _CONTEXT + 1)
         out[i] = frames[lo:hi].mean(axis=0)
     return out
 
@@ -129,18 +115,16 @@ def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSeq
     """Character-probability style rows from MFCCs, resampled to 60 fps."""
     if m.n_frames == 0:
         raise InsufficientFramesError("no MFCC frames to featurize")
-    averaged = _context_average(np.asarray(m.frames, dtype=np.float64), provider.context)
+    averaged = _context_average(np.asarray(m.frames, dtype=np.float64))
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
-    data = resample_features(simplex, m.frame_rate, FEATURE_FPS, duration=m.source_duration)
+    data = resample_features(simplex, m.frame_rate, duration=m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.CHAR_PROB_SURROGATE)
 
 
 def mfcc_features(m: MfccFrames) -> FeatureSequence:
     """Raw 13-dim MFCC rows resampled to 60 fps (alternative feature path)."""
-    data = resample_features(
-        np.asarray(m.frames, dtype=np.float64), m.frame_rate, FEATURE_FPS, duration=m.source_duration
-    )
+    data = resample_features(np.asarray(m.frames, dtype=np.float64), m.frame_rate, duration=m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.MFCC_RAW)
 
 

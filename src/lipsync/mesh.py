@@ -9,6 +9,7 @@ trajectory plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def load_landmarks(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     indices = []
     lip = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(MeshParseError.read_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -95,7 +96,7 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
     vertices = []
     faces = []
     face_lines = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(MeshParseError.read_lines(path), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -104,9 +105,12 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
             if len(parts) < 4:
                 raise MeshParseError("vertex record needs 3 coordinates", path=str(path), line=lineno)
             try:
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                xyz = [float(value) for value in parts[1:4]]
             except ValueError:
                 raise MeshParseError(f"non-numeric vertex {line.strip()!r}", path=str(path), line=lineno)
+            if not all(map(math.isfinite, xyz)):
+                raise MeshParseError(f"non-finite vertex {line.strip()!r}", path=str(path), line=lineno)
+            vertices.append(xyz)
         elif tag == "f":
             corner = []
             for token in parts[1:]:

@@ -174,10 +174,6 @@ def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
     )
 
 
-def parameter_count(net: NetworkParams) -> int:
-    return net.flat.size
-
-
 def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -> NetworkParams:
     """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1.0.
 
@@ -204,29 +200,7 @@ def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -
 
 
 # ---------------------------------------------------------------------------
-# single-step and per-layer primitives
-
-
-def lstm_step(p: LstmCellParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM cell update; returns (h_t, C_t).
-
-    f = sig(W_f [h,x] + b_f),  i and o likewise,  C~ = tanh(W_C [h,x] + b_C),
-    C_t = f * C_prev + i * C~,  h_t = o * tanh(C_t), where W_f is the first
-    row block of ``p.W``. This is the reference for the layer recurrence.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    hid = p.hidden_size
-    if len(h_prev) + len(x_t) != p.W.shape[1] or len(c_prev) != hid:
-        raise ShapeError(
-            f"lstm_step got x={len(x_t)}, h={len(h_prev)}, C={len(c_prev)} "
-            f"for a cell of hidden={hid}, input={p.input_size}"
-        )
-    a = p.W @ np.concatenate([h_prev, x_t]) + p.b
-    f, i, o = _sigmoid(a[: 3 * hid]).reshape(3, hid)
-    c_t = f * c_prev + i * np.tanh(a[3 * hid :])
-    return o * np.tanh(c_t), c_t
+# per-layer primitives
 
 
 @dataclass
@@ -294,12 +268,6 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
     grad.W[...] = dpre.T @ np.hstack([cache.h_prev, cache.x])
     grad.b[...] = dpre.sum(axis=0)
     return dpre @ p.W[:, hid:]
-
-
-def conv1d_forward(p: Conv1dParams, x: np.ndarray) -> np.ndarray:
-    """Same-padded temporal convolution followed by ReLU; length preserved."""
-    y, _ = _conv_forward(p, np.asarray(x, dtype=np.float64))
-    return y
 
 
 def _conv_forward(p: Conv1dParams, x: np.ndarray):

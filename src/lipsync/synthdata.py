@@ -9,13 +9,14 @@ reproducible from its seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .audio import CANONICAL_RATE, Waveform, mfcc
+from .audio import CANONICAL_RATE, HOP_SECONDS, WINDOW_SECONDS, Waveform, mfcc
 from .errors import ConfigError, FileFormatError, ShapeError
 from .features import (
     CHAR_PROB_DIM,
@@ -30,6 +31,10 @@ from .mesh import DisplacementSequence, TemplateMesh, save_anim
 _SEMI_AXES = np.array([0.55, 0.68, 0.60])
 _MOUTH_DIR = np.array([0.0, -0.35, 0.93])
 _LIP_RADIUS = 0.30
+_N_CODES = 8  # articulation codes K
+_READOUT_SCALE = 0.25
+# Shortest sentence that gives two MFCC frames, the fewest that feature resampling takes.
+_MIN_DURATION = WINDOW_SECONDS + HOP_SECONDS
 
 # Canonical landmark directions; the first 8 are the lip set, upper-lip-middle
 # first so trajectory tools can pick it by convention.
@@ -75,7 +80,6 @@ class OracleArticulator:
     basis: np.ndarray  # (V*3, K), unit Frobenius norm per column
     readout: np.ndarray  # (D, K)
     smoothing: float = 0.6
-    seed: int = 0
     anticipation: int = 0
     lip_vertex_mask: np.ndarray | None = None
 
@@ -84,10 +88,7 @@ class OracleArticulator:
         cls,
         mesh: TemplateMesh,
         seed: int,
-        feature_dim: int = CHAR_PROB_DIM,
-        n_codes: int = 8,
         smoothing: float = 0.6,
-        readout_scale: float = 0.25,
         anticipation: int = 0,
     ) -> "OracleArticulator":
         rng = np.random.default_rng(seed)
@@ -99,17 +100,12 @@ class OracleArticulator:
             raise ShapeError("no vertices near the mouth; head too coarse for the oracle")
 
         weight = np.where(lip_mask, 1.0, 0.02)
-        raw = rng.standard_normal((v, 3, n_codes)) * weight[:, None, None]
-        flat = raw.reshape(v * 3, n_codes)
+        raw = rng.standard_normal((v, 3, _N_CODES)) * weight[:, None, None]
+        flat = raw.reshape(v * 3, _N_CODES)
         flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
-        readout = rng.standard_normal((feature_dim, n_codes)) * readout_scale
+        readout = rng.standard_normal((CHAR_PROB_DIM, _N_CODES)) * _READOUT_SCALE
         return cls(
-            basis=flat,
-            readout=readout,
-            smoothing=smoothing,
-            seed=seed,
-            anticipation=anticipation,
-            lip_vertex_mask=lip_mask,
+            basis=flat, readout=readout, smoothing=smoothing, anticipation=anticipation, lip_vertex_mask=lip_mask
         )
 
 
@@ -125,14 +121,13 @@ class CorpusItem:
 @dataclass
 class CorpusManifest:
     items: list
-    root: Path | None = None
+    root: Path
 
     def split(self, name: str) -> list:
         return [item for item in self.items if item.split == name]
 
     def resolve(self, relpath: str) -> Path:
-        base = self.root if self.root is not None else Path(".")
-        return base / relpath
+        return self.root / relpath
 
     def save(self, path) -> None:
         path = Path(path)
@@ -155,22 +150,17 @@ class CorpusManifest:
     def load(cls, path) -> "CorpusManifest":
         path = Path(path)
         items = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(FileFormatError.read_lines(path), start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                items.append(
-                    CorpusItem(
-                        id=rec["id"],
-                        features=rec["features"],
-                        anim=rec["anim"],
-                        duration=float(rec["duration"]),
-                        split=rec["split"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise FileFormatError(f"bad manifest line: {exc}", path=str(path), offset=lineno)
+                text = {key: rec[key] for key in ("id", "features", "anim", "split")}
+                if not all(isinstance(value, str) for value in text.values()):
+                    raise TypeError("id, features, anim and split must be strings")
+                items.append(CorpusItem(duration=float(rec["duration"]), **text))
+            except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object, or a non-string field
+                raise FileFormatError(f"bad manifest line: {exc}", path=str(path), line=lineno)
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):
             raise FileFormatError("duplicate item ids in manifest", path=str(path))
@@ -281,9 +271,10 @@ def split_counts(n: int, ratio=(18, 1, 1)) -> tuple[int, int, int]:
 def generate_corpus(
     out_dir,
     n_sentences: int,
+    *,
+    provider: SurrogateProvider,
+    oracle: OracleArticulator,
     duration_range=(0.8, 1.6),
-    provider: SurrogateProvider | None = None,
-    oracle: OracleArticulator | None = None,
     seed: int = 0,
     split_ratio=(18, 1, 1),
 ) -> CorpusManifest:
@@ -292,14 +283,9 @@ def generate_corpus(
     Every sentence gets its own RNG substream, so regeneration with the same
     seed reproduces each file bit for bit.
     """
-    if provider is None:
-        provider = SurrogateProvider.seeded(seed)
-    if oracle is None:
-        raise ValueError("generate_corpus needs an OracleArticulator (build one from the head mesh)")
-
     lo, hi = duration_range
-    if min(lo, hi) <= 0:
-        raise ConfigError(f"sentence durations must be positive, got {lo}..{hi}")
+    if not _MIN_DURATION <= lo <= hi < math.inf:  # false for NaN too
+        raise ConfigError(f"sentence durations need {_MIN_DURATION} <= min <= max < inf seconds, got {lo}..{hi}")
     n_train, n_val, n_test = split_counts(n_sentences, split_ratio)
     splits = ["train"] * n_train + ["val"] * n_val + ["test"] * n_test
 

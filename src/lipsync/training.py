@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 REDUCTION_SUM = "sum"
 REDUCTION_MEAN = "mean_per_frame"
 _ADAM_BLOCK = 1 << 15  # vector elements per Adam pass
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,6 @@ class LossConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 10
     seed: int = 0
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
@@ -164,16 +164,16 @@ def adam_step(
     whole-vector temporaries double its time.
     """
     state.t += 1
-    correct1 = 1.0 - cfg.beta1**state.t
-    correct2 = 1.0 - cfg.beta2**state.t
+    correct1 = 1.0 - _ADAM_BETA1**state.t
+    correct2 = 1.0 - _ADAM_BETA2**state.t
     for lo in range(0, grads.size, _ADAM_BLOCK):
         block = slice(lo, lo + _ADAM_BLOCK)
         g, m, v = grads[block], state.m[block], state.v[block]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        net.flat[block] -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + cfg.eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * g * g
+        net.flat[block] -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
     return state
 
 

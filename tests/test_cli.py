@@ -1,8 +1,12 @@
+import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_lsn1
 from lipsync import audio, cli, features, mesh, model, synthdata, training
@@ -442,3 +446,136 @@ class TestTraj:
         assert lines[0] == "frame,v_pixels"
         anim = mesh.load_anim(manifest.resolve(item.anim))
         assert len(lines) == 1 + anim.n_frames
+
+
+class _Inputs:
+    """Command lines over the session corpus whose one output path is ``out``."""
+
+    def __init__(self, mini_corpus, tmp):
+        self.root, self.tmp, self.out = mini_corpus["root"], tmp, tmp / "out"
+        manifest = mini_corpus["manifest"]
+        self.anim = str(manifest.resolve(manifest.split("test")[0].anim))
+        self.manifest = str(self.root / "corpus.jsonl")
+        self.template = str(self.root / "template.obj")
+        self.landmarks = str(self.root / "template.landmarks.txt")
+
+    def file(self, name, data: bytes) -> str:
+        (self.tmp / name).write_bytes(data)
+        return str(self.tmp / name)
+
+    def checkpoint(self) -> str:
+        path = self.tmp / "net.lsn1"
+        model.save_checkpoint(model.init_params(0, 40), path)
+        return str(path)
+
+    def eval(self, *flags, manifest=None, template=None, landmarks=None, scorer=("--self-test",)):
+        return [
+            "eval", "--manifest", manifest or self.manifest, "--template", template or self.template,
+            "--landmarks", landmarks or self.landmarks, "--out", str(self.out), *scorer, *flags,
+        ]
+
+    def traj(self, *flags):
+        return [
+            "traj", "--anim", self.anim, "--template", self.template, "--landmarks", self.landmarks,
+            "--out", str(self.out), *flags,
+        ]
+
+    def gen_corpus(self, *flags):
+        return ["gen-corpus", "--out", str(self.out), "--sentences", "3", "--vertices", "20", *flags]
+
+
+def _manifest_line(i, **changes):
+    line = json.loads(Path(i.manifest).read_text().splitlines()[0])
+    return (json.dumps({**line, **changes}) + "\n").encode()
+
+
+# case: (exit code, text the one stderr line must hold, command line)
+MALFORMED = {
+    "traj-landmark-index-999": (1, "landmark index 999", lambda i: i.traj("--landmark-index", "999")),
+    "traj-landmark-index-negative": (1, "landmark index -1", lambda i: i.traj("--landmark-index=-1")),
+    "traj-px-inf": (1, "px_per_unit", lambda i: i.traj("--px-per-unit", "inf")),
+    "eval-px-nan": (1, "px_per_unit", lambda i: i.eval("--px-per-unit", "nan")),
+    "eval-px-overflow": (
+        2, "overflow", lambda i: i.eval("--px-per-unit", "1e300", scorer=("--checkpoint", i.checkpoint()))
+    ),
+    "gen-corpus-min-dur-nan": (1, "durations", lambda i: i.gen_corpus("--min-dur", "nan")),
+    "gen-corpus-max-dur-inf": (1, "durations", lambda i: i.gen_corpus("--max-dur", "inf")),
+    "gen-corpus-shorter-than-two-mfcc-frames": (1, "durations", lambda i: i.gen_corpus("--min-dur", "0.03")),
+    "gen-corpus-min-above-max": (1, "durations", lambda i: i.gen_corpus("--min-dur", "1.0", "--max-dur", "0.5")),
+    "eval-no-lip-landmarks": (
+        2, "lip", lambda i: i.eval(landmarks=i.file("nolip.txt", Path(i.landmarks).read_bytes().replace(b"lip:", b"")))
+    ),
+    "manifest-line-not-object": (
+        2, "m.jsonl: bad manifest line", lambda i: i.eval(manifest=i.file("m.jsonl", b"[1, 2]\n"))
+    ),
+    "manifest-duration-not-number": (
+        2, "(line 1)", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i, duration="abc")))
+    ),
+    "manifest-path-not-string": (
+        2, "(line 1)", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i, features=None)))
+    ),
+    "manifest-not-utf8": (
+        2, "m.jsonl: not UTF-8 text", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i) + b"\xff\n"))
+    ),
+    "obj-nan-vertex": (2, "h.obj: non-finite vertex", lambda i: i.eval(template=i.file("h.obj", b"v 0 nan 0\n"))),
+    "obj-not-utf8": (2, "(line 2)", lambda i: i.eval(template=i.file("h.obj", b"v 0 0 0\n\xff 1 1\n"))),
+    "landmarks-not-utf8": (2, "lm.txt: not UTF-8", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\n\xfe\n"))),
+    "config-not-utf8": (
+        1, "c.cfg: not UTF-8",
+        lambda i: [
+            "train", "--manifest", i.manifest, "--out", str(i.out), "--config", i.file("c.cfg", b"epochs = 1\n\xff\n")
+        ],
+    ),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_one_line_and_no_output(self, mini_corpus, tmp_path, capsys, case):
+        code, needle, argv = MALFORMED[case]
+        inputs = _Inputs(mini_corpus, tmp_path)
+        assert run_cli(*argv(inputs)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 1 else "error:") and err.count("\n") == 1
+        assert needle in err and "Traceback" not in err
+        assert not inputs.out.exists()
+
+    # Each property runs in-process and only asks that every value gets an exit code.
+    @settings(max_examples=30, deadline=None)
+    @given(command=st.sampled_from(["eval", "traj"]), px=st.floats())
+    @example(command="eval", px=math.nan)
+    @example(command="traj", px=math.inf)
+    @example(command="eval", px=1e308)
+    def test_any_px_per_unit_gets_an_exit_code(self, mini_corpus, tmp_path_factory, command, px):
+        inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("px"))
+        if command == "eval":
+            argv = inputs.eval(f"--px-per-unit={px!r}", scorer=("--checkpoint", inputs.checkpoint()))
+        else:
+            argv = inputs.traj(f"--px-per-unit={px!r}")
+        assert run_cli(*argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.one_of(st.integers(), st.floats()))
+    @example(index=-1)
+    @example(index=math.inf)
+    def test_any_landmark_index_gets_an_exit_code(self, mini_corpus, tmp_path_factory, index):
+        inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("index"))
+        assert run_cli(*inputs.traj(f"--landmark-index={index!r}")) in (0, 1, 2)
+
+    # Finite durations stop at 1 s: generation time and memory grow with the
+    # duration, so a drawn 1e5 s would ask for gigabytes.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        durations=st.lists(
+            st.one_of(st.floats(max_value=1.0), st.floats(0.035, 1.0), st.sampled_from([math.nan, math.inf])),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    @example(durations=[math.nan, 1.0])
+    @example(durations=[0.5, math.inf])
+    @example(durations=[0.035, 0.04])
+    def test_any_durations_get_an_exit_code(self, mini_corpus, tmp_path_factory, durations):
+        inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("durations"))
+        lo, hi = durations
+        assert run_cli(*inputs.gen_corpus(f"--min-dur={lo!r}", f"--max-dur={hi!r}")) in (0, 1, 2)

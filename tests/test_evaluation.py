@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lipsync import evaluation, model, synthdata
-from lipsync.errors import DataError, InsufficientFramesError, ShapeError
+from lipsync.errors import ConfigError, DataError, InsufficientFramesError, ShapeError, TopologyError
 from lipsync.evaluation import ProjectionConfig
-from lipsync.mesh import DisplacementSequence
+from lipsync.mesh import DisplacementSequence, TemplateMesh
 
 
 def small_head():
@@ -35,9 +35,12 @@ class TestProjection:
         assert np.array_equal(moved[..., 1], base[..., 1])
 
     def test_index_out_of_range(self):
+        # projection reads mesh.landmarks, so their range is checked where the mesh is built
         head = small_head()
-        with pytest.raises(IndexError):
-            evaluation.project_landmarks(head, zero_disp(head), indices=[0, head.n_vertices])
+        landmarks = head.landmarks.copy()
+        landmarks[-1] = head.n_vertices
+        with pytest.raises(TopologyError, match="landmark index out of range"):
+            TemplateMesh(vertices=head.vertices, faces=head.faces, landmarks=landmarks, lip_mask=head.lip_mask)
 
     def test_vertex_count_mismatch(self):
         head = small_head()
@@ -125,8 +128,10 @@ class TestTrajectoryCsv:
         assert all(line.endswith(",-7.5") for line in lines[1:])
 
     def test_unknown_landmark(self, tmp_path):
-        with pytest.raises(IndexError):
-            evaluation.lip_trajectory_csv(np.zeros((4, 3, 2)), 3, tmp_path / "x.csv")
+        for landmark in (3, -1):
+            with pytest.raises(ConfigError):
+                evaluation.lip_trajectory_csv(np.zeros((4, 3, 2)), landmark, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_default_lip_landmark_is_first_flagged(self):
         head = small_head()

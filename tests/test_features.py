@@ -81,7 +81,7 @@ class TestResampleFeatures:
         rng = np.random.default_rng(seed)
         raw = rng.random((rows, 7)) + 1e-3
         simplex = raw / raw.sum(axis=1, keepdims=True)
-        out = features.resample_features(simplex, source_rate=100.0, target_fps=60.0)
+        out = features.resample_features(simplex, source_rate=100.0)
         if len(out):
             assert out.min() >= 0.0
             assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)

@@ -16,10 +16,29 @@ def zero_cell(hidden, input_dim):
     return LstmCellParams(W=np.zeros((4 * hidden, hidden + input_dim)), b=np.zeros(4 * hidden))
 
 
+def lstm_step(p, x_t, h_prev, c_prev):
+    """One LSTM cell update, (h_t, C_t): the reference for the layer recurrence.
+
+    f = sig(W_f [h,x] + b_f),  i and o likewise,  C~ = tanh(W_C [h,x] + b_C),
+    C_t = f * C_prev + i * C~,  h_t = o * tanh(C_t), where W_f is the first
+    row block of ``p.W``.
+    """
+    hid = p.hidden_size
+    a = p.W @ np.concatenate([h_prev, x_t]) + p.b
+    f, i, o = (1.0 / (1.0 + np.exp(-a[: 3 * hid]))).reshape(3, hid)
+    c_t = f * c_prev + i * np.tanh(a[3 * hid :])
+    return o * np.tanh(c_t), c_t
+
+
+def conv1d_forward(p, x):
+    """Same-padded temporal convolution followed by ReLU; length preserved."""
+    return model._conv_forward(p, np.asarray(x, dtype=np.float64))[0]
+
+
 class TestLstmStep:
     def test_all_zero_parameters(self):
         p = zero_cell(3, 2)
-        h, c = model.lstm_step(p, np.array([0.7, -0.4]), np.zeros(3), np.zeros(3))
+        h, c = lstm_step(p, np.array([0.7, -0.4]), np.zeros(3), np.zeros(3))
         # every gate sigmoid(0) = 0.5, candidate tanh(0) = 0
         assert np.array_equal(c, np.zeros(3))
         assert np.array_equal(h, np.zeros(3))
@@ -27,7 +46,7 @@ class TestLstmStep:
     def test_zero_weights_nonzero_cell_state(self):
         p = zero_cell(3, 2)
         c_prev = np.array([1.0, -2.0, 0.5])
-        h, c = model.lstm_step(p, np.zeros(2), np.zeros(3), c_prev)
+        h, c = lstm_step(p, np.zeros(2), np.zeros(3), c_prev)
         assert np.allclose(c, 0.5 * c_prev, atol=1e-15)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
@@ -62,14 +81,14 @@ class TestLstmStep:
             c_exp.append(c)
             h_exp.append(o * math.tanh(c))
 
-        h, c = model.lstm_step(p, x, h_prev, c_prev)
+        h, c = lstm_step(p, x, h_prev, c_prev)
         assert np.allclose(h, h_exp, atol=1e-12)
         assert np.allclose(c, c_exp, atol=1e-12)
 
     def test_dimension_mismatch(self):
         p = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            model.lstm_step(p, np.zeros(5), np.zeros(3), np.zeros(3))
+            model._lstm_forward(p, np.zeros((4, 5)))
 
     def test_layer_matches_repeated_steps(self):
         rng = np.random.default_rng(4)
@@ -80,7 +99,7 @@ class TestLstmStep:
             h = np.zeros(cell.hidden_size)
             c = np.zeros(cell.hidden_size)
             for t in range(12):
-                h, c = model.lstm_step(cell, x[t], h, c)
+                h, c = lstm_step(cell, x[t], h, c)
                 assert np.allclose(h_seq[t], h, atol=1e-12)
                 assert np.allclose(cache.c[t], c, atol=1e-12)
 
@@ -123,13 +142,13 @@ class TestConv1d:
         kernels[0, 0, 2] = 1.0
         p = Conv1dParams(kernels=kernels, bias=np.zeros(1))
         x = np.array([[-1.0], [2.0], [-3.0], [4.0], [0.5]])
-        out = model.conv1d_forward(p, x)
+        out = conv1d_forward(p, x)
         assert np.array_equal(out, np.maximum(x, 0.0))
 
     def test_zero_input_gives_relu_bias(self):
         rng = np.random.default_rng(1)
         p = Conv1dParams(kernels=rng.standard_normal((4, 2, 5)), bias=rng.standard_normal(4))
-        out = model.conv1d_forward(p, np.zeros((6, 2)))
+        out = conv1d_forward(p, np.zeros((6, 2)))
         assert np.allclose(out, np.tile(np.maximum(p.bias, 0.0), (6, 1)), atol=1e-15)
 
     def test_matches_naive_sliding_window(self):
@@ -146,12 +165,12 @@ class TestConv1d:
                     if 0 <= src < 7:
                         acc += float(p.kernels[o, :, k] @ x[src])
                 expected[t, o] = max(acc, 0.0)
-        assert np.allclose(model.conv1d_forward(p, x), expected, atol=1e-12)
+        assert np.allclose(conv1d_forward(p, x), expected, atol=1e-12)
 
     def test_channel_mismatch(self):
         p = Conv1dParams(kernels=np.zeros((2, 3, 5)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            model.conv1d_forward(p, np.zeros((4, 4)))
+            conv1d_forward(p, np.zeros((4, 4)))
 
 
 class TestForward:
@@ -320,7 +339,7 @@ class TestInitParams:
         expected = conv + lstm + dense
         assert expected == 1_195_131
         net = model.init_params(0, 5713)
-        assert model.parameter_count(net) == expected
+        assert net.flat.size == expected
 
 
 class TestCheckpoint:

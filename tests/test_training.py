@@ -174,7 +174,7 @@ class TestAdam:
         training.adam_step(net, grads.flat, training.AdamState.zeros(net), cfg)
         for name, arr in net.items():
             g = grads[name]
-            expected = before[name] - cfg.learning_rate * g / (np.abs(g) + cfg.eps)
+            expected = before[name] - cfg.learning_rate * g / (np.abs(g) + training._ADAM_EPS)
             assert np.allclose(arr, expected, atol=1e-12), name
 
     def test_clip_scales_to_max_norm(self):
