@@ -26,6 +26,7 @@ from .model import (
     NetworkParams,
     backward,
     forward,
+    forward_batch,
     forward_with_cache,
     init_params,
     load_checkpoint,

@@ -32,6 +32,11 @@ _SINC_CROSSINGS = 16
 _KAISER_BETA = 8.6
 # Outputs per resampling block; bounds the gathered input windows.
 _BLOCK = 8192
+# Kernel tables kept across resample calls, least recently used dropped
+# first, up to this many bytes in all. A coprime rate's table is as large
+# as its output (about 3 MB for half a second at 22051 Hz) and is not kept.
+_TABLE_CACHE_BYTES = 1 << 21
+_TABLES: dict = {}  # (source rate, target rate, first phase, end phase) -> (first, table)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,33 @@ def _kaiser_window(u: np.ndarray, beta: float) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, np.i0(beta * np.sqrt(inside)) / np.i0(beta), 0.0)
 
 
+def _phase_table(source_rate: int, target_rate: int, p0: int, p1: int):
+    """Kernel rows of phases p0..p1-1 for one rate pair, cached in ``_TABLES``.
+
+    Returns (first, table): the first input sample each phase reads, and
+    its (n_taps,) row of the Kaiser-windowed sinc; both read-only.
+    """
+    key = (source_rate, target_rate, p0, p1)
+    if key in _TABLES:
+        _TABLES[key] = _TABLES.pop(key)  # most recently used last
+        return _TABLES[key]
+    ratio = target_rate / source_rate
+    cutoff = min(1.0, ratio)
+    half = _SINC_CROSSINGS / cutoff
+    centers = np.arange(p0, p1) / ratio
+    first = np.ceil(centers - half).astype(np.int64)
+    delta = centers[:, None] - (first[:, None] + np.arange(int(2 * half) + 2))
+    table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
+    first.setflags(write=False)
+    table.setflags(write=False)
+    size = first.nbytes + table.nbytes
+    if size <= _TABLE_CACHE_BYTES:
+        while sum(a.nbytes + b.nbytes for a, b in _TABLES.values()) + size > _TABLE_CACHE_BYTES:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[key] = first, table
+    return first, table
+
+
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Band-limited sample-rate conversion with a Kaiser-windowed sinc kernel.
 
@@ -139,7 +171,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     k = p + up*r (up = target/g, down = source/g) sits at input position
     p*down/up + down*r: its kernel row is that of phase p, and its input
     window starts down*r samples after phase p's. The kernel is evaluated
-    once per phase, then applied to every repeat of that phase.
+    once per phase, kept for later calls at the same rates, and applied to
+    every repeat of that phase.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -148,24 +181,17 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
     x = np.asarray(w.samples, dtype=np.float64)
     n_in = len(x)
-    ratio = target_rate / w.sample_rate
-    n_out = int(round(n_in * ratio))
-    cutoff = min(1.0, ratio)
-    half = _SINC_CROSSINGS / cutoff
-    n_taps = int(2 * half) + 2
+    n_out = int(round(n_in * (target_rate / w.sample_rate)))
     g = math.gcd(w.sample_rate, target_rate)
     up, down = target_rate // g, w.sample_rate // g
 
     # out[r, p] is output p + up*r; the last row runs past n_out into zeros.
     n_phases = min(up, n_out)
     out = np.empty((-(-n_out // up), n_phases))
-    offsets = np.arange(n_taps)
     for p0 in range(0, n_phases, _BLOCK):
-        centers = np.arange(p0, min(p0 + _BLOCK, n_phases)) / ratio
-        first = np.ceil(centers - half).astype(np.int64)
-        delta = centers[:, None] - (first[:, None] + offsets)
-        table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
-        repeats = max(1, _BLOCK // len(centers))
+        first, table = _phase_table(w.sample_rate, target_rate, p0, min(p0 + _BLOCK, n_phases))
+        n_taps = table.shape[1]
+        repeats = max(1, _BLOCK // len(first))
         for r0 in range(0, len(out), repeats):
             rows = slice(r0, min(r0 + repeats, len(out)))
             starts = first[:, None] + down * np.arange(rows.start, rows.stop)
@@ -176,7 +202,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
             span[a - lo : b - lo] = x[a:b]
             # (phase, repeat, tap): the table row of each phase meets all its repeats.
             windows = np.lib.stride_tricks.sliding_window_view(span, n_taps)[starts - lo]
-            out[rows, p0 : p0 + len(centers)] = np.matmul(windows, table[:, :, None])[..., 0].T
+            out[rows, p0 : p0 + len(first)] = np.matmul(windows, table[:, :, None])[..., 0].T
     return Waveform(samples=out.ravel()[:n_out], sample_rate=int(target_rate))
 
 

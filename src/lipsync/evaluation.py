@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientFramesError, ShapeError
 from .mesh import DisplacementSequence, TemplateMesh
-from .model import NetworkParams, forward
+from .model import NetworkParams, forward_batch
 
 METRIC_KEYS = ("pos_all", "pos_lip", "vel_all", "vel_lip")
 _METRIC_LABELS = {
@@ -124,18 +124,23 @@ def default_lip_landmark(mesh: TemplateMesh) -> int:
     return int(_lip_columns(mesh)[0])
 
 
-def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> EvalReport:
-    """Landmark metrics of ``predict(sample)`` against ground truth, pooled over every
+def _aggregate(mesh: TemplateMesh, samples, predictions, cfg: ProjectionConfig) -> EvalReport:
+    """Landmark metrics of each sample's prediction, taken from the iterable
+    ``predictions`` in sample order, against ground truth, pooled over every
     (frame, landmark) pair so that long sentences weigh more."""
     if not samples:
         raise DataError("no samples to score")
     lip_cols = _lip_columns(mesh)
     totals = {k: [0.0, 0] for k in METRIC_KEYS}
     per_sentence = {}
-    for s in samples:
+    for s, pred in zip(samples, predictions):
         dist, vel = _distances(
-            project_landmarks(mesh, predict(s), cfg=cfg), project_landmarks(mesh, s.displacements, cfg=cfg)
+            project_landmarks(mesh, pred, cfg=cfg), project_landmarks(mesh, s.displacements, cfg=cfg)
         )
+        if not len(vel):
+            raise InsufficientFramesError(
+                f"sentence {s.id!r} has {len(dist)} frame(s); velocity error needs at least two"
+            )
         sums = {
             "pos_all": (dist.sum(), dist.size),
             "pos_lip": (dist[:, lip_cols].sum(), dist[:, lip_cols].size),
@@ -147,7 +152,7 @@ def _aggregate(mesh: TemplateMesh, samples, predict, cfg: ProjectionConfig) -> E
             totals[k][0] += sums[k][0]
             totals[k][1] += sums[k][1]
 
-    pooled = {k: (totals[k][0] / totals[k][1] if totals[k][1] else 0.0) for k in METRIC_KEYS}
+    pooled = {k: totals[k][0] / totals[k][1] for k in METRIC_KEYS}
     if not np.isfinite(list(pooled.values())).all():
         raise DataError(f"landmark errors overflow at {cfg.px_per_unit} px per unit")
     return EvalReport(per_sentence=per_sentence, **pooled)
@@ -164,12 +169,12 @@ def evaluate(
         raise ShapeError(
             f"checkpoint decodes {net.vertex_count} vertices, mesh has {mesh.n_vertices}"
         )
-    return _aggregate(mesh, samples, lambda s: forward(net, s.features), cfg)
+    return _aggregate(mesh, samples, forward_batch(net, [s.features for s in samples]), cfg)
 
 
 def evaluate_self(mesh: TemplateMesh, samples, cfg: ProjectionConfig = ProjectionConfig()) -> EvalReport:
     """Ground truth against itself; a correct pipeline reports all zeros."""
-    return _aggregate(mesh, samples, lambda s: s.displacements, cfg)
+    return _aggregate(mesh, samples, [s.displacements for s in samples], cfg)
 
 
 def format_table(reports: dict) -> str:

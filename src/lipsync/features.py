@@ -102,12 +102,23 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _context_average(frames: np.ndarray) -> np.ndarray:
+    """Mean of each row with up to ``_CONTEXT`` rows on each side, clamped at the ends.
+
+    Rows with a full window make the sum ``mean`` makes, vectorized over
+    rows: from +0.0 (so an all -0.0 window gives +0.0, as ``mean`` does) add
+    the shifted slices in row order, then divide by the window. The edge
+    rows take ``mean`` of their clamped windows.
+    """
     n = len(frames)
+    width = 2 * _CONTEXT + 1
     out = np.empty_like(frames)
-    for i in range(n):
-        lo = max(0, i - _CONTEXT)
-        hi = min(n, i + _CONTEXT + 1)
-        out[i] = frames[lo:hi].mean(axis=0)
+    if n >= width:
+        acc = np.zeros((n - width + 1, frames.shape[1]))
+        for k in range(width):
+            acc += frames[k : n - width + 1 + k]
+        out[_CONTEXT : n - _CONTEXT] = acc / width
+    for i in [*range(min(_CONTEXT, n)), *range(max(n - _CONTEXT, _CONTEXT), n)]:
+        out[i] = frames[max(0, i - _CONTEXT) : i + _CONTEXT + 1].mean(axis=0)
     return out
 
 

@@ -17,13 +17,15 @@ out by ``_bind`` in checkpoint tensor order. ``backward`` returns gradients
 in the same layout, so the optimizer works on whole vectors. Each LSTM holds
 its four gates fused into one (4H, H + input) matrix, row blocks f, i, o, C.
 
-Forward runs per sequence with zero initial LSTM state. Backward is full
-backpropagation through time against a cache captured during the forward
-pass. All math is float64.
+Forward starts every sequence from zero LSTM state; ``forward_batch`` steps
+several sequences through each LSTM together, bit-equal to running them one
+at a time. Backward is full backpropagation through time against a cache
+captured during the forward pass of one sequence. All math is float64.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -40,10 +42,6 @@ CHECKPOINT_MAGIC = b"LSN1"
 _LSN1 = Format(CHECKPOINT_MAGIC, "<II")  # V, tensor count
 GATES = "fioC"  # row-block order of the fused LSTM gate matrix
 DENSE_LAYERS = (("fc1", "tanh"), ("fc2", "linear"), ("decoder", "linear"))
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
@@ -209,34 +207,57 @@ class _LstmCache:
     h_prev: np.ndarray  # h_{t-1} rows, zeros at t=0
     gates: np.ndarray  # (T, 4H): sigmoid f, i, o and the candidate tanh(...)
     c: np.ndarray
-    tanh_c: np.ndarray
 
 
-def _lstm_forward(p: LstmCellParams, x: np.ndarray):
-    t_len, in_dim = x.shape
+def _lstm_forward(p: LstmCellParams, xs: list):
+    """Run the layer over a list of (T_j, input) sequences stepped together.
+
+    Slots hold the sequences longest first, so the ones still running at
+    step t are a prefix of k_t slots and nothing is padded or masked. Each
+    sequence keeps its own input-projection product, and the recurrent
+    term is one matrix-vector product per running sequence, so every
+    output is bit-equal to running the sequence alone. Returns the h rows
+    and the backward cache of each sequence, in input order.
+    """
     hid = p.hidden_size
-    if in_dim != p.input_size:
-        raise ShapeError(f"lstm layer expects input dim {p.input_size}, got {in_dim}")
-    # Input contributions for the whole sequence in one product; the loop
-    # only adds the recurrent term, one matvec over all four gates per step.
-    pre = x @ p.W[:, hid:].T + p.b
+    for x in xs:
+        if x.shape[1] != p.input_size:
+            raise ShapeError(f"lstm layer expects input dim {p.input_size}, got {x.shape[1]}")
+    order = sorted(range(len(xs)), key=lambda j: -len(xs[j]))
+    lengths = [len(xs[j]) for j in order]
+    t_max = lengths[0] if xs else 0
     w_h = p.W[:, :hid]
-    gates = np.empty((t_len, 4 * hid))
-    c = np.empty((t_len, hid))
-    h_all = np.zeros((t_len + 1, hid))  # row t is h_{t-1}
+    # Step t overwrites the input projections of step t with the gate values.
+    gates = np.empty((len(xs), t_max, 4 * hid))
+    for slot, j in enumerate(order):
+        gates[slot, : lengths[slot]] = xs[j] @ p.W[:, hid:].T + p.b
+    c = np.empty((len(xs), t_max, hid))
+    h = np.zeros((len(xs), t_max + 1, hid))  # h[:, t] is h_{t-1}
 
-    c_state = np.zeros(hid)
-    for t in range(t_len):
-        a = pre[t] + w_h @ h_all[t]
-        s = gates[t]
-        s[: 3 * hid] = _sigmoid(a[: 3 * hid])
-        s[3 * hid :] = np.tanh(a[3 * hid :])
-        c_state = s[:hid] * c_state + s[hid : 2 * hid] * s[3 * hid :]
-        c[t] = c_state
-        np.multiply(s[2 * hid : 3 * hid], np.tanh(c_state), out=h_all[t + 1])
+    c_state = np.zeros((len(xs), hid))
+    running = len(xs)
+    for t in range(t_max):
+        while lengths[running - 1] <= t:
+            running -= 1
+        s = gates[:running, t]
+        s += np.matmul(w_h, h[:running, t, :, None])[..., 0]
+        # Gate nonlinearities in place: sigmoid as 1 / (1 + exp(-z)), then tanh.
+        sig, cand = s[:, : 3 * hid], s[:, 3 * hid :]
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(cand, out=cand)
+        c_state = s[:, :hid] * c_state[:running] + s[:, hid : 2 * hid] * cand
+        c[:running, t] = c_state
+        np.multiply(s[:, 2 * hid : 3 * hid], np.tanh(c_state), out=h[:running, t + 1])
 
-    cache = _LstmCache(x=x, h_prev=h_all[:-1], gates=gates, c=c, tanh_c=np.tanh(c))
-    return h_all[1:], cache
+    hs, caches = [None] * len(xs), [None] * len(xs)
+    for slot, j in enumerate(order):
+        t_len = lengths[slot]
+        hs[j] = h[slot, 1 : t_len + 1]
+        caches[j] = _LstmCache(x=xs[j], h_prev=h[slot, :t_len], gates=gates[slot, :t_len], c=c[slot, :t_len])
+    return hs, caches
 
 
 def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellParams):
@@ -250,8 +271,9 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
     by_dc = np.stack(
         [c_prev * f * (1.0 - f), g * i * (1.0 - i), np.zeros_like(o), i * (1.0 - g**2)], axis=1
     )
-    by_dh_o = cache.tanh_c * o * (1.0 - o)
-    dc_by_dh = o * (1.0 - cache.tanh_c**2)
+    tanh_c = np.tanh(cache.c)
+    by_dh_o = tanh_c * o * (1.0 - o)
+    dc_by_dh = o * (1.0 - tanh_c**2)
 
     dpre = np.empty((t_len, 4 * hid))
     dh_carry = np.zeros(hid)
@@ -314,11 +336,7 @@ def _dense_backward(p: DenseParams, cache, dy: np.ndarray, grad: DenseParams):
     return dpre @ p.weight
 
 
-_FORWARD = {
-    Conv1dParams: _conv_forward,
-    LstmCellParams: _lstm_forward,
-    DenseParams: _dense_forward,
-}
+_FORWARD = {Conv1dParams: _conv_forward, DenseParams: _dense_forward}
 _BACKWARD = {
     Conv1dParams: _conv_backward,
     LstmCellParams: _lstm_backward,
@@ -329,6 +347,10 @@ _BACKWARD = {
 # ---------------------------------------------------------------------------
 # full network
 
+# Sequences run through the network together by forward_batch; bounds the
+# memory its batched LSTM buffers take.
+_CHUNK = 8
+
 
 @dataclass
 class ForwardCache:
@@ -336,27 +358,57 @@ class ForwardCache:
     out_shape: tuple
 
 
-def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
-    """Run the network over a feature sequence and keep the tape for backward."""
+def _input(net: NetworkParams, feats: FeatureSequence) -> np.ndarray:
     x = np.asarray(feats.data, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.feature_dim:
         raise ShapeError(
             f"network expects T x {net.arch.feature_dim} features, got {x.shape}"
         )
-    t_len = len(x)
-    caches = []
+    return x
+
+
+def _run_layers(net: NetworkParams, xs: list, tapes=None) -> list:
+    """Network outputs for a list of (T_j, D) inputs; when ``tapes`` is a
+    list, each layer appends its per-sequence caches to it."""
     for layer in net.layers:
-        x, cache = _FORWARD[type(layer)](layer, x)
-        caches.append(cache)
-    frames = x.reshape(t_len, net.vertex_count, 3)
-    out = DisplacementSequence(frames=frames, fps=feats.fps)
-    return out, ForwardCache(layers=caches, out_shape=frames.shape)
+        if isinstance(layer, LstmCellParams):
+            xs, caches = _lstm_forward(layer, xs)
+        else:
+            xs, caches = zip(*(_FORWARD[type(layer)](layer, x) for x in xs))
+        if tapes is not None:
+            tapes.append(caches)
+        del caches  # otherwise a layer's buffers live on while the next one runs
+    return xs
+
+
+def _displacements(net: NetworkParams, y: np.ndarray, feats: FeatureSequence) -> DisplacementSequence:
+    return DisplacementSequence(frames=y.reshape(len(y), net.vertex_count, 3), fps=feats.fps)
+
+
+def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
+    """Run the network over a feature sequence and keep the tape for backward."""
+    tapes = []
+    (y,) = _run_layers(net, [_input(net, feats)], tapes)
+    out = _displacements(net, y, feats)
+    return out, ForwardCache(layers=[tape for (tape,) in tapes], out_shape=out.frames.shape)
 
 
 def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
     """Vertex displacements for a feature sequence, one pose per input frame."""
     out, _ = forward_with_cache(net, feats)
     return out
+
+
+def forward_batch(net: NetworkParams, seqs):
+    """Yield ``forward(net, f)`` for each feature sequence f, in input order.
+
+    Runs ``_CHUNK`` sequences at a time through the network together; each
+    output is bit-equal to the one ``forward`` gives.
+    """
+    seqs = iter(seqs)
+    while chunk := list(itertools.islice(seqs, _CHUNK)):
+        ys = _run_layers(net, [_input(net, feats) for feats in chunk])
+        yield from (_displacements(net, y, feats) for y, feats in zip(ys, chunk))
 
 
 def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> NetworkParams:

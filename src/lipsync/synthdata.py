@@ -35,6 +35,8 @@ _N_CODES = 8  # articulation codes K
 _READOUT_SCALE = 0.25
 # Shortest sentence that gives two MFCC frames, the fewest that feature resampling takes.
 _MIN_DURATION = WINDOW_SECONDS + HOP_SECONDS
+# Longest sentence; a sentence's audio and feature arrays grow with it.
+_MAX_DURATION = 60.0
 
 # Canonical landmark directions; the first 8 are the lip set, upper-lip-middle
 # first so trajectory tools can pick it by convention.
@@ -284,8 +286,10 @@ def generate_corpus(
     seed reproduces each file bit for bit.
     """
     lo, hi = duration_range
-    if not _MIN_DURATION <= lo <= hi < math.inf:  # false for NaN too
-        raise ConfigError(f"sentence durations need {_MIN_DURATION} <= min <= max < inf seconds, got {lo}..{hi}")
+    if not _MIN_DURATION <= lo <= hi <= _MAX_DURATION:  # false for NaN too
+        raise ConfigError(
+            f"sentence durations need {_MIN_DURATION} <= min <= max <= {_MAX_DURATION} seconds, got {lo}..{hi}"
+        )
     n_train, n_val, n_test = split_counts(n_sentences, split_ratio)
     splits = ["train"] * n_train + ["val"] * n_val + ["test"] * n_test
 

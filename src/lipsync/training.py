@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .features import FeatureSequence
 from .mesh import DisplacementSequence
-from .model import NetworkParams, backward, forward_with_cache, save_checkpoint
+from .model import NetworkParams, backward, forward_batch, forward_with_cache, save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -202,8 +202,7 @@ def _validate_items(items, split):
 def evaluate_loss(items, net: NetworkParams, cfg: LossConfig):
     """Mean per-item (lp, lv) of the current parameters over a sample list."""
     lps, lvs = [], []
-    for s in items:
-        pred, _ = forward_with_cache(net, s.features)
+    for s, pred in zip(items, forward_batch(net, [s.features for s in items])):
         lp, lv, _, _ = _loss_terms(pred, s.displacements, cfg)
         lps.append(lp)
         lvs.append(lv)

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread for the whole suite: the second thread only spins here. It
+# must be set before numpy is first imported; an explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import struct
 import sys
 from collections import defaultdict

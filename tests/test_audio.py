@@ -137,6 +137,39 @@ class TestResample:
         peak = int(np.argmax(spectrum))  # 1 s of output -> 1 Hz bins
         assert abs(peak - 440) <= 1
 
+    def test_kernel_table_cached(self, monkeypatch):
+        # a second call at the same rates reuses the table, bit for bit
+        monkeypatch.setattr(audio, "_TABLES", {})
+        built = []
+        window = audio._kaiser_window
+        monkeypatch.setattr(audio, "_kaiser_window", lambda u, beta: built.append(u.shape) or window(u, beta))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(44100)
+        first = audio.resample(audio.Waveform(samples=x, sample_rate=44100), 16000).samples
+        assert built == [(160, 90)]
+        again = audio.resample(audio.Waveform(samples=x, sample_rate=44100), 16000).samples
+        shorter = audio.resample(audio.Waveform(samples=x[:20000], sample_rate=44100), 16000).samples
+        assert built == [(160, 90)]
+        assert np.array_equal(again, first)
+        monkeypatch.setattr(audio, "_TABLES", {})
+        assert np.array_equal(shorter, audio.resample(audio.Waveform(samples=x[:20000], sample_rate=44100), 16000).samples)
+        for arr in audio._TABLES[(44100, 16000, 0, 160)]:
+            assert not arr.flags.writeable
+
+    def test_table_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(audio, "_TABLES", {})
+        rng = np.random.default_rng(4)
+        # 0.5 s at 22051 Hz: 8000 coprime phases x 46 taps, larger than the cap
+        audio.resample(audio.Waveform(samples=rng.standard_normal(11026), sample_rate=22051), 16000)
+        assert audio._TABLES == {}
+        # a cap that holds either table (44.1 kHz 116480 bytes, 22.05 kHz
+        # 120320) but not both: the least recently used one goes
+        monkeypatch.setattr(audio, "_TABLE_CACHE_BYTES", 200_000)
+        for rate in (44100, 22050):
+            audio.resample(audio.Waveform(samples=rng.standard_normal(rate // 10), sample_rate=rate), 16000)
+        assert list(audio._TABLES) == [(22050, 16000, 0, 320)]
+        assert sum(a.nbytes + b.nbytes for a, b in audio._TABLES.values()) <= audio._TABLE_CACHE_BYTES
+
     def test_invalid_rate(self):
         w = audio.Waveform(samples=np.zeros(10), sample_rate=16000)
         with pytest.raises(ValueError):

@@ -388,6 +388,35 @@ class TestEvalSelfTest:
         assert captured.out == ""
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("mode", ["self-test", "checkpoint"])
+    def test_one_frame_sentence_is_exit_2(self, mini_corpus, tmp_path, capsys, mode):
+        # a one-frame sentence has no velocity error; it must not become NaN in the JSON
+        root = mini_corpus["root"]
+        sample = synthdata.load_split(mini_corpus["manifest"], "test")[0]
+        features.save_features(features.FeatureSequence(data=sample.features.data[:1]), tmp_path / "one.lsf1")
+        mesh.save_anim(mesh.DisplacementSequence(frames=sample.displacements.frames[:1]), tmp_path / "one.lsa1")
+        item = {"id": "one-frame", "features": "one.lsf1", "anim": "one.lsa1", "duration": 0.02, "split": "test"}
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(item) + "\n")
+        ckpt = tmp_path / "net.lsn1"
+        model.save_checkpoint(model.init_params(0, mini_corpus["head"].n_vertices), ckpt)
+        scorer = ["--self-test"] if mode == "self-test" else ["--checkpoint", str(ckpt)]
+        report_path = tmp_path / "one.json"
+        code = run_cli(
+            "eval",
+            "--manifest", str(tmp_path / "corpus.jsonl"),
+            "--template", str(root / "template.obj"),
+            "--landmarks", str(root / "template.landmarks.txt"),
+            "--out", str(report_path),
+            *scorer,
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'one-frame'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not report_path.exists()
+
 
 class TestExportObjSeq:
     def test_zero_checkpoint_exports_template(self, tmp_path):
@@ -500,6 +529,8 @@ MALFORMED = {
     ),
     "gen-corpus-min-dur-nan": (1, "durations", lambda i: i.gen_corpus("--min-dur", "nan")),
     "gen-corpus-max-dur-inf": (1, "durations", lambda i: i.gen_corpus("--max-dur", "inf")),
+    "gen-corpus-max-dur-1e300": (1, "durations", lambda i: i.gen_corpus("--max-dur", "1e300")),
+    "gen-corpus-max-dur-above-bound": (1, "<= 60.0 seconds", lambda i: i.gen_corpus("--max-dur", "60.001")),
     "gen-corpus-shorter-than-two-mfcc-frames": (1, "durations", lambda i: i.gen_corpus("--min-dur", "0.03")),
     "gen-corpus-min-above-max": (1, "durations", lambda i: i.gen_corpus("--min-dur", "1.0", "--max-dur", "0.5")),
     "eval-no-lip-landmarks": (
@@ -562,12 +593,17 @@ class TestMalformedInputs:
         inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("index"))
         assert run_cli(*inputs.traj(f"--landmark-index={index!r}")) in (0, 1, 2)
 
-    # Finite durations stop at 1 s: generation time and memory grow with the
-    # duration, so a drawn 1e5 s would ask for gigabytes.
+    # Finite durations that generate stop at 1 s, because generation time
+    # grows with the duration; those above the 60 s bound are refused.
     @settings(max_examples=30, deadline=None)
     @given(
         durations=st.lists(
-            st.one_of(st.floats(max_value=1.0), st.floats(0.035, 1.0), st.sampled_from([math.nan, math.inf])),
+            st.one_of(
+                st.floats(max_value=1.0),
+                st.floats(0.035, 1.0),
+                st.floats(min_value=synthdata._MAX_DURATION, exclude_min=True),
+                st.sampled_from([math.nan, math.inf]),
+            ),
             min_size=2,
             max_size=2,
         )
@@ -575,7 +611,12 @@ class TestMalformedInputs:
     @example(durations=[math.nan, 1.0])
     @example(durations=[0.5, math.inf])
     @example(durations=[0.035, 0.04])
+    @example(durations=[0.5, 1e300])
+    @example(durations=[61.0, 62.0])
     def test_any_durations_get_an_exit_code(self, mini_corpus, tmp_path_factory, durations):
         inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("durations"))
         lo, hi = durations
-        assert run_cli(*inputs.gen_corpus(f"--min-dur={lo!r}", f"--max-dur={hi!r}")) in (0, 1, 2)
+        code = run_cli(*inputs.gen_corpus(f"--min-dur={lo!r}", f"--max-dur={hi!r}"))
+        assert code in (0, 1, 2)
+        if max(lo, hi) > synthdata._MAX_DURATION:
+            assert code == 1 and not inputs.out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipsync import evaluation, model, synthdata
+from lipsync import evaluation, features, model, synthdata, training
 from lipsync.errors import ConfigError, DataError, InsufficientFramesError, ShapeError, TopologyError
 from lipsync.evaluation import ProjectionConfig
 from lipsync.mesh import DisplacementSequence, TemplateMesh
@@ -165,6 +165,34 @@ class TestEvaluate:
             assert getattr(report, key) >= 0.0
             assert np.isfinite(getattr(report, key))
         assert set(report.per_sentence) == {s.id for s in samples}
+
+    def test_matches_per_sequence_forward(self, mini_corpus, monkeypatch):
+        # chunks of 3 over all 8 sentences: the batched forward must pool
+        # exactly what one forward per sentence gives, in sample order
+        head = mini_corpus["head"]
+        samples = [s for split in ("train", "val", "test") for s in synthdata.load_split(mini_corpus["manifest"], split)]
+        net = model.init_params(2, head.n_vertices)
+        monkeypatch.setattr(model, "_CHUNK", 3)
+        report = evaluation.evaluate(net, head, samples)
+        per_sequence = [model.forward(net, s.features) for s in samples]
+        expected = evaluation._aggregate(head, samples, per_sequence, ProjectionConfig())
+        assert report.to_json() == expected.to_json()
+        assert list(report.per_sentence) == [s.id for s in samples]
+
+    def test_one_frame_sentence_is_insufficient_frames(self, mini_corpus):
+        head = mini_corpus["head"]
+        (first, *rest) = synthdata.load_split(mini_corpus["manifest"], "test")
+        short = training.Sample(
+            id="one-frame",
+            features=features.FeatureSequence(data=first.features.data[:1]),
+            displacements=DisplacementSequence(frames=first.displacements.frames[:1]),
+        )
+        for scorer in (
+            lambda samples: evaluation.evaluate_self(head, samples),
+            lambda samples: evaluation.evaluate(model.init_params(0, head.n_vertices), head, samples),
+        ):
+            with pytest.raises(InsufficientFramesError, match="'one-frame' has 1 frame"):
+                scorer([first, short, *rest])
 
     def test_vertex_count_checked(self, mini_corpus):
         samples = synthdata.load_split(mini_corpus["manifest"], "test")

@@ -50,6 +50,35 @@ class TestSurrogate:
         assert seq.n_frames == 60
 
 
+def reference_context_average(frames):
+    """Per-row mean over the clamped window of two rows each side: the oracle."""
+    n = len(frames)
+    out = np.empty_like(frames)
+    for i in range(n):
+        out[i] = frames[max(0, i - 2) : min(n, i + 3)].mean(axis=0)
+    return out
+
+
+class TestContextAverage:
+    @pytest.mark.parametrize("n", [*range(1, 13), 57, 400])
+    def test_matches_loop_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        frames = rng.standard_normal((n, 13)) * 10.0 ** rng.integers(-3, 4, size=(n, 13))
+        frames[rng.random((n, 13)) < 0.1] = -0.0
+        frames[:, 0] = -0.0  # mean sums from +0.0: an all -0.0 window gives +0.0
+        out = features._context_average(frames)
+        expected = reference_context_average(frames)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_zero_signs_follow_mean(self):
+        frames = np.array([[-0.0, 0.0, -0.0]] * 7)
+        frames[3, 2] = 1.0
+        out = features._context_average(frames)
+        assert not np.signbit(out).any()
+        assert np.array_equal(out, reference_context_average(frames))
+
+
 class TestResampleFeatures:
     def test_constant_rows_stay_constant(self):
         data = np.tile([1.5, -2.0, 0.25], (10, 1))

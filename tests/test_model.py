@@ -30,6 +30,38 @@ def lstm_step(p, x_t, h_prev, c_prev):
     return o * np.tanh(c_t), c_t
 
 
+def reference_lstm_forward(p, x):
+    """The layer over one sequence, one step at a time: the oracle for the
+    batched recurrence. Returns the h rows and the C rows."""
+    t_len = len(x)
+    hid = p.hidden_size
+    pre = x @ p.W[:, hid:].T + p.b
+    w_h = p.W[:, :hid]
+    c = np.empty((t_len, hid))
+    h_all = np.zeros((t_len + 1, hid))
+    c_state = np.zeros(hid)
+    for t in range(t_len):
+        a = pre[t] + w_h @ h_all[t]
+        s = np.empty(4 * hid)
+        s[: 3 * hid] = 1.0 / (1.0 + np.exp(-a[: 3 * hid]))
+        s[3 * hid :] = np.tanh(a[3 * hid :])
+        c_state = s[:hid] * c_state + s[hid : 2 * hid] * s[3 * hid :]
+        c[t] = c_state
+        np.multiply(s[2 * hid : 3 * hid], np.tanh(c_state), out=h_all[t + 1])
+    return h_all[1:], c
+
+
+def reference_forward(net, feats):
+    """Network output frames for one sequence through the per-sequence LSTM oracle."""
+    x = np.asarray(feats.data, dtype=np.float64)
+    for layer in net.layers:
+        if isinstance(layer, LstmCellParams):
+            x, _ = reference_lstm_forward(layer, x)
+        else:
+            x, _ = model._FORWARD[type(layer)](layer, x)
+    return x.reshape(len(x), net.vertex_count, 3)
+
+
 def conv1d_forward(p, x):
     """Same-padded temporal convolution followed by ReLU; length preserved."""
     return model._conv_forward(p, np.asarray(x, dtype=np.float64))[0]
@@ -88,14 +120,14 @@ class TestLstmStep:
     def test_dimension_mismatch(self):
         p = zero_cell(3, 2)
         with pytest.raises(ShapeError):
-            model._lstm_forward(p, np.zeros((4, 5)))
+            model._lstm_forward(p, [np.zeros((3, 2)), np.zeros((4, 5))])
 
     def test_layer_matches_repeated_steps(self):
         rng = np.random.default_rng(4)
         net = tiny_net(seed=4)
         for cell in (net.lstms[0], net.lstms[2]):
             x = rng.standard_normal((12, cell.input_size))
-            h_seq, cache = model._lstm_forward(cell, x)
+            (h_seq,), (cache,) = model._lstm_forward(cell, [x])
             h = np.zeros(cell.hidden_size)
             c = np.zeros(cell.hidden_size)
             for t in range(12):
@@ -110,7 +142,8 @@ class TestLstmStep:
         hid = cell.hidden_size
         x = rng.standard_normal((10, cell.input_size))
         dh_seq = rng.standard_normal((10, hid))
-        _, cache = model._lstm_forward(cell, x)
+        _, (cache,) = model._lstm_forward(cell, [x])
+        tanh_c = np.tanh(cache.c)
         grad = zero_cell(hid, cell.input_size)
         dx = model._lstm_backward(cell, cache, dh_seq, grad)
 
@@ -120,11 +153,11 @@ class TestLstmStep:
         dh_carry, dc = np.zeros(hid), np.zeros(hid)
         for t in range(9, -1, -1):
             dh = dh_seq[t] + dh_carry
-            dc = dc + dh * o[t] * (1.0 - cache.tanh_c[t] ** 2)
+            dc = dc + dh * o[t] * (1.0 - tanh_c[t] ** 2)
             c_prev = cache.c[t - 1] if t > 0 else 0.0
             dpre[t, blocks[0]] = dc * c_prev * f[t] * (1.0 - f[t])
             dpre[t, blocks[1]] = dc * g[t] * i[t] * (1.0 - i[t])
-            dpre[t, blocks[2]] = dh * cache.tanh_c[t] * o[t] * (1.0 - o[t])
+            dpre[t, blocks[2]] = dh * tanh_c[t] * o[t] * (1.0 - o[t])
             dpre[t, blocks[3]] = dc * i[t] * (1.0 - g[t] ** 2)
             dh_carry = sum(cell.W[b, :hid].T @ dpre[t, b] for b in blocks)
             dc = dc * f[t]
@@ -219,6 +252,70 @@ class TestForward:
         net = tiny_net()
         with pytest.raises(ShapeError):
             model.forward(net, FeatureSequence(data=np.zeros((10, 13))))
+
+
+def shuffled_lengths(seed, longest=120):
+    return np.random.default_rng(seed).permutation(np.arange(1, longest + 1))
+
+
+class TestBatchedForward:
+    """The batched recurrence against the per-sequence oracle, bit for bit."""
+
+    def test_layer_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        cell = tiny_net(seed=12).lstms[0]
+        xs = [rng.standard_normal((t, cell.input_size)) for t in [5, 0, 17, 1, 17, 9]]
+        hs, caches = model._lstm_forward(cell, xs)
+        for x, h, cache in zip(xs, hs, caches):
+            h_ref, c_ref = reference_lstm_forward(cell, x)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(cache.c, c_ref)
+            assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, cell.hidden_size)), h_ref])[:-1])
+            assert cache.x is x
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            TINY_ARCH,
+            ArchConfig(),
+            ArchConfig(use_conv=False),
+            ArchConfig(conv_channels=4, lstm_sizes=(6, 3), fc1_size=10, embedding_size=6),
+            ArchConfig(conv_channels=4, lstm_sizes=(6, 6, 3, 3, 3), fc1_size=10, embedding_size=6),
+        ],
+        ids=["tiny", "production", "lstm-only", "2-lstm", "5-lstm"],
+    )
+    def test_matches_per_sequence_oracle(self, arch):
+        # lengths 1..120 in shuffled order span 15 chunks of unequal lengths
+        rng = np.random.default_rng(3)
+        net = model.init_params(3, 5, arch)
+        seqs = [random_features(rng, t) for t in shuffled_lengths(3)]
+        outs = list(model.forward_batch(net, seqs))
+        assert len(outs) == len(seqs)
+        for feats, out in zip(seqs, outs):
+            assert out.fps == feats.fps
+            assert np.array_equal(out.frames, reference_forward(net, feats))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 23, 200])
+    def test_chunk_size_does_not_change_outputs(self, chunk, monkeypatch):
+        rng = np.random.default_rng(4)
+        net = tiny_net(seed=4)
+        seqs = [random_features(rng, t) for t in shuffled_lengths(4, longest=40)]
+        monkeypatch.setattr(model, "_CHUNK", chunk)
+        for feats, out in zip(seqs, model.forward_batch(net, seqs)):
+            assert np.array_equal(out.frames, reference_forward(net, feats))
+
+    def test_single_sequence_forward_matches_oracle(self):
+        net = model.init_params(0, 5)
+        feats = random_features(np.random.default_rng(5), 137)
+        assert np.array_equal(model.forward(net, feats).frames, reference_forward(net, feats))
+
+    def test_no_sequences(self):
+        assert list(model.forward_batch(tiny_net(), [])) == []
+
+    def test_feature_dim_checked(self):
+        seqs = [random_features(np.random.default_rng(6), 4), FeatureSequence(data=np.zeros((4, 13)))]
+        with pytest.raises(ShapeError):
+            list(model.forward_batch(tiny_net(), seqs))
 
 
 def scalar_loss(net, feats, truth, cfg):

@@ -243,6 +243,18 @@ class TestTrain:
         training.train(items, net, LossConfig(), cfg)
         assert np.allclose(net.flat, expected.flat, rtol=0, atol=1e-15)
 
+    def test_validation_loss_matches_per_sequence_forward(self, monkeypatch):
+        # validation runs the batched forward; its means must be those of
+        # one forward per item, across chunks of 2 over unequal lengths
+        rng = np.random.default_rng(6)
+        items = [s for t_len in (7, 1, 12, 3, 9) for s in make_corpus(rng, 1, t_len=t_len)]
+        net = tiny_net(seed=6)
+        monkeypatch.setattr(model, "_CHUNK", 2)
+        terms = [training._loss_terms(model.forward(net, s.features), s.displacements, LossConfig()) for s in items]
+        lp, lv = training.evaluate_loss(items, net, LossConfig())
+        assert lp == float(np.mean([t[0] for t in terms]))
+        assert lv == float(np.mean([t[1] for t in terms]))
+
     def test_frame_mismatch_names_item(self):
         rng = np.random.default_rng(0)
         bad = Sample(
