@@ -71,17 +71,17 @@ def build_corpus(out, cfg=ABLATION):
 
 
 def run_matrix(head, train_items, test_items, cfg=ABLATION):
-    """Train every variant for every seed; yields (seed, label, trained params, test EvalReport)."""
+    """Train every variant for every seed; yields (seed, label, trained network, test EvalReport)."""
     for seed in cfg["train_seeds"]:
         for label, (use_conv, w_vel) in VARIANTS.items():
             net = model.init_params(seed, cfg["vertices"], ArchConfig(use_conv=use_conv))
-            result = training.train(
+            training.train(
                 train_items,
                 net,
                 LossConfig(w_velocity=w_vel),
                 TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed),
             )
-            yield seed, label, result.params, evaluation.evaluate(result.params, head, test_items)
+            yield seed, label, net, evaluation.evaluate(net, head, test_items)
 
 
 def parse_args():
@@ -89,34 +89,20 @@ def parse_args():
     p.add_argument("--out", required=True, help="working directory for the corpus")
     p.add_argument("--seeds", default=",".join(map(str, ABLATION["train_seeds"])),
                    help="comma-separated training seeds")
-    p.add_argument("--corpus-seed", type=int, default=ABLATION["corpus_seed"])
     p.add_argument("--sentences", type=int, default=ABLATION["sentences"])
     p.add_argument("--vertices", type=int, default=ABLATION["vertices"])
     p.add_argument("--epochs", type=int, default=ABLATION["epochs"])
-    p.add_argument("--lr", type=float, default=ABLATION["learning_rate"])
-    p.add_argument("--smoothing", type=float, default=ABLATION["smoothing"])
-    p.add_argument("--anticipation", type=int, default=ABLATION["anticipation"])
     return p.parse_args()
 
 
 def main():
     args = parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-    cfg = dict(
-        ABLATION,
-        corpus_seed=args.corpus_seed,
-        vertices=args.vertices,
-        sentences=args.sentences,
-        smoothing=args.smoothing,
-        anticipation=args.anticipation,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        train_seeds=seeds,
-    )
+    cfg = dict(ABLATION, vertices=args.vertices, sentences=args.sentences, epochs=args.epochs, train_seeds=seeds)
     head, train_items, test_items = build_corpus(Path(args.out), cfg)
     print(
         f"corpus: {len(train_items)} train / {len(test_items)} test sentences, "
-        f"V={args.vertices}, smoothing={args.smoothing}, anticipation={args.anticipation}"
+        f"V={args.vertices}, smoothing={cfg['smoothing']}, anticipation={cfg['anticipation']}"
     )
 
     per_seed = defaultdict(dict)

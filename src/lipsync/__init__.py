@@ -38,9 +38,7 @@ from .training import (
     Sample,
     TrainConfig,
     adam_step,
-    loss_position,
     loss_total,
-    loss_velocity,
     train,
 )
 from .evaluation import (

@@ -25,6 +25,14 @@ N_CEPSTRA = 13
 PREEMPHASIS = 0.97
 NFFT = 512
 LOG_FLOOR = 1e-10
+_WIN = int(round(WINDOW_SECONDS * CANONICAL_RATE))  # samples per analysis window
+_HOP = int(round(HOP_SECONDS * CANONICAL_RATE))
+MFCC_FRAME_RATE = CANONICAL_RATE // _HOP  # MFCC frames per second
+# WAV sample rates accepted: every standard rate. Resampling cost and its
+# kernel table grow with the rate pair, not with the file's size, so a small
+# file at an odd rate could otherwise ask for gigabytes.
+_MIN_WAV_RATE = 8_000
+_MAX_WAV_RATE = 192_000
 
 # Windowed-sinc resampler: half-width in zero crossings of the cutoff-scaled
 # sinc, and the Kaiser shape parameter.
@@ -53,7 +61,7 @@ class Waveform:
 
 @dataclass(frozen=True)
 class MfccFrames:
-    """Cepstral coefficients at a fixed frame rate.
+    """Cepstral coefficients at ``MFCC_FRAME_RATE`` frames per second.
 
     ``source_duration`` keeps the exact length of the originating clip in
     seconds; the frame grid alone underestimates it because only complete
@@ -61,7 +69,6 @@ class MfccFrames:
     """
 
     frames: np.ndarray
-    frame_rate: int
     source_duration: float
 
     @property
@@ -101,8 +108,12 @@ def load_wav(path) -> Waveform:
         raise UnsupportedAudioError(f"audio format {audio_format} is not PCM")
     if bits != 16:
         raise UnsupportedAudioError(f"{bits}-bit samples unsupported, expected 16")
-    if channels < 1 or rate < 1:
-        raise AudioFormatError("invalid channel count or sample rate", path=str(path))
+    if channels < 1:
+        raise AudioFormatError("invalid channel count", path=str(path))
+    if not _MIN_WAV_RATE <= rate <= _MAX_WAV_RATE:
+        raise UnsupportedAudioError(
+            f"{path}: sample rate {rate} Hz outside {_MIN_WAV_RATE}..{_MAX_WAV_RATE} Hz"
+        )
     if len(data_chunk) == 0:
         raise EmptyInputError(f"{path}: data chunk holds no samples")
 
@@ -206,23 +217,31 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(samples=out.ravel()[:n_out], sample_rate=int(target_rate))
 
 
-def _mel_filterbank(n_filters: int, nfft: int, rate: int, f_lo: float, f_hi: float) -> np.ndarray:
+def _mel_filterbank() -> np.ndarray:
+    """(N_MEL_FILTERS, NFFT // 2 + 1) triangular filters spanning 0 Hz to the Nyquist rate."""
+
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
 
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    mel_points = np.linspace(to_mel(f_lo), to_mel(f_hi), n_filters + 2)
-    bins = np.floor((nfft + 1) * from_mel(mel_points) / rate).astype(int)
-    fbank = np.zeros((n_filters, nfft // 2 + 1))
-    for j in range(n_filters):
+    mel_points = np.linspace(to_mel(0.0), to_mel(CANONICAL_RATE / 2.0), N_MEL_FILTERS + 2)
+    bins = np.floor((NFFT + 1) * from_mel(mel_points) / CANONICAL_RATE).astype(int)
+    fbank = np.zeros((N_MEL_FILTERS, NFFT // 2 + 1))
+    for j in range(N_MEL_FILTERS):
         left, center, right = bins[j], bins[j + 1], bins[j + 2]
         for i in range(left, center):
             fbank[j, i] = (i - left) / max(center - left, 1)
         for i in range(center, right):
             fbank[j, i] = (right - i) / max(right - center, 1)
     return fbank
+
+
+_MEL_FBANK = _mel_filterbank()
+_HANN = np.hanning(_WIN)
+_MEL_FBANK.setflags(write=False)
+_HANN.setflags(write=False)
 
 
 def mfcc(w: Waveform) -> MfccFrames:
@@ -236,27 +255,19 @@ def mfcc(w: Waveform) -> MfccFrames:
     if w.sample_rate != CANONICAL_RATE:
         raise ValueError(f"mfcc expects {CANONICAL_RATE} Hz input, got {w.sample_rate}")
     x = np.asarray(w.samples, dtype=np.float64)
-    win = int(round(WINDOW_SECONDS * CANONICAL_RATE))
-    hop = int(round(HOP_SECONDS * CANONICAL_RATE))
-    if len(x) < win:
-        raise EmptyInputError(f"audio shorter than one analysis window ({win} samples)")
+    if len(x) < _WIN:
+        raise EmptyInputError(f"audio shorter than one analysis window ({_WIN} samples)")
 
     emphasized = np.concatenate(([x[0]], x[1:] - PREEMPHASIS * x[:-1]))
-    frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
-    window = np.hanning(win)
-    spectrum = np.fft.rfft(frames * window, n=NFFT)
+    frames = np.lib.stride_tricks.sliding_window_view(emphasized, _WIN)[::_HOP]
+    spectrum = np.fft.rfft(frames * _HANN, n=NFFT)
     power = (spectrum.real**2 + spectrum.imag**2) / NFFT
 
-    fbank = _mel_filterbank(N_MEL_FILTERS, NFFT, CANONICAL_RATE, 0.0, CANONICAL_RATE / 2.0)
-    energies = power @ fbank.T
+    energies = power @ _MEL_FBANK.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = dct(log_energies, type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]
 
-    return MfccFrames(
-        frames=coeffs,
-        frame_rate=CANONICAL_RATE // hop,
-        source_duration=w.duration,
-    )
+    return MfccFrames(frames=coeffs, source_duration=w.duration)
 
 
 def mfcc_from_wav(path) -> MfccFrames:

@@ -309,6 +309,8 @@ def run(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy seeds are non-negative
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:  # ConfigError: a flag value out of range
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import N_CEPSTRA, MfccFrames, mfcc_from_wav
+from .audio import MFCC_FRAME_RATE, N_CEPSTRA, MfccFrames, mfcc_from_wav
 from .container import Format
 from .errors import FileFormatError, InsufficientFramesError
 
@@ -104,22 +104,19 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def _context_average(frames: np.ndarray) -> np.ndarray:
     """Mean of each row with up to ``_CONTEXT`` rows on each side, clamped at the ends.
 
-    Rows with a full window make the sum ``mean`` makes, vectorized over
-    rows: from +0.0 (so an all -0.0 window gives +0.0, as ``mean`` does) add
-    the shifted slices in row order, then divide by the window. The edge
-    rows take ``mean`` of their clamped windows.
+    Makes the sum ``mean`` makes, vectorized over rows: from +0.0 (so an all
+    -0.0 window gives +0.0, as ``mean`` does) each row adds the rows of its
+    window in row order, then divides by how many there were.
     """
     n = len(frames)
-    width = 2 * _CONTEXT + 1
-    out = np.empty_like(frames)
-    if n >= width:
-        acc = np.zeros((n - width + 1, frames.shape[1]))
-        for k in range(width):
-            acc += frames[k : n - width + 1 + k]
-        out[_CONTEXT : n - _CONTEXT] = acc / width
-    for i in [*range(min(_CONTEXT, n)), *range(max(n - _CONTEXT, _CONTEXT), n)]:
-        out[i] = frames[max(0, i - _CONTEXT) : i + _CONTEXT + 1].mean(axis=0)
-    return out
+    acc = np.zeros_like(frames)
+    count = np.zeros(n)
+    for k in range(-_CONTEXT, _CONTEXT + 1):
+        lo, hi = max(0, -k), min(n, n - k)  # rows i with 0 <= i + k < n
+        if lo < hi:
+            acc[lo:hi] += frames[lo + k : hi + k]
+            count[lo:hi] += 1
+    return acc / count[:, None]
 
 
 def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSequence:
@@ -129,13 +126,13 @@ def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSeq
     averaged = _context_average(np.asarray(m.frames, dtype=np.float64))
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
-    data = resample_features(simplex, m.frame_rate, duration=m.source_duration)
+    data = resample_features(simplex, MFCC_FRAME_RATE, duration=m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.CHAR_PROB_SURROGATE)
 
 
 def mfcc_features(m: MfccFrames) -> FeatureSequence:
     """Raw 13-dim MFCC rows resampled to 60 fps (alternative feature path)."""
-    data = resample_features(np.asarray(m.frames, dtype=np.float64), m.frame_rate, duration=m.source_duration)
+    data = resample_features(np.asarray(m.frames, dtype=np.float64), MFCC_FRAME_RATE, duration=m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.MFCC_RAW)
 
 

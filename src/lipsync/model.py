@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Format, check_finite
-from .errors import FileFormatError, ShapeError, StateError
+from .errors import ConfigError, FileFormatError, ShapeError, StateError
 from .features import FeatureSequence
 from .mesh import DisplacementSequence
 
@@ -179,7 +179,7 @@ def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -
     which yields the same numbers as four per-gate draws of H rows each.
     """
     if vertex_count < 1:
-        raise ValueError("vertex_count must be >= 1")
+        raise ConfigError("vertex_count must be >= 1")
     rng = np.random.default_rng(seed)
     net = _bind(arch, vertex_count)
 

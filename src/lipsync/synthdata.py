@@ -22,10 +22,12 @@ from .features import (
     CHAR_PROB_DIM,
     FeatureSequence,
     SurrogateProvider,
+    load_features,
     save_features,
     surrogate_features,
 )
-from .mesh import DisplacementSequence, TemplateMesh, save_anim
+from .mesh import DisplacementSequence, TemplateMesh, load_anim, save_anim
+from .training import Sample
 
 # Head frame: x right, y up, z out of the face.
 _SEMI_AXES = np.array([0.55, 0.68, 0.60])
@@ -321,10 +323,6 @@ def generate_corpus(
 
 def load_split(manifest: CorpusManifest, split: str):
     """Samples (id, features, displacements) for one split of the corpus."""
-    from .features import load_features
-    from .mesh import load_anim
-    from .training import Sample
-
     samples = []
     for item in manifest.split(split):
         samples.append(

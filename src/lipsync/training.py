@@ -1,15 +1,14 @@
 """Composite position/velocity loss, Adam, and the sequence training loop.
 
-The loss is w_pos * Lp + w_vel * Lv where Lp is the squared Frobenius norm
-of the per-frame displacement error and Lv compares backward finite
-differences of prediction and ground truth. Velocity terms start at the
-second frame.
+The loss is w_pos * Lp + w_vel * Lv where Lp is the per-frame mean of the
+squared Frobenius norm of the displacement error and Lv the mean, over the
+frames from the second on, of the squared mismatch between backward finite
+differences of prediction and ground truth.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,10 +20,6 @@ from .features import FeatureSequence
 from .mesh import DisplacementSequence
 from .model import NetworkParams, backward, forward_batch, forward_with_cache, save_checkpoint
 
-log = logging.getLogger(__name__)
-
-REDUCTION_SUM = "sum"
-REDUCTION_MEAN = "mean_per_frame"
 _ADAM_BLOCK = 1 << 15  # vector elements per Adam pass
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -35,13 +30,10 @@ _ADAM_EPS = 1e-8
 class LossConfig:
     w_position: float = 1.0
     w_velocity: float = 0.5
-    reduction: str = REDUCTION_MEAN
 
     def __post_init__(self):
         if not all(math.isfinite(w) and w >= 0 for w in (self.w_position, self.w_velocity)):
             raise ConfigError("loss weights must be finite and non-negative")
-        if self.reduction not in (REDUCTION_SUM, REDUCTION_MEAN):
-            raise ConfigError(f"unknown reduction {self.reduction!r}")
 
     def total(self, lp, lv):
         """w_pos * lp + w_vel * lv, for the loss terms and for their gradients."""
@@ -62,6 +54,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
@@ -88,48 +84,37 @@ class MetricRow:
 
 @dataclass
 class TrainResult:
-    params: NetworkParams
     best_params: NetworkParams
     metrics: list[MetricRow]
     best_epoch: int
 
 
-def loss_position(pred, truth, reduction: str = REDUCTION_SUM) -> float:
-    """Sum over frames of the squared Frobenius norm of the error."""
-    return _loss_terms(pred, truth, LossConfig(reduction=reduction))[0]
-
-
-def loss_velocity(pred, truth, reduction: str = REDUCTION_SUM) -> float:
-    """Backward-difference velocity mismatch, summed from the second frame."""
-    return _loss_terms(pred, truth, LossConfig(reduction=reduction))[1]
-
-
 def _loss_terms(pred, truth, cfg: LossConfig):
-    """(lp, lv, total, dTotal/dPred) with the configured reduction applied."""
+    """(lp, lv, total, dTotal/dPred), each term a mean over the frames it sums.
+
+    Each sum of squares is taken first and then divided by its frame count,
+    and each gradient is divided in place: that order fixes the bits of the
+    metrics and of every trained checkpoint.
+    """
     p, y = (np.asarray(getattr(a, "frames", a), dtype=np.float64) for a in (pred, truth))
     if p.shape != y.shape:
         raise ShapeError(f"prediction shape {p.shape} != ground truth shape {y.shape}")
     t_len = len(p)
 
     err = y - p
-    lp = float((err**2).sum())
+    lp = float((err**2).sum()) / t_len
     grad_p = -2.0 * err
+    grad_p /= t_len
 
     grad_v = np.zeros_like(p)
     if t_len >= 2:
         d = err[1:] - err[:-1]
-        lv = float((d**2).sum())
+        lv = float((d**2).sum()) / (t_len - 1)
         grad_v[1:] -= 2.0 * d
         grad_v[:-1] += 2.0 * d
+        grad_v /= t_len - 1
     else:
         lv = 0.0
-
-    if cfg.reduction == REDUCTION_MEAN:
-        lp /= t_len
-        grad_p /= t_len
-        if t_len >= 2:
-            lv /= t_len - 1
-            grad_v /= t_len - 1
 
     return lp, lv, cfg.total(lp, lv), cfg.total(grad_p, grad_v)
 
@@ -220,6 +205,7 @@ def train(
 ) -> TrainResult:
     """Full-sequence BPTT over the corpus; one optimizer step per batch.
 
+    ``net`` is updated in place and ends at the last epoch's parameters.
     Epoch order is shuffled deterministically from the seed. Emits per-epoch
     train/validation metrics through ``sink`` (a callable taking an event
     dict) and retains the parameters of the best validation epoch. A
@@ -270,7 +256,6 @@ def train(
             pending /= len(batch)
             norm, clipped = clip_gradients(pending, train_cfg.clip_norm)
             if clipped:
-                log.debug("epoch %d: clipped gradient norm %.3f", epoch, norm)
                 emit({"event": "clip", "epoch": epoch, "norm": norm})
             adam_step(net, pending, state, train_cfg)
 
@@ -294,7 +279,7 @@ def train(
             save_checkpoint(net, ckpt_dir / f"epoch_{epoch:04d}.lsn1")
 
     best_params = best[1] if best[1] is not None else net
-    return TrainResult(params=net, best_params=best_params, metrics=metrics, best_epoch=best[2])
+    return TrainResult(best_params=best_params, metrics=metrics, best_epoch=best[2])
 
 
 def write_metrics_csv(metrics, path) -> None:

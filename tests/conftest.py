@@ -105,8 +105,8 @@ def ablation_results(tmp_path_factory):
     head, train_items, test_items = build_corpus(tmp_path_factory.mktemp("ablation"))
     lip_col = evaluation.default_lip_landmark(head)
     results = defaultdict(dict)
-    for seed, label, params, report in run_matrix(head, train_items, test_items):
-        traj = {s.id: _lip_stats(head, model.forward(params, s.features), lip_col) for s in test_items}
+    for seed, label, net, report in run_matrix(head, train_items, test_items):
+        traj = {s.id: _lip_stats(head, model.forward(net, s.features), lip_col) for s in test_items}
         results[seed][label] = {"report": report, "traj": traj}
     truth = {s.id: _lip_stats(head, s.displacements, lip_col) for s in test_items}
     return {"per_seed": dict(results), "truth": truth, "config": ABLATION}

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipsync import audio
-from lipsync.errors import AudioFormatError, EmptyInputError, UnsupportedAudioError
+from lipsync.errors import AudioFormatError, EmptyInputError, LipSyncError, UnsupportedAudioError
 
 
 def wav_bytes(frames, rate=16000, channels=1, bits=16, audio_format=1):
@@ -69,6 +69,18 @@ class TestLoadWav:
         with pytest.raises(EmptyInputError):
             audio.load_wav(p)
 
+    # 1 Hz is a small file claiming hours of output; 1000003 Hz a kernel of
+    # thousands of taps per phase. Both bounds are standard rates.
+    @pytest.mark.parametrize("rate", [0, 1, 7999, 192_001, 1_000_003, 2**31 - 1])
+    def test_rate_outside_range(self, tmp_path, rate):
+        p = write_wav(tmp_path, "r.wav", frames=[0] * 200, rate=rate)
+        with pytest.raises(UnsupportedAudioError, match=f"sample rate {rate} Hz"):
+            audio.load_wav(p)
+
+    @pytest.mark.parametrize("rate", [8000, 192_000])
+    def test_rate_bounds_accepted(self, tmp_path, rate):
+        assert audio.load_wav(write_wav(tmp_path, "r.wav", frames=[0] * 200, rate=rate)).sample_rate == rate
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         w = audio.Waveform(samples=rng.uniform(-0.9, 0.9, 500), sample_rate=16000)
@@ -76,6 +88,59 @@ class TestLoadWav:
         back = audio.load_wav(tmp_path / "r.wav")
         assert back.sample_rate == 16000
         assert np.allclose(back.samples, w.samples, atol=1.0 / 32768)
+
+
+# Small valid files at the canonical rate and at one that resamples.
+_VALID_WAVS = {
+    rate: wav_bytes(frames=np.random.default_rng(rate).integers(-2000, 2000, rate // 20).tolist(), rate=rate)
+    for rate in (16000, 44100)
+}
+_RATE_FIELD = 24  # byte offset of the u32 sample rate in ``wav_bytes`` output
+
+_WAV_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("rate"), st.integers(0, 2**32 - 1)),
+)
+
+
+def mutate(raw: bytes, mutations) -> bytes:
+    data = bytearray(raw)
+    for kind, *arg in mutations:
+        if kind == "flip" and data:
+            data[arg[0] % len(data)] ^= arg[1]
+        elif kind == "truncate":
+            del data[arg[0] % (len(data) + 1) :]
+        elif kind == "extend":
+            data += arg[0]
+        elif kind == "rate" and len(data) >= _RATE_FIELD + 4:
+            data[_RATE_FIELD : _RATE_FIELD + 4] = struct.pack("<I", arg[0])
+    return bytes(data)
+
+
+class TestWavMutation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate=st.sampled_from(sorted(_VALID_WAVS)),
+        mutations=st.lists(_WAV_MUTATION, min_size=1, max_size=4),
+    )
+    @example(rate=16000, mutations=[("rate", 1)])
+    @example(rate=44100, mutations=[("rate", 1_000_003)])
+    @example(rate=44100, mutations=[("rate", 2**32 - 1)])
+    @example(rate=16000, mutations=[("truncate", 44)])
+    def test_only_lipsync_errors_and_bounded_resampling(self, tmp_path_factory, rate, mutations):
+        path = tmp_path_factory.mktemp("wav") / "mutated.wav"
+        path.write_bytes(mutate(_VALID_WAVS[rate], mutations))
+        try:
+            w = audio.load_wav(path)
+        except LipSyncError:
+            return
+        assert len(audio.resample(w, audio.CANONICAL_RATE).samples) <= 2 * len(w.samples)
+        try:
+            audio.mfcc_from_wav(path)
+        except LipSyncError:
+            pass
 
 
 def reference_resample(w, target_rate):
@@ -260,7 +325,7 @@ class TestMfcc:
         # floor((16000 - 400) / 160) + 1
         m = audio.mfcc(speechlike(1.0))
         assert m.n_frames == 98
-        assert m.frame_rate == 100
+        assert audio.MFCC_FRAME_RATE == 100
         assert m.source_duration == 1.0
 
     @settings(max_examples=100, deadline=None)

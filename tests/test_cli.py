@@ -279,7 +279,7 @@ class TestGenCorpusAndTrain:
 
         def fake_train(items, net, loss_cfg, train_cfg, **kwargs):
             seen.update(net=net, loss=loss_cfg, train=train_cfg)
-            return training.TrainResult(params=net, best_params=net, metrics=[], best_epoch=0)
+            return training.TrainResult(best_params=net, metrics=[], best_epoch=0)
 
         monkeypatch.setattr(training, "train", fake_train)
         cfg = tmp_path / "all.cfg"
@@ -497,6 +497,19 @@ class _Inputs:
         model.save_checkpoint(model.init_params(0, 40), path)
         return str(path)
 
+    def wav(self, rate=16000, n=16000) -> str:
+        path = self.tmp / f"{rate}hz.wav"
+        audio.save_wav(audio.Waveform(samples=np.zeros(n), sample_rate=rate), path)
+        return str(path)
+
+    def infer(self, *flags, wav=None):
+        return [
+            "infer", "--checkpoint", self.checkpoint(), "--wav", wav or self.wav(), "--out", str(self.out), *flags
+        ]
+
+    def train(self, *flags):
+        return ["train", "--manifest", self.manifest, "--out", str(self.out), "--epochs", "1", *flags]
+
     def eval(self, *flags, manifest=None, template=None, landmarks=None, scorer=("--self-test",)):
         return [
             "eval", "--manifest", manifest or self.manifest, "--template", template or self.template,
@@ -551,12 +564,28 @@ MALFORMED = {
     "obj-nan-vertex": (2, "h.obj: non-finite vertex", lambda i: i.eval(template=i.file("h.obj", b"v 0 nan 0\n"))),
     "obj-not-utf8": (2, "(line 2)", lambda i: i.eval(template=i.file("h.obj", b"v 0 0 0\n\xff 1 1\n"))),
     "landmarks-not-utf8": (2, "lm.txt: not UTF-8", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\n\xfe\n"))),
-    "config-not-utf8": (
-        1, "c.cfg: not UTF-8",
+    "config-not-utf8": (1, "c.cfg: not UTF-8", lambda i: i.train("--config", i.file("c.cfg", b"epochs = 1\n\xff\n"))),
+    "gen-corpus-seed-negative": (1, "--seed must be >= 0", lambda i: i.gen_corpus("--seed=-1")),
+    "features-seed-negative": (
+        1, "--seed must be >= 0", lambda i: ["features", "--wav", i.wav(), "--out", str(i.out), "--seed=-1"]
+    ),
+    "infer-seed-negative": (1, "--seed must be >= 0", lambda i: i.infer("--seed=-1")),
+    "export-obj-seq-seed-negative": (
+        1, "--seed must be >= 0",
         lambda i: [
-            "train", "--manifest", i.manifest, "--out", str(i.out), "--config", i.file("c.cfg", b"epochs = 1\n\xff\n")
+            "export-obj-seq", "--checkpoint", i.checkpoint(), "--wav", i.wav(), "--template", i.template,
+            "--landmarks", i.landmarks, "--out", str(i.out), "--seed=-1",
         ],
     ),
+    "train-seed-negative": (1, "--seed must be >= 0", lambda i: i.train("--seed=-1")),
+    "train-config-seed-negative": (1, "seed must be >= 0", lambda i: i.train("--config", i.file("c.cfg", b"seed = -1\n"))),
+    "train-checkpoint-every-negative": (
+        1, "checkpoint_every must be >= 0", lambda i: i.train("--checkpoint-every=-3", "--checkpoint-dir", str(i.out))
+    ),
+    # at 1 Hz these 444 bytes would resample to hours of audio; at 1000003 Hz each phase takes 2002 taps
+    "infer-wav-rate-1hz": (2, "sample rate 1 Hz outside", lambda i: i.infer(wav=i.wav(rate=1, n=200))),
+    "infer-wav-rate-1000003hz": (2, "sample rate 1000003 Hz outside", lambda i: i.infer(wav=i.wav(rate=1_000_003, n=200))),
+    "infer-wav-rate-7999hz": (2, "sample rate 7999 Hz outside", lambda i: i.infer(wav=i.wav(rate=7999))),
 }
 
 

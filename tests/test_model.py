@@ -6,7 +6,7 @@ import pytest
 
 from conftest import TINY_ARCH, random_features, tiny_net, write_lsn1
 from lipsync import model, training
-from lipsync.errors import FileFormatError, ShapeError, StateError
+from lipsync.errors import ConfigError, FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
 from lipsync.mesh import DisplacementSequence
 from lipsync.model import ArchConfig, Conv1dParams, LstmCellParams
@@ -411,6 +411,11 @@ class TestInitParams:
             hid = cell.hidden_size
             assert np.array_equal(cell.b[:hid], np.ones(hid))
             assert np.array_equal(cell.b[hid:], np.zeros(3 * hid))
+
+    @pytest.mark.parametrize("vertices", [0, -3])
+    def test_no_vertices_is_config_error(self, vertices):
+        with pytest.raises(ConfigError, match="vertex_count"):
+            model.init_params(0, vertices, TINY_ARCH)
 
     def test_glorot_bounds(self):
         net = model.init_params(1, 9, TINY_ARCH)

@@ -13,15 +13,21 @@ def dyadic(rng, shape, denom=8):
     return rng.integers(-16, 17, size=shape).astype(np.float64) / denom
 
 
+def loss_terms(pred, truth):
+    """(lp, lv): the per-frame mean position and velocity terms."""
+    lp, lv, _, _ = training._loss_terms(pred, truth, LossConfig())
+    return lp, lv
+
+
 class TestLossPosition:
     def test_identity_is_zero(self):
         x = np.random.default_rng(0).standard_normal((4, 3, 3))
-        assert training.loss_position(x, x) == 0.0
+        assert loss_terms(x, x)[0] == 0.0
 
     def test_unit_difference(self):
-        pred = np.zeros((1, 2, 3))
-        truth = np.ones((1, 2, 3))
-        assert training.loss_position(pred, truth) == 6.0
+        pred = np.zeros((2, 2, 3))
+        truth = np.ones((2, 2, 3))
+        assert loss_terms(pred, truth)[0] == 6.0
 
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(1)
@@ -33,33 +39,26 @@ class TestLossPosition:
             for v in range(4)
             for c in range(3)
         )
-        assert abs(training.loss_position(pred, truth) - naive) < 1e-12
-
-    def test_mean_reduction_divides_by_frames(self):
-        rng = np.random.default_rng(2)
-        pred = rng.standard_normal((5, 2, 3))
-        truth = rng.standard_normal((5, 2, 3))
-        total = training.loss_position(pred, truth, reduction="sum")
-        assert training.loss_position(pred, truth, reduction="mean_per_frame") == total / 5
+        assert abs(loss_terms(pred, truth)[0] - naive / 5) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            training.loss_position(np.zeros((2, 2, 3)), np.zeros((3, 2, 3)))
+            training.loss_total(np.zeros((2, 2, 3)), np.zeros((3, 2, 3)))
 
 
 class TestLossVelocity:
     def test_constant_sequences_are_zero(self):
         pred = np.tile(np.random.default_rng(0).standard_normal((1, 3, 3)), (6, 1, 1))
         truth = np.tile(np.random.default_rng(1).standard_normal((1, 3, 3)), (6, 1, 1))
-        assert training.loss_velocity(pred, truth) == 0.0
+        assert loss_terms(pred, truth)[1] == 0.0
 
     def test_translation_invariance_exact(self):
         rng = np.random.default_rng(3)
         pred = dyadic(rng, (6, 3, 3))
         truth = dyadic(rng, (6, 3, 3))
         offset = dyadic(rng, (1, 3, 3))
-        base = training.loss_velocity(pred, truth)
-        shifted = training.loss_velocity(pred + offset, truth)
+        base = loss_terms(pred, truth)[1]
+        shifted = loss_terms(pred + offset, truth)[1]
         assert shifted == base
 
     def test_hand_expanded_three_frames(self):
@@ -70,10 +69,10 @@ class TestLossVelocity:
         for t in (1, 2):
             d = (truth[t] - truth[t - 1]) - (pred[t] - pred[t - 1])
             expected += (d**2).sum()
-        assert abs(training.loss_velocity(pred, truth) - expected) < 1e-12
+        assert abs(loss_terms(pred, truth)[1] - expected / 2) < 1e-12
 
     def test_single_frame_is_zero(self):
-        assert training.loss_velocity(np.ones((1, 2, 3)), np.zeros((1, 2, 3))) == 0.0
+        assert loss_terms(np.ones((1, 2, 3)), np.zeros((1, 2, 3)))[1] == 0.0
 
 
 class TestLossTotal:
@@ -81,26 +80,22 @@ class TestLossTotal:
         rng = np.random.default_rng(5)
         pred = rng.standard_normal((4, 2, 3))
         truth = rng.standard_normal((4, 2, 3))
-        cfg = LossConfig(w_position=1.0, w_velocity=0.0)
-        total, _ = training.loss_total(pred, truth, cfg)
-        assert total == training.loss_position(pred, truth, reduction=cfg.reduction)
+        total, _ = training.loss_total(pred, truth, LossConfig(w_position=1.0, w_velocity=0.0))
+        assert total == loss_terms(pred, truth)[0]
 
     def test_default_weights_combine_terms(self):
         rng = np.random.default_rng(6)
         pred = rng.standard_normal((4, 2, 3))
         truth = rng.standard_normal((4, 2, 3))
-        cfg = LossConfig()
-        total, _ = training.loss_total(pred, truth, cfg)
-        lp = training.loss_position(pred, truth, reduction=cfg.reduction)
-        lv = training.loss_velocity(pred, truth, reduction=cfg.reduction)
+        total, _ = training.loss_total(pred, truth, LossConfig())
+        lp, lv = loss_terms(pred, truth)
         assert abs(total - (lp + 0.5 * lv)) < 1e-12
 
-    @pytest.mark.parametrize("reduction", ["sum", "mean_per_frame"])
-    def test_gradient_matches_finite_differences(self, reduction):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         pred = rng.standard_normal((3, 2, 3))
         truth = rng.standard_normal((3, 2, 3))
-        cfg = LossConfig(reduction=reduction)
+        cfg = LossConfig()
         _, grad = training.loss_total(pred, truth, cfg)
         eps = 1e-6
         it = np.nditer(pred, flags=["multi_index"])
@@ -146,6 +141,8 @@ class TestTrainConfig:
             {"clip_norm": float("nan")},
             {"batch_size": 0},
             {"epochs": 0},
+            {"seed": -1},
+            {"checkpoint_every": -3},
         ],
     )
     def test_rejected(self, kwargs):
