@@ -9,7 +9,6 @@ reproducible from its seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
