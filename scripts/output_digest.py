@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Digest of every output of a fixed CLI chain, for byte-identity checks.
+
+Runs gen-corpus, train, eval, infer, features, traj and export-obj-seq in a
+temporary directory, then builds the ablation corpus, and prints one
+``sha256  name`` line for each command's stdout and for every file written.
+Two checkouts that print the same lines wrote the same bytes. Paths are
+relative to the temporary directory, so runs compare across machines.
+
+Example:
+    python3 scripts/output_digest.py > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from lipsync import audio, cli, synthdata  # noqa: E402
+from run_ablation import build_corpus  # noqa: E402
+
+CORPUS = ["--manifest", "corpus/corpus.jsonl"]
+HEAD = ["--template", "corpus/template.obj", "--landmarks", "corpus/template.landmarks.txt"]
+
+# (name of the stdout digest, command line)
+CHAIN = [
+    ("gen-corpus", ["gen-corpus", "--out", "corpus", "--sentences", "8", "--vertices", "40", "--seed", "3"]),
+    ("train", ["train", *CORPUS, "--out", "net.lsn1", "--epochs", "2", "--metrics", "metrics.csv"]),
+    *(
+        (f"eval-{split}-{label}", ["eval", *CORPUS, *HEAD, "--split", split, *scorer,
+                                   "--out", f"eval-{split}-{label}.json"])
+        for split in ("train", "val", "test")
+        for label, scorer in (("checkpoint", ["--checkpoint", "net.lsn1"]), ("self-test", ["--self-test"]))
+    ),
+    ("infer-16k", ["infer", "--checkpoint", "net.lsn1", "--wav", "16000.wav", "--out", "16000.lsa1"]),
+    ("infer-44k", ["infer", "--checkpoint", "net.lsn1", "--wav", "44100.wav", "--out", "44100.lsa1"]),
+    ("features-surrogate", ["features", "--wav", "44100.wav", "--out", "surrogate.lsf1"]),
+    ("features-mfcc", ["features", "--wav", "44100.wav", "--out", "mfcc.lsf1", "--kind", "mfcc"]),
+    ("traj", ["traj", "--anim", "16000.lsa1", *HEAD, "--out", "traj.csv"]),
+    ("export-obj-seq", ["export-obj-seq", "--checkpoint", "net.lsn1", "--wav", "16000.wav", *HEAD, "--out", "objs"]),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_chain():
+    """Run the chain in the current directory and print the digests."""
+    for rate in (16000, 44100):
+        wav = synthdata.synth_speech(0.5, np.random.default_rng(rate), sample_rate=rate)
+        audio.save_wav(wav, f"{rate}.wav")
+    for name, argv in CHAIN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(argv)
+        if code:
+            raise SystemExit(f"exit {code}: lipsync {' '.join(argv)}")
+        print(f"{sha256(out.getvalue().encode())}  stdout:{name}")
+    build_corpus(Path("ablation"))
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        print(f"{sha256(path.read_bytes())}  {path.as_posix()}")
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            digest_chain()
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

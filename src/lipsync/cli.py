@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sentences", type=int, default=20)
     p.add_argument("--vertices", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-dur", type=float, default=0.8)
-    p.add_argument("--max-dur", type=float, default=1.6)
+    p.add_argument("--min-dur", type=float, default=synthdata.DURATION_RANGE[0])
+    p.add_argument("--max-dur", type=float, default=synthdata.DURATION_RANGE[1])
 
     p = sub.add_parser("features", help="extract a feature file from a WAV")
     p.add_argument("--wav", required=True)
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--self-test", action="store_true", help="score ground truth against itself")
     p.add_argument("--split", default="test")
-    p.add_argument("--px-per-unit", type=float, default=100.0)
+    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
     p.add_argument("--out", help="JSON report path")
 
     p = sub.add_parser("export-obj-seq", help="write one OBJ per animation frame")
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--landmarks", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--landmark-index", type=int, help="defaults to the upper-lip-middle landmark")
-    p.add_argument("--px-per-unit", type=float, default=100.0)
+    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
 
     return parser
 

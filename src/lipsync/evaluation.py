@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +46,8 @@ class EvalReport:
     vel_lip: float
     per_sentence: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "pos_all": self.pos_all,
-            "pos_lip": self.pos_lip,
-            "vel_all": self.vel_all,
-            "vel_lip": self.vel_lip,
-            "per_sentence": self.per_sentence,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 @np.errstate(over="ignore")  # an overflow is reported below, not warned about

@@ -101,8 +101,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _context_average(frames: np.ndarray) -> np.ndarray:
-    """Mean of each row with up to ``_CONTEXT`` rows on each side, clamped at the ends.
+def _context_average(frames: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mean of each row with up to ``before`` rows before it and ``after``
+    rows after it, clamped at the ends.
 
     Makes the sum ``mean`` makes, vectorized over rows: from +0.0 (so an all
     -0.0 window gives +0.0, as ``mean`` does) each row adds the rows of its
@@ -111,7 +112,7 @@ def _context_average(frames: np.ndarray) -> np.ndarray:
     n = len(frames)
     acc = np.zeros_like(frames)
     count = np.zeros(n)
-    for k in range(-_CONTEXT, _CONTEXT + 1):
+    for k in range(-before, after + 1):
         lo, hi = max(0, -k), min(n, n - k)  # rows i with 0 <= i + k < n
         if lo < hi:
             acc[lo:hi] += frames[lo + k : hi + k]
@@ -123,7 +124,7 @@ def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSeq
     """Character-probability style rows from MFCCs, resampled to 60 fps."""
     if m.n_frames == 0:
         raise InsufficientFramesError("no MFCC frames to featurize")
-    averaged = _context_average(np.asarray(m.frames, dtype=np.float64))
+    averaged = _context_average(np.asarray(m.frames, dtype=np.float64), _CONTEXT, _CONTEXT)
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
     data = resample_features(simplex, MFCC_FRAME_RATE, duration=m.source_duration)

@@ -91,11 +91,14 @@ def save_landmarks(indices, lip_mask, path) -> None:
 
 
 def load_obj(path, landmark_path=None) -> TemplateMesh:
-    """Parse v/f records; polygons are fan-triangulated."""
+    """Parse v/f records; polygons are fan-triangulated.
+
+    A face names vertices defined above it: index k > 0 is the k-th vertex
+    of the file, and k < 0 counts back from the last vertex before the face.
+    """
     path = Path(path)
     vertices = []
     faces = []
-    face_lines = []
     for lineno, line in enumerate(MeshParseError.read_lines(path), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -119,25 +122,17 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
                     idx = int(head)
                 except ValueError:
                     raise MeshParseError(f"non-numeric face index {head!r}", path=str(path), line=lineno)
-                corner.append(idx)
+                if idx < 0:
+                    idx += len(vertices) + 1
+                if not 1 <= idx <= len(vertices):
+                    raise MeshParseError(
+                        f"face index {head} out of range 1..{len(vertices)}", path=str(path), line=lineno
+                    )
+                corner.append(idx - 1)
             if len(corner) < 3:
                 raise MeshParseError("face needs at least 3 indices", path=str(path), line=lineno)
-            for a, b in zip(corner[1:-1], corner[2:]):
-                faces.append((corner[0], a, b))
-                face_lines.append(lineno)
+            faces += [(corner[0], a, b) for a, b in zip(corner[1:-1], corner[2:])]
         # everything else (vn, vt, o, g, usemtl, ...) is ignored
-
-    n = len(vertices)
-    resolved = []
-    for (a, b, c), lineno in zip(faces, face_lines):
-        tri = []
-        for idx in (a, b, c):
-            if idx < 0:
-                idx = n + 1 + idx  # negative indices count from the end
-            if idx < 1 or idx > n:
-                raise MeshParseError(f"face index {idx} out of range 1..{n}", path=str(path), line=lineno)
-            tri.append(idx - 1)
-        resolved.append(tri)
 
     if landmark_path is not None:
         landmarks, lip_mask = load_landmarks(landmark_path)
@@ -147,7 +142,7 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
 
     return TemplateMesh(
         vertices=np.asarray(vertices, dtype=np.float64),
-        faces=np.asarray(resolved, dtype=int).reshape(-1, 3),
+        faces=np.asarray(faces, dtype=int).reshape(-1, 3),
         landmarks=landmarks,
         lip_mask=lip_mask,
     )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .container import Format, check_finite
 from .errors import ConfigError, FileFormatError, ShapeError, StateError
-from .features import FeatureSequence
+from .features import CHAR_PROB_DIM, FeatureSequence
 from .mesh import DisplacementSequence
 
 CHECKPOINT_MAGIC = b"LSN1"
@@ -95,7 +95,7 @@ class DenseParams:
 class ArchConfig:
     """Shape knobs; the defaults are the production preset."""
 
-    feature_dim: int = 29
+    feature_dim: int = CHAR_PROB_DIM
     conv_channels: int = 32
     conv_kernel: int = 5
     lstm_sizes: tuple[int, ...] = (128, 128, 64, 64)
@@ -130,9 +130,6 @@ class NetworkParams:
         for (name, _), layer in zip(DENSE_LAYERS, self.dense):
             out += [(f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias)]
         return out
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return dict(self.items())[name]
 
     def copy(self) -> "NetworkParams":
         return _bind(self.arch, self.vertex_count, self.flat.copy())
@@ -395,8 +392,8 @@ def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
 
 def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
     """Vertex displacements for a feature sequence, one pose per input frame."""
-    out, _ = forward_with_cache(net, feats)
-    return out
+    (y,) = _run_layers(net, [_input(net, feats)])
+    return _displacements(net, y, feats)
 
 
 def forward_batch(net: NetworkParams, seqs):
@@ -457,6 +454,7 @@ def load_checkpoint(path) -> NetworkParams:
     tensors = {}
     pos = _LSN1.header_size
     for _ in range(n_tensors):
+        start = pos
         try:
             (name_len,) = struct.unpack_from("<I", raw, pos)
             pos += 4
@@ -470,6 +468,11 @@ def load_checkpoint(path) -> NetworkParams:
             raise FileFormatError("truncated tensor table", path=str(path), offset=pos)
         except UnicodeDecodeError:
             raise FileFormatError("tensor name is not UTF-8", path=str(path), offset=pos)
+        # Layout tensors have rank 1..3 and no zero dimension. Other shapes
+        # would reach numpy's reshape, which refuses more than 64 dims, and
+        # empty arrays whose other dims multiply past its size limit.
+        if not 1 <= rank <= 3 or 0 in dims:
+            raise FileFormatError(f"tensor {name!r} has dims {dims}", path=str(path), offset=start)
         count = math.prod(dims)
         payload = raw[pos : pos + 8 * count]
         if len(payload) < 8 * count:
@@ -506,8 +509,8 @@ def _params_from_tensors(tensors: dict, vertex_count: int, path: str) -> Network
         embedding_size=dim("fc2.weight", 0),
         use_conv=use_conv,
     )
-    # A header V or a zero-size tensor can describe a network far larger
-    # than the file; refuse before allocating it.
+    # A header V, or one layer's shape read into the next, can describe a
+    # network far larger than the file; refuse before allocating it.
     if sum(map(math.prod, _layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):
         raise FileFormatError("tensor shapes describe a network larger than the payload", path=path)
     net = _bind(arch, vertex_count)

@@ -9,7 +9,7 @@ reproducible from its seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .features import (
     CHAR_PROB_DIM,
     FeatureSequence,
     SurrogateProvider,
+    _context_average,
     load_features,
     save_features,
     surrogate_features,
@@ -38,6 +39,8 @@ _READOUT_SCALE = 0.25
 _MIN_DURATION = WINDOW_SECONDS + HOP_SECONDS
 # Longest sentence; a sentence's audio and feature arrays grow with it.
 _MAX_DURATION = 60.0
+DURATION_RANGE = (0.8, 1.6)  # default sentence durations, seconds
+SPLIT_RATIO = (18, 1, 1)  # default train/val/test proportions
 
 # Canonical landmark directions; the first 8 are the lip set, upper-lip-middle
 # first so trajectory tools can pick it by convention.
@@ -134,19 +137,7 @@ class CorpusManifest:
 
     def save(self, path) -> None:
         path = Path(path)
-        lines = [
-            json.dumps(
-                {
-                    "id": item.id,
-                    "features": item.features,
-                    "anim": item.anim,
-                    "duration": item.duration,
-                    "split": item.split,
-                },
-                sort_keys=True,
-            )
-            for item in self.items
-        ]
+        lines = [json.dumps(asdict(item), sort_keys=True) for item in self.items]
         path.write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -178,7 +169,7 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), y, r * np.sin(theta)], axis=1)
 
 
-def make_head(v_target: int = 100, seed: int = 0) -> TemplateMesh:
+def make_head(v_target: int, seed: int = 0) -> TemplateMesh:
     """Procedural ellipsoid head with a denser lip patch and 20 landmarks."""
     if v_target < 20:
         raise ConfigError("v_target must be >= 20")
@@ -221,10 +212,7 @@ def articulate(oracle: OracleArticulator, feats: FeatureSequence) -> Displacemen
             f"oracle readout expects {oracle.readout.shape[0]}-dim features, got {data.shape[1]}"
         )
     if oracle.anticipation > 0:
-        look = np.empty_like(data)
-        for t in range(len(data)):
-            look[t] = data[t : t + oracle.anticipation + 1].mean(axis=0)
-        data = look
+        data = _context_average(data, 0, oracle.anticipation)
     projected = data @ oracle.readout  # (T, K)
     codes = np.empty_like(projected)
     code = np.zeros(projected.shape[1])
@@ -259,7 +247,7 @@ def synth_speech(duration: float, rng, sample_rate: int = CANONICAL_RATE) -> Wav
     return Waveform(samples=signal, sample_rate=sample_rate)
 
 
-def split_counts(n: int, ratio=(18, 1, 1)) -> tuple[int, int, int]:
+def split_counts(n: int, ratio=SPLIT_RATIO) -> tuple[int, int, int]:
     if n < 3:
         raise ConfigError("need at least 3 sentences, one per split")
     total = sum(ratio)
@@ -277,9 +265,9 @@ def generate_corpus(
     *,
     provider: SurrogateProvider,
     oracle: OracleArticulator,
-    duration_range=(0.8, 1.6),
+    duration_range=DURATION_RANGE,
     seed: int = 0,
-    split_ratio=(18, 1, 1),
+    split_ratio=SPLIT_RATIO,
 ) -> CorpusManifest:
     """Write paired feature/animation files plus a JSONL manifest.
 

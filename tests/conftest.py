@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lipsync import evaluation, features, mesh, model, synthdata
 from lipsync.model import ArchConfig
@@ -42,6 +43,37 @@ def write_lsn1(path, vertex_count, named):
         blobs += [struct.pack("<I", len(name)), name, struct.pack("<I", arr.ndim)]
         blobs += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f8").tobytes()]
     path.write_bytes(b"".join(blobs))
+
+
+# Up to four byte-level edits of a valid file, applied in order by ``mutate``.
+BYTE_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+        st.tuples(st.just("u32"), st.integers(0, 2**16), st.integers(0, 2**32 - 1)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(raw: bytes, mutations, u32_fields) -> bytes:
+    """``raw`` after each edit: XOR one byte, cut the tail, append bytes, or
+    write a value into one of the u32 fields at byte offsets ``u32_fields``."""
+    data = bytearray(raw)
+    for kind, *arg in mutations:
+        if kind == "flip" and data:
+            data[arg[0] % len(data)] ^= arg[1]
+        elif kind == "truncate":
+            del data[arg[0] % (len(data) + 1) :]
+        elif kind == "extend":
+            data += arg[0]
+        elif kind == "u32":
+            at = u32_fields[arg[0] % len(u32_fields)]
+            if len(data) >= at + 4:
+                data[at : at + 4] = struct.pack("<I", arg[1])
+    return bytes(data)
 
 
 @pytest.fixture(scope="session")

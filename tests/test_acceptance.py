@@ -49,8 +49,7 @@ def test_1_gradient_fidelity(capsys):
         pred, tape = model.forward_with_cache(net, feats)
         _, dpred = training.loss_total(pred, truth, cfg)
         grads = model.backward(net, tape, dpred)
-        for name, arr in net.items():
-            g = grads[name]
+        for (name, arr), (_, g) in zip(net.items(), grads.items()):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index

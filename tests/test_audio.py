@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BYTE_MUTATIONS, mutate
 from lipsync import audio
 from lipsync.errors import AudioFormatError, EmptyInputError, LipSyncError, UnsupportedAudioError
 
@@ -97,41 +98,20 @@ _VALID_WAVS = {
 }
 _RATE_FIELD = 24  # byte offset of the u32 sample rate in ``wav_bytes`` output
 
-_WAV_MUTATION = st.one_of(
-    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
-    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
-    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
-    st.tuples(st.just("rate"), st.integers(0, 2**32 - 1)),
-)
-
-
-def mutate(raw: bytes, mutations) -> bytes:
-    data = bytearray(raw)
-    for kind, *arg in mutations:
-        if kind == "flip" and data:
-            data[arg[0] % len(data)] ^= arg[1]
-        elif kind == "truncate":
-            del data[arg[0] % (len(data) + 1) :]
-        elif kind == "extend":
-            data += arg[0]
-        elif kind == "rate" and len(data) >= _RATE_FIELD + 4:
-            data[_RATE_FIELD : _RATE_FIELD + 4] = struct.pack("<I", arg[0])
-    return bytes(data)
-
 
 class TestWavMutation:
     @settings(max_examples=200, deadline=None)
     @given(
         rate=st.sampled_from(sorted(_VALID_WAVS)),
-        mutations=st.lists(_WAV_MUTATION, min_size=1, max_size=4),
+        mutations=BYTE_MUTATIONS,
     )
-    @example(rate=16000, mutations=[("rate", 1)])
-    @example(rate=44100, mutations=[("rate", 1_000_003)])
-    @example(rate=44100, mutations=[("rate", 2**32 - 1)])
+    @example(rate=16000, mutations=[("u32", 0, 1)])
+    @example(rate=44100, mutations=[("u32", 0, 1_000_003)])
+    @example(rate=44100, mutations=[("u32", 0, 2**32 - 1)])
     @example(rate=16000, mutations=[("truncate", 44)])
     def test_only_lipsync_errors_and_bounded_resampling(self, tmp_path_factory, rate, mutations):
         path = tmp_path_factory.mktemp("wav") / "mutated.wav"
-        path.write_bytes(mutate(_VALID_WAVS[rate], mutations))
+        path.write_bytes(mutate(_VALID_WAVS[rate], mutations, (_RATE_FIELD,)))
         try:
             w = audio.load_wav(path)
         except LipSyncError:

@@ -502,9 +502,10 @@ class _Inputs:
         audio.save_wav(audio.Waveform(samples=np.zeros(n), sample_rate=rate), path)
         return str(path)
 
-    def infer(self, *flags, wav=None):
+    def infer(self, *flags, wav=None, checkpoint=None):
         return [
-            "infer", "--checkpoint", self.checkpoint(), "--wav", wav or self.wav(), "--out", str(self.out), *flags
+            "infer", "--checkpoint", checkpoint or self.checkpoint(), "--wav", wav or self.wav(),
+            "--out", str(self.out), *flags,
         ]
 
     def train(self, *flags):
@@ -524,6 +525,12 @@ class _Inputs:
 
     def gen_corpus(self, *flags):
         return ["gen-corpus", "--out", str(self.out), "--sentences", "3", "--vertices", "20", *flags]
+
+
+def _lsn1_one_tensor(i, dims, payload=b""):
+    """A checkpoint whose one tensor, named w, has ``dims``; numpy holds at most 64 of them."""
+    table = struct.pack("<I", 1) + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    return i.file("bad.lsn1", b"LSN1" + struct.pack("<II", 40, 1) + table + payload)
 
 
 def _manifest_line(i, **changes):
@@ -586,6 +593,13 @@ MALFORMED = {
     "infer-wav-rate-1hz": (2, "sample rate 1 Hz outside", lambda i: i.infer(wav=i.wav(rate=1, n=200))),
     "infer-wav-rate-1000003hz": (2, "sample rate 1000003 Hz outside", lambda i: i.infer(wav=i.wav(rate=1_000_003, n=200))),
     "infer-wav-rate-7999hz": (2, "sample rate 7999 Hz outside", lambda i: i.infer(wav=i.wav(rate=7999))),
+    "infer-checkpoint-rank-65": (
+        2, "tensor 'w' has dims", lambda i: i.infer(checkpoint=_lsn1_one_tensor(i, (1,) * 65, bytes(8)))
+    ),
+    # the zero dimension leaves no payload to read, so nothing stops the reshape to 2**62 elements
+    "infer-checkpoint-zero-dim": (
+        2, "(byte offset 12)", lambda i: i.infer(checkpoint=_lsn1_one_tensor(i, (0, 2**31, 2**31)))
+    ),
 }
 
 

@@ -50,12 +50,14 @@ class TestSurrogate:
         assert seq.n_frames == 60
 
 
-def reference_context_average(frames):
-    """Per-row mean over the clamped window of two rows each side: the oracle."""
+def reference_context_average(frames, before=2, after=2):
+    """Per-row mean over the clamped window: the oracle. With ``before=0``
+    it is the look-ahead loop ``synthdata.articulate`` ran before it called
+    ``_context_average``."""
     n = len(frames)
     out = np.empty_like(frames)
     for i in range(n):
-        out[i] = frames[max(0, i - 2) : min(n, i + 3)].mean(axis=0)
+        out[i] = frames[max(0, i - before) : min(n, i + after + 1)].mean(axis=0)
     return out
 
 
@@ -66,15 +68,27 @@ class TestContextAverage:
         frames = rng.standard_normal((n, 13)) * 10.0 ** rng.integers(-3, 4, size=(n, 13))
         frames[rng.random((n, 13)) < 0.1] = -0.0
         frames[:, 0] = -0.0  # mean sums from +0.0: an all -0.0 window gives +0.0
-        out = features._context_average(frames)
+        out = features._context_average(frames, 2, 2)
         expected = reference_context_average(frames)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    @pytest.mark.parametrize("after", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 57, 200])
+    def test_one_sided_window_matches_articulate_loop(self, n, after):
+        rng = np.random.default_rng(100 * n + after)
+        frames = rng.standard_normal((n, 29)) * 10.0 ** rng.integers(-3, 4, size=(n, 29))
+        frames[rng.random((n, 29)) < 0.1] = -0.0
+        frames[:, 0] = -0.0
+        out = features._context_average(frames, 0, after)
+        expected = reference_context_average(frames, 0, after)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
     def test_zero_signs_follow_mean(self):
         frames = np.array([[-0.0, 0.0, -0.0]] * 7)
         frames[3, 2] = 1.0
-        out = features._context_average(frames)
+        out = features._context_average(frames, 2, 2)
         assert not np.signbit(out).any()
         assert np.array_equal(out, reference_context_average(frames))
 

@@ -62,6 +62,19 @@ class TestObjIO:
             mesh.load_obj(p)
         assert err.value.line == 5
 
+    def test_negative_indices_count_back_from_the_face(self, tmp_path):
+        p = tmp_path / "neg.obj"
+        p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -3 -2 -1\n")
+        assert mesh.load_obj(p).faces.tolist() == [[0, 1, 2], [1, 2, 3]]
+
+    @pytest.mark.parametrize("face", ["f -1 -2 -4", "f 1 2 4"])
+    def test_face_index_beyond_the_vertices_above(self, tmp_path, face):
+        p = tmp_path / "later.obj"
+        p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\nv 0 0 1\n")
+        with pytest.raises(MeshParseError, match="out of range 1..3") as err:
+            mesh.load_obj(p)
+        assert err.value.line == 4
+
 
 class TestApplyDisplacements:
     def tetra(self):

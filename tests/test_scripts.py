@@ -18,6 +18,21 @@ def test_run_ablation_smoke(tmp_path):
     assert "trend summary" in proc.stdout
 
 
+def test_output_digest_covers_every_output():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py")], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = dict(reversed(line.split("  ", 1)) for line in proc.stdout.splitlines())
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+    for name in (
+        "stdout:train", "stdout:eval-test-self-test", "stdout:export-obj-seq", "corpus/corpus.jsonl",
+        "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "mfcc.lsf1", "traj.csv",
+        "objs/frame_0000.obj", "ablation/corpus.jsonl",
+    ):
+        assert name in digests
+
+
 def plot(*args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "plot_trajectory.py"), *map(str, args)],

@@ -169,8 +169,7 @@ class TestAdam:
         grads.flat[...] = rng.standard_normal(net.flat.shape)
         cfg = TrainConfig(learning_rate=1e-3)
         training.adam_step(net, grads.flat, training.AdamState.zeros(net), cfg)
-        for name, arr in net.items():
-            g = grads[name]
+        for (name, arr), (_, g) in zip(net.items(), grads.items()):
             expected = before[name] - cfg.learning_rate * g / (np.abs(g) + training._ADAM_EPS)
             assert np.allclose(arr, expected, atol=1e-12), name
 
