@@ -11,6 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import audio, evaluation, features, mesh, model, synthdata, training
 from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
@@ -216,10 +217,22 @@ def _infer_features(args) -> features.FeatureSequence:
     return features.load_features(args.features)
 
 
+def _animate(net, seq) -> mesh.DisplacementSequence:
+    """The network's displacements for ``seq``, refused if they could not be written.
+
+    An LSA1 file holds float32 and its loader refuses NaN and inf, so an
+    output that overflows float32 is an error, not a file.
+    """
+    disp = model.forward(net, seq)
+    if not np.isfinite(disp.frames.astype(np.float32)).all():
+        raise DataError("network output holds NaN, inf or values beyond float32; nothing written")
+    return disp
+
+
 def _cmd_infer(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     seq = _infer_features(args)
-    disp = model.forward(net, seq)
+    disp = _animate(net, seq)
     mesh.save_anim(disp, args.out)
     print(f"wrote {disp.n_frames} frames x {disp.n_vertices} vertices to {args.out}")
     return 0
@@ -258,7 +271,7 @@ def _cmd_export_obj_seq(args) -> int:
             "the topology must match the training template"
         )
     seq = features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
-    disp = model.forward(net, seq)
+    disp = _animate(net, seq)
     posed = mesh.apply_displacements(head, disp)
 
     out_dir = Path(args.out)
@@ -311,7 +324,10 @@ def run(argv) -> int:
             return 1
         if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy seeds are non-negative
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        # Every non-finite result is checked where it arises and reported in
+        # one line, so numpy's overflow and invalid-value warnings are noise.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:  # ConfigError: a flag value out of range
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,6 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-@np.errstate(over="ignore")  # an overflow is reported below, not warned about
 def project_landmarks(
     mesh: TemplateMesh, d: DisplacementSequence, cfg: ProjectionConfig = ProjectionConfig()
 ) -> np.ndarray:
@@ -69,7 +68,6 @@ def project_landmarks(
     return traj
 
 
-@np.errstate(over="ignore")
 def _distances(pred_traj, truth_traj):
     """Per (frame, landmark) position distances, and velocity distances from the second frame."""
     p = np.asarray(pred_traj, dtype=np.float64)

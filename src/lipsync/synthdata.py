@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .audio import CANONICAL_RATE, HOP_SECONDS, WINDOW_SECONDS, Waveform, mfcc
 from .errors import ConfigError, FileFormatError, ShapeError
@@ -183,6 +182,8 @@ def make_head(v_target: int, seed: int = 0) -> TemplateMesh:
     cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
     dirs = np.vstack([base, cluster])
     vertices = dirs * _SEMI_AXES
+
+    from scipy.spatial import ConvexHull  # only gen-corpus builds a head; at the top it adds 0.1 s to start-up
 
     faces = ConvexHull(vertices).simplices.astype(int)
 

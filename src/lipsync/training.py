@@ -209,7 +209,7 @@ def train(
     Epoch order is shuffled deterministically from the seed. Emits per-epoch
     train/validation metrics through ``sink`` (a callable taking an event
     dict) and retains the parameters of the best validation epoch. A
-    non-finite training or validation loss raises DataError.
+    non-finite training or validation loss, or gradient norm, raises DataError.
     """
     train_items = list(train_items)
     val_items = list(val_items)
@@ -255,6 +255,9 @@ def train(
 
             pending /= len(batch)
             norm, clipped = clip_gradients(pending, train_cfg.clip_norm)
+            if not math.isfinite(norm):  # the step would turn every weight into NaN
+                ids = ", ".join(repr(train_items[idx].id) for idx in batch)
+                raise DataError(f"epoch {epoch}: non-finite gradient norm on items {ids}")
             if clipped:
                 emit({"event": "clip", "epoch": epoch, "norm": norm})
             adam_step(net, pending, state, train_cfg)

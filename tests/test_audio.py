@@ -1,13 +1,16 @@
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import BYTE_MUTATIONS, mutate
-from lipsync import audio
+from lipsync import audio, synthdata
 from lipsync.errors import AudioFormatError, EmptyInputError, LipSyncError, UnsupportedAudioError
 
 
@@ -338,3 +341,42 @@ class TestMfcc:
         w = audio.Waveform(samples=np.zeros(48000), sample_rate=48000)
         with pytest.raises(ValueError):
             audio.mfcc(w)
+
+
+def scipy_cepstra(log_energies):
+    """The oracle: scipy's orthonormal DCT-II, which the MFCC used before the numpy one."""
+    return scipy.fft.dct(log_energies, type=2, norm="ortho")[:, : audio.N_CEPSTRA]
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCepstra:
+    """The numpy DCT-II gives scipy's bits, sign bits included."""
+
+    # Any finite value a log can return, from the smallest subnormal to the largest double.
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(audio.N_MEL_FILTERS)),
+                        elements=st.floats(-745.0, 710.0)))
+    def test_any_finite_rows(self, x):
+        assert_same_bits(audio._cepstra(x), scipy_cepstra(x))
+
+    # Log energies between 1e-12 and 1e3, a share of them at the floor.
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), floor_share=st.floats(0.0, 1.0))
+    @example(seed=0, floor_share=1.0)
+    def test_log_energy_rows(self, seed, floor_share):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(np.log(1e-12), np.log(1e3), (500, audio.N_MEL_FILTERS))
+        x[rng.random(x.shape) < floor_share] = np.log(audio.LOG_FLOOR)
+        assert_same_bits(audio._cepstra(x), scipy_cepstra(x))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rate=st.sampled_from([16000, 44100]))
+    def test_speech_log_energies(self, seed, rate):
+        w = synthdata.synth_speech(1.0, np.random.default_rng(seed), sample_rate=rate)
+        with mock.patch.object(audio, "_cepstra", wraps=audio._cepstra) as spy:
+            coeffs = audio.mfcc(audio.resample(w, audio.CANONICAL_RATE)).frames
+        assert_same_bits(coeffs, scipy_cepstra(spy.call_args.args[0]))

@@ -492,9 +492,11 @@ class _Inputs:
         (self.tmp / name).write_bytes(data)
         return str(self.tmp / name)
 
-    def checkpoint(self) -> str:
+    def checkpoint(self, scale=1.0) -> str:
         path = self.tmp / "net.lsn1"
-        model.save_checkpoint(model.init_params(0, 40), path)
+        net = model.init_params(0, 40)
+        net.flat *= scale
+        model.save_checkpoint(net, path)
         return str(path)
 
     def wav(self, rate=16000, n=16000) -> str:
@@ -586,6 +588,10 @@ MALFORMED = {
     ),
     "train-seed-negative": (1, "--seed must be >= 0", lambda i: i.train("--seed=-1")),
     "train-config-seed-negative": (1, "seed must be >= 0", lambda i: i.train("--config", i.file("c.cfg", b"seed = -1\n"))),
+    # the first step sets weights near 1e300, so the next item's loss overflows
+    "train-lr-1e300": (2, "epoch 1: non-finite training loss on item", lambda i: i.train("--lr", "1e300")),
+    # finite loss terms, overflowing gradient: the step is refused before it writes NaN weights
+    "train-w-pos-1e308": (2, "epoch 1: non-finite gradient norm on items", lambda i: i.train("--w-pos", "1e308")),
     "train-checkpoint-every-negative": (
         1, "checkpoint_every must be >= 0", lambda i: i.train("--checkpoint-every=-3", "--checkpoint-dir", str(i.out))
     ),
@@ -593,6 +599,15 @@ MALFORMED = {
     "infer-wav-rate-1hz": (2, "sample rate 1 Hz outside", lambda i: i.infer(wav=i.wav(rate=1, n=200))),
     "infer-wav-rate-1000003hz": (2, "sample rate 1000003 Hz outside", lambda i: i.infer(wav=i.wav(rate=1_000_003, n=200))),
     "infer-wav-rate-7999hz": (2, "sample rate 7999 Hz outside", lambda i: i.infer(wav=i.wav(rate=7999))),
+    # finite weights whose output overflows: an LSA1 or OBJ holding NaN would be written
+    "infer-output-not-finite": (2, "network output holds NaN", lambda i: i.infer(checkpoint=i.checkpoint(1e200))),
+    "export-obj-seq-output-not-finite": (
+        2, "network output holds NaN",
+        lambda i: [
+            "export-obj-seq", "--checkpoint", i.checkpoint(1e200), "--wav", i.wav(), "--template", i.template,
+            "--landmarks", i.landmarks, "--out", str(i.out),
+        ],
+    ),
     "infer-checkpoint-rank-65": (
         2, "tensor 'w' has dims", lambda i: i.infer(checkpoint=_lsn1_one_tensor(i, (1,) * 65, bytes(8)))
     ),
@@ -605,13 +620,15 @@ MALFORMED = {
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_one_line_and_no_output(self, mini_corpus, tmp_path, capsys, case):
+    def test_one_line_and_no_output(self, mini_corpus, tmp_path, capsys, recwarn, case):
         code, needle, argv = MALFORMED[case]
         inputs = _Inputs(mini_corpus, tmp_path)
         assert run_cli(*argv(inputs)) == code
         err = capsys.readouterr().err
         assert err.startswith("usage error:" if code == 1 else "error:") and err.count("\n") == 1
         assert needle in err and "Traceback" not in err
+        # a warning is a stderr line too when the CLI runs outside pytest
+        assert [str(w.message) for w in recwarn] == []
         assert not inputs.out.exists()
 
     # Each property runs in-process and only asks that every value gets an exit code.

@@ -1,7 +1,11 @@
-"""Byte-mutation property of the LSF1, LSA1 and LSN1 loaders."""
+"""Byte-mutation property of the LSF1, LSA1 and LSN1 loaders, and of the
+commands that read them."""
 
+import contextlib
+import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BYTE_MUTATIONS, mutate, tiny_net
-from lipsync import features, mesh, model
+from lipsync import cli, features, mesh, model
 from lipsync.errors import LipSyncError
 
 LOADERS = {"LSF1": features.load_features, "LSA1": mesh.load_anim, "LSN1": model.load_checkpoint}
@@ -63,3 +67,51 @@ class TestContainerMutation:
             LOADERS[fmt](path)
         except LipSyncError:
             pass
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(valid_files, mini_corpus, tmp_path_factory):
+    """Per format: its valid bytes, its u32 fields, and the command line that
+    reads a file at path ``f`` and writes ``out``."""
+    tmp = tmp_path_factory.mktemp("cli_valid")
+    root, manifest = mini_corpus["root"], mini_corpus["manifest"]
+    net, feats = tmp / "net.lsn1", tmp / "f.lsf1"
+    net.write_bytes(valid_files["LSN1"][0])
+    feats.write_bytes(valid_files["LSF1"][0])
+    anim = manifest.resolve(manifest.split("test")[0].anim).read_bytes()  # matches the template's 40 vertices
+    head = ["--template", str(root / "template.obj"), "--landmarks", str(root / "template.landmarks.txt")]
+    return {
+        "LSF1": (*valid_files["LSF1"], lambda f, out: ["infer", "--checkpoint", str(net), "--features", f, "--out", out]),
+        "LSA1": (anim, [4, 8, 12], lambda f, out: ["traj", "--anim", f, *head, "--out", out]),
+        "LSN1": (
+            *valid_files["LSN1"], lambda f, out: ["infer", "--checkpoint", f, "--features", str(feats), "--out", out]
+        ),
+    }
+
+
+class TestCommandMutation:
+    """``infer --features``, ``traj --anim`` and ``infer --checkpoint`` on a
+    mutated file: exit 0, 1 or 2, a failure is one stderr line, and an
+    animation written on success loads back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fmt=st.sampled_from(sorted(LOADERS)), mutations=BYTE_MUTATIONS)
+    @example(fmt="LSN1", mutations=[("u32", 4, 0), ("u32", 5, 2**31), ("u32", 6, 2**31)])
+    @example(fmt="LSF1", mutations=[("u32", 1, 2**32 - 1)])
+    @example(fmt="LSA1", mutations=[("u32", 1, 7)])
+    @example(fmt="LSN1", mutations=[("flip", 52, 0x40)])  # first conv weight 0.05 -> 9e306: the output overflows
+    def test_exit_code_and_one_line(self, cli_inputs, tmp_path_factory, fmt, mutations):
+        raw, u32_fields, argv = cli_inputs[fmt]
+        tmp = tmp_path_factory.mktemp("mutated")
+        (tmp / "file").write_bytes(mutate(raw, mutations, u32_fields))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.run(argv(str(tmp / "file"), str(tmp / "out")))
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        elif fmt != "LSA1":
+            mesh.load_anim(tmp / "out")
+        assert [str(w.message) for w in caught] == []

@@ -221,6 +221,18 @@ class TestTrain:
             )
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_gradient_raises_before_the_step(self):
+        # the loss terms stay finite, but their weighted gradient overflows;
+        # clipping it would write NaN into every weight
+        items = make_corpus(np.random.default_rng(3), 4)
+        net = tiny_net()
+        start = net.flat.copy()
+        with np.errstate(all="ignore"), pytest.raises(DataError) as info:
+            training.train(items, net, LossConfig(w_position=1e308), TrainConfig(batch_size=2))
+        assert str(info.value).startswith("epoch 1: non-finite gradient norm on items 'i")
+        assert str(info.value).count("'i") == 2
+        assert np.array_equal(net.flat, start)
+
     def test_batches_average_per_sequence_gradients(self):
         # one step over a batch of two equals Adam on the mean of the two
         # per-sequence gradients taken at the starting parameters
