@@ -6,6 +6,7 @@ temporary directory, then builds the ablation corpus, and prints one
 ``sha256  name`` line for each command's stdout and for every file written.
 Two checkouts that print the same lines wrote the same bytes. Paths are
 relative to the temporary directory, so runs compare across machines.
+BLAS runs on one thread unless the environment sets another count.
 
 Example:
     python3 scripts/output_digest.py > after.txt
@@ -18,6 +19,12 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+# One BLAS thread: a dot product split over threads sums in another order,
+# so the trained checkpoint's bits depend on the thread count. It must be
+# set before numpy is first imported; an explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -79,6 +79,7 @@ def load_wav(path) -> Waveform:
     """Read a 16-bit PCM RIFF/WAVE file; stereo is averaged down to mono."""
     path = Path(path)
     raw = path.read_bytes()
+    view = memoryview(raw)  # chunk bodies are slices of the file's bytes, not copies
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise AudioFormatError("not a RIFF/WAVE file", path=str(path), offset=0)
 
@@ -88,7 +89,7 @@ def load_wav(path) -> Waveform:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise AudioFormatError("truncated chunk", path=str(path), offset=pos)
         if chunk_id == b"fmt ":

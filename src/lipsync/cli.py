@@ -58,70 +58,6 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lipsync", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("gen-corpus", parents=[], help="generate a synthetic corpus")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sentences", type=int, default=20)
-    p.add_argument("--vertices", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-dur", type=float, default=synthdata.DURATION_RANGE[0])
-    p.add_argument("--max-dur", type=float, default=synthdata.DURATION_RANGE[1])
-
-    p = sub.add_parser("features", help="extract a feature file from a WAV")
-    p.add_argument("--wav", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=["surrogate", "mfcc"], default="surrogate")
-
-    p = sub.add_parser("train", help="train on a corpus manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--metrics", help="CSV metrics log path")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--arch", choices=["conv-lstm", "lstm"], default="conv-lstm")
-    for key in TRAIN_FIELDS:
-        p.add_argument("--" + key.replace("_", "-"), type=_train_cast(key))
-    p.add_argument("--checkpoint-dir")
-
-    p = sub.add_parser("infer", help="run a checkpoint over audio or features")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wav")
-    p.add_argument("--features")
-    p.add_argument("--out", required=True, help="animation (.lsa1) path to write")
-    p.add_argument("--seed", type=int, default=0, help="feature provider seed")
-
-    p = sub.add_parser("eval", help="landmark error metrics on the test split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--template", required=True)
-    p.add_argument("--landmarks", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--self-test", action="store_true", help="score ground truth against itself")
-    p.add_argument("--split", default="test")
-    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
-    p.add_argument("--out", help="JSON report path")
-
-    p = sub.add_parser("export-obj-seq", help="write one OBJ per animation frame")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wav", required=True)
-    p.add_argument("--template", required=True)
-    p.add_argument("--landmarks")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("traj", help="export a lip landmark trajectory CSV")
-    p.add_argument("--anim", required=True)
-    p.add_argument("--template", required=True)
-    p.add_argument("--landmarks", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--landmark-index", type=int, help="defaults to the upper-lip-middle landmark")
-    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
-
-    return parser
-
-
 def _cmd_gen_corpus(args) -> int:
     out_dir = Path(args.out)
     head = synthdata.make_head(args.vertices, seed=args.seed)
@@ -217,23 +153,25 @@ def _infer_features(args) -> features.FeatureSequence:
     return features.load_features(args.features)
 
 
-def _animate(net, seq) -> mesh.DisplacementSequence:
-    """The network's displacements for ``seq``, refused if they could not be written.
+def _animate(net, seq):
+    """The network's displacements for ``seq`` and their float32 frames,
+    refused if they could not be written.
 
     An LSA1 file holds float32 and its loader refuses NaN and inf, so an
     output that overflows float32 is an error, not a file.
     """
     disp = model.forward(net, seq)
-    if not np.isfinite(disp.frames.astype(np.float32)).all():
+    frames32 = disp.frames.astype("<f4")
+    if not np.isfinite(frames32).all():
         raise DataError("network output holds NaN, inf or values beyond float32; nothing written")
-    return disp
+    return disp, frames32
 
 
 def _cmd_infer(args) -> int:
     net = model.load_checkpoint(args.checkpoint)
     seq = _infer_features(args)
-    disp = _animate(net, seq)
-    mesh.save_anim(disp, args.out)
+    disp, frames32 = _animate(net, seq)
+    mesh.save_anim(mesh.DisplacementSequence(frames=frames32, fps=disp.fps), args.out)
     print(f"wrote {disp.n_frames} frames x {disp.n_vertices} vertices to {args.out}")
     return 0
 
@@ -271,7 +209,7 @@ def _cmd_export_obj_seq(args) -> int:
             "the topology must match the training template"
         )
     seq = features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
-    disp = _animate(net, seq)
+    disp, _ = _animate(net, seq)
     posed = mesh.apply_displacements(head, disp)
 
     out_dir = Path(args.out)
@@ -301,19 +239,97 @@ def _cmd_traj(args) -> int:
     return 0
 
 
+def _gen_corpus_args(p) -> None:
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--sentences", type=int, default=20)
+    p.add_argument("--vertices", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-dur", type=float, default=synthdata.DURATION_RANGE[0])
+    p.add_argument("--max-dur", type=float, default=synthdata.DURATION_RANGE[1])
+
+
+def _features_args(p) -> None:
+    p.add_argument("--wav", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", choices=["surrogate", "mfcc"], default="surrogate")
+
+
+def _train_args(p) -> None:
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--out", required=True, help="checkpoint path to write")
+    p.add_argument("--metrics", help="CSV metrics log path")
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--arch", choices=["conv-lstm", "lstm"], default="conv-lstm")
+    for key in TRAIN_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), type=_train_cast(key))
+    p.add_argument("--checkpoint-dir")
+
+
+def _infer_args(p) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--wav")
+    p.add_argument("--features")
+    p.add_argument("--out", required=True, help="animation (.lsa1) path to write")
+    p.add_argument("--seed", type=int, default=0, help="feature provider seed")
+
+
+def _eval_args(p) -> None:
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--template", required=True)
+    p.add_argument("--landmarks", required=True)
+    p.add_argument("--checkpoint")
+    p.add_argument("--self-test", action="store_true", help="score ground truth against itself")
+    p.add_argument("--split", default="test")
+    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
+    p.add_argument("--out", help="JSON report path")
+
+
+def _export_obj_seq_args(p) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--wav", required=True)
+    p.add_argument("--template", required=True)
+    p.add_argument("--landmarks")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _traj_args(p) -> None:
+    p.add_argument("--anim", required=True)
+    p.add_argument("--template", required=True)
+    p.add_argument("--landmarks", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--landmark-index", type=int, help="defaults to the upper-lip-middle landmark")
+    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
+
+
+# name: (help line, function adding its arguments to a parser, handler)
 _COMMANDS = {
-    "gen-corpus": _cmd_gen_corpus,
-    "features": _cmd_features,
-    "train": _cmd_train,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "export-obj-seq": _cmd_export_obj_seq,
-    "traj": _cmd_traj,
+    "gen-corpus": ("generate a synthetic corpus", _gen_corpus_args, _cmd_gen_corpus),
+    "features": ("extract a feature file from a WAV", _features_args, _cmd_features),
+    "train": ("train on a corpus manifest", _train_args, _cmd_train),
+    "infer": ("run a checkpoint over audio or features", _infer_args, _cmd_infer),
+    "eval": ("landmark error metrics on the test split", _eval_args, _cmd_eval),
+    "export-obj-seq": ("write one OBJ per animation frame", _export_obj_seq_args, _cmd_export_obj_seq),
+    "traj": ("export a lip landmark trajectory CSV", _traj_args, _cmd_traj),
 }
 
 
+def _build_parser(names=_COMMANDS) -> _Parser:
+    """The lipsync parser with the subcommands ``names``."""
+    parser = _Parser(prog="lipsync", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name in names:
+        help_line, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
+    return parser
+
+
 def run(argv) -> int:
-    parser = _build_parser()
+    # Building a subcommand's parser costs more than most requests' other
+    # fixed work, so only the invoked one is built. Without a known command
+    # (--help, a typo, nothing) every one is, for the full help and choices.
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         try:
             args = parser.parse_args(argv)
@@ -327,7 +343,7 @@ def run(argv) -> int:
         # Every non-finite result is checked where it arises and reported in
         # one line, so numpy's overflow and invalid-value warnings are noise.
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][2](args)
     except (UsageError, ConfigError) as exc:  # ConfigError: a flag value out of range
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -338,3 +354,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -34,20 +34,31 @@ class Format:
     def header_size(self) -> int:
         return len(self.magic) + struct.calcsize(self.header)
 
-    def write(self, path, fields, payload: bytes) -> None:
-        Path(path).write_bytes(self.magic + struct.pack(self.header, *fields) + payload)
+    def write(self, path, fields, *payload) -> None:
+        """Write the magic and header, then each payload buffer in turn."""
+        with open(path, "wb") as fh:
+            fh.write(self.magic + struct.pack(self.header, *fields))
+            for chunk in payload:
+                fh.write(chunk)
+
+    def fields(self, head: bytes, path) -> tuple:
+        """The header fields of a file that starts with ``head``, after the length and magic checks."""
+        if len(head) < self.header_size:
+            raise FileFormatError("file too short for header", path=str(path), offset=0)
+        if head[: len(self.magic)] != self.magic:
+            raise FileFormatError(f"bad magic, expected {self.magic.decode()}", path=str(path), offset=0)
+        return struct.unpack_from(self.header, head, len(self.magic))
 
     def read(self, path) -> tuple[bytes, tuple]:
         """The file's bytes and its header fields, after the length and magic checks."""
         raw = Path(path).read_bytes()
-        if len(raw) < self.header_size:
-            raise FileFormatError("file too short for header", path=str(path), offset=0)
-        if raw[: len(self.magic)] != self.magic:
-            raise FileFormatError(f"bad magic, expected {self.magic.decode()}", path=str(path), offset=0)
-        return raw, struct.unpack_from(self.header, raw, len(self.magic))
+        return raw, self.fields(raw, path)
 
     def array(self, raw: bytes, path, dtype: str, shape: tuple) -> np.ndarray:
-        """The payload after the header as a non-empty, finite array of ``shape``."""
+        """The payload after the header as a non-empty, finite array of ``shape``.
+
+        The array is a read-only view of ``raw``, not a copy.
+        """
         start = self.header_size
         expected = start + np.dtype(dtype).itemsize * math.prod(shape)
         if len(raw) != expected:
@@ -58,6 +69,6 @@ class Format:
             )
         if expected == start:
             raise FileFormatError(f"empty payload, header shape {shape}", path=str(path), offset=start)
-        values = np.frombuffer(raw[start:], dtype=dtype).reshape(shape)
+        values = np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape)
         check_finite(values, path, start)
         return values

@@ -148,7 +148,7 @@ def save_features(f: FeatureSequence, path) -> None:
     t, d = data.shape
     if t > _MAX_DIM or d > _MAX_DIM:
         raise FileFormatError("feature array too large for container", path=str(path))
-    _LSF1.write(path, (t, d, int(f.fps), int(f.kind)), data.tobytes())
+    _LSF1.write(path, (t, d, int(f.fps), int(f.kind)), data)
 
 
 def load_features(path) -> FeatureSequence:

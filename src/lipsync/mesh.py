@@ -171,7 +171,7 @@ def save_anim(d: DisplacementSequence, path) -> None:
     t, v, c = frames.shape
     if c != 3:
         raise FileFormatError("displacement frames must be T x V x 3", path=str(path))
-    _LSA1.write(path, (t, v, int(d.fps)), frames.tobytes())
+    _LSA1.write(path, (t, v, int(d.fps)), frames)
 
 
 def load_anim(path) -> DisplacementSequence:

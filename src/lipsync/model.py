@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import Format, check_finite
+from .container import Format
 from .errors import ConfigError, FileFormatError, ShapeError, StateError
 from .features import CHAR_PROB_DIM, FeatureSequence
 from .mesh import DisplacementSequence
@@ -408,12 +409,15 @@ def forward_batch(net: NetworkParams, seqs):
         yield from (_displacements(net, y, feats) for y, feats in zip(ys, chunk))
 
 
-def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> NetworkParams:
+def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=None) -> NetworkParams:
     """Gradients of sum(upstream * output) w.r.t. every parameter.
 
     ``upstream`` is dLoss/dOutput with shape T x V x 3 from a matching
     forward_with_cache call. The result has the layout of ``net``: its
     ``flat`` is the gradient vector and ``items()`` names its pieces.
+    Every element is written, into ``out`` when given (a float64 vector
+    the size of ``net.flat``, whose old contents are ignored) or else into
+    a new vector.
     """
     if cache is None:
         raise StateError("backward needs the cache returned by forward_with_cache")
@@ -422,7 +426,7 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray) -> N
         raise ShapeError(
             f"upstream gradient shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
-    grads = _bind(net.arch, net.vertex_count)
+    grads = _bind(net.arch, net.vertex_count, out)
     d = upstream.reshape(len(upstream), -1)
     for layer, grad, tape in reversed(list(zip(net.layers, grads.layers, cache.layers))):
         d = _BACKWARD[type(layer)](layer, tape, d, grad)
@@ -439,68 +443,123 @@ def save_checkpoint(net: NetworkParams, path) -> None:
     blobs = []
     for name, arr in items:
         encoded = name.encode()
-        blobs.append(struct.pack("<I", len(encoded)))
-        blobs.append(encoded)
-        blobs.append(struct.pack("<I", arr.ndim))
-        blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    _LSN1.write(path, (net.vertex_count, len(items)), b"".join(blobs))
+        blobs.append(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+        blobs.append(np.ascontiguousarray(arr, dtype="<f8"))
+    _LSN1.write(path, (net.vertex_count, len(items)), *blobs)
 
 
 def load_checkpoint(path) -> NetworkParams:
+    """Read an LSN1 checkpoint.
+
+    One pass over the tensor table finds each tensor's dims and payload
+    offset, and the dims alone give the architecture. Each payload is then
+    read straight into its view of one ``flat`` vector. When a name occurs
+    twice, the later tensor wins.
+    """
     path = Path(path)
-    raw, (vertex_count, n_tensors) = _LSN1.read(path)
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        vertex_count, n_tensors = _LSN1.fields(fh.read(_LSN1.header_size), path)
+        tensors = _read_table(fh, size, n_tensors, path)
+        arch = _arch_from_dims({name: dims for name, (dims, _) in tensors.items()}, str(path))
+        shapes = _layout(arch, vertex_count)
+        # A header V, or one layer's shape read into the next, can describe a
+        # network far larger than the file; refuse before allocating it.
+        n_params = sum(map(math.prod, shapes))
+        if n_params > sum(math.prod(dims) for dims, _ in tensors.values()):
+            raise FileFormatError("tensor shapes describe a network larger than the payload", path=str(path))
+        net = _bind(arch, vertex_count, np.empty(n_params, dtype="<f8"))
+        offsets = []  # file offset of each view's payload, in flat order
+        for name, view in net.items():
+            if name not in tensors:
+                raise FileFormatError(f"missing tensor {name}", path=str(path))
+            dims, offset = tensors.pop(name)
+            if dims != view.shape:
+                raise FileFormatError(
+                    f"tensor {name} has shape {dims}, the layout needs {view.shape}", path=str(path)
+                )
+            fh.seek(offset)
+            if fh.readinto(view) != view.nbytes:  # the file shrank since the table pass
+                raise FileFormatError("truncated tensor payload", path=str(path), offset=offset)
+            offsets.append(offset)
+        if tensors:
+            raise FileFormatError(f"unexpected tensor {min(tensors)}", path=str(path))
+    if not np.isfinite(net.flat).all():
+        _raise_non_finite(net, offsets, path)
+    return net
+
+
+def _read_table(fh, size: int, n_tensors: int, path) -> dict:
+    """name -> (dims, payload offset) for each entry of the LSN1 tensor table.
+
+    ``size`` is the file's length. It bounds every read, so a corrupt length
+    field cannot ask for more memory than the file holds.
+    """
+    def truncated(at):
+        return FileFormatError("truncated tensor table", path=str(path), offset=at)
 
     tensors = {}
     pos = _LSN1.header_size
     for _ in range(n_tensors):
         start = pos
+        fh.seek(pos)
+        if size - pos < 4:
+            raise truncated(pos)
+        (name_len,) = struct.unpack("<I", fh.read(4))
+        pos += 4
         try:
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            name = raw[pos : pos + name_len].decode()
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}I", raw, pos)
-            pos += 4 * rank
-        except struct.error:
-            raise FileFormatError("truncated tensor table", path=str(path), offset=pos)
+            name = fh.read(min(name_len, size - pos)).decode()
         except UnicodeDecodeError:
             raise FileFormatError("tensor name is not UTF-8", path=str(path), offset=pos)
-        # Layout tensors have rank 1..3 and no zero dimension. Other shapes
-        # would reach numpy's reshape, which refuses more than 64 dims, and
-        # empty arrays whose other dims multiply past its size limit.
+        pos += name_len
+        if size - pos < 4:
+            raise truncated(pos)
+        (rank,) = struct.unpack("<I", fh.read(4))
+        pos += 4
+        if size - pos < 4 * rank:
+            raise truncated(pos)
+        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        pos += 4 * rank
+        # Layout tensors have rank 1..3 and no zero dimension. A zero
+        # dimension would let any other dims past the payload size check.
         if not 1 <= rank <= 3 or 0 in dims:
             raise FileFormatError(f"tensor {name!r} has dims {dims}", path=str(path), offset=start)
         count = math.prod(dims)
-        payload = raw[pos : pos + 8 * count]
-        if len(payload) < 8 * count:
+        if size - pos < 8 * count:
             raise FileFormatError("truncated tensor payload", path=str(path), offset=pos)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
-        check_finite(tensors[name], path, pos)
+        tensors[name] = (dims, pos)
         pos += 8 * count
+    return tensors
 
-    return _params_from_tensors(tensors, vertex_count, str(path))
+
+def _raise_non_finite(net: NetworkParams, offsets: list, path) -> None:
+    """Raise for the non-finite value of ``net.flat`` that comes first in the file."""
+    ends = np.cumsum([view.size for _, view in net.items()])
+    bad = np.flatnonzero(~np.isfinite(net.flat))
+    item = np.searchsorted(ends, bad, side="right")
+    starts = np.concatenate([[0], ends[:-1]])
+    in_file = np.asarray(offsets)[item] + 8 * (bad - starts[item])
+    raise FileFormatError("non-finite value in payload", path=str(path), offset=int(in_file.min()))
 
 
-def _params_from_tensors(tensors: dict, vertex_count: int, path: str) -> NetworkParams:
+def _arch_from_dims(dims: dict, path: str) -> ArchConfig:
+    """The architecture that LSN1 tensors of these dims describe."""
     def dim(name, axis):
-        if name not in tensors:
+        if name not in dims:
             raise FileFormatError(f"missing tensor {name}", path=path)
-        if tensors[name].ndim <= axis:
-            raise FileFormatError(f"tensor {name} has shape {tensors[name].shape}", path=path)
-        return tensors[name].shape[axis]
+        if len(dims[name]) <= axis:
+            raise FileFormatError(f"tensor {name} has shape {dims[name]}", path=path)
+        return dims[name][axis]
 
-    use_conv = "conv1.kernels" in tensors
+    use_conv = "conv1.kernels" in dims
     n_lstm = 0
-    while f"lstm{n_lstm + 1}.W_f" in tensors:
+    while f"lstm{n_lstm + 1}.W_f" in dims:
         n_lstm += 1
     if use_conv:
         feature_dim = dim("conv1.kernels", 1)
-    else:  # clamped at 0 so that a too narrow lstm1.W_f fails the shape check below
+    else:  # clamped at 0 so that a too narrow lstm1.W_f fails the shape check
         feature_dim = max(dim("lstm1.W_f", 1) - dim("lstm1.W_f", 0), 0)
-    arch = ArchConfig(
+    return ArchConfig(
         feature_dim=feature_dim,
         conv_channels=dim("conv1.kernels", 0) if use_conv else ArchConfig.conv_channels,
         conv_kernel=dim("conv1.kernels", 2) if use_conv else ArchConfig.conv_kernel,
@@ -509,20 +568,3 @@ def _params_from_tensors(tensors: dict, vertex_count: int, path: str) -> Network
         embedding_size=dim("fc2.weight", 0),
         use_conv=use_conv,
     )
-    # A header V, or one layer's shape read into the next, can describe a
-    # network far larger than the file; refuse before allocating it.
-    if sum(map(math.prod, _layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):
-        raise FileFormatError("tensor shapes describe a network larger than the payload", path=path)
-    net = _bind(arch, vertex_count)
-    for name, view in net.items():
-        arr = tensors.pop(name, None)
-        if arr is None:
-            raise FileFormatError(f"missing tensor {name}", path=path)
-        if arr.shape != view.shape:
-            raise FileFormatError(
-                f"tensor {name} has shape {arr.shape}, the layout needs {view.shape}", path=path
-            )
-        view[...] = arr
-    if tensors:
-        raise FileFormatError(f"unexpected tensor {min(tensors)}", path=path)
-    return net

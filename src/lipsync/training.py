@@ -194,6 +194,17 @@ def evaluate_loss(items, net: NetworkParams, cfg: LossConfig):
     return float(np.mean(lps)), float(np.mean(lvs))
 
 
+def _after_step(net: NetworkParams, state: AdamState) -> str:
+    """Error-message suffix naming the last optimizer step, if there was one.
+
+    A step that wrote huge weights, not the item the loss was taken on, is
+    then the likely cause of a non-finite loss.
+    """
+    if state.t == 0:
+        return ""
+    return f" after optimizer step {state.t} (largest weight magnitude {float(np.abs(net.flat).max()):.3g})"
+
+
 def train(
     train_items,
     net: NetworkParams,
@@ -220,6 +231,10 @@ def train(
 
     rng = np.random.default_rng(train_cfg.seed)
     state = AdamState.zeros(net)
+    # Each step's gradient is written into one vector for the whole run; a
+    # batch of several items sums theirs into it through a second one.
+    step_grad = np.empty_like(net.flat)
+    item_grad = np.empty_like(net.flat) if train_cfg.batch_size > 1 else None
     metrics: list[MetricRow] = []
     best = (np.inf, None, 0)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -242,25 +257,28 @@ def train(
 
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start : start + train_cfg.batch_size]
-            pending = np.zeros_like(net.flat)  # gradient sum over the batch
-            for idx in batch:
+            for n, idx in enumerate(batch):
                 s = train_items[idx]
                 pred, tape = forward_with_cache(net, s.features)
                 lp, lv, _, dpred = _loss_terms(pred, s.displacements, loss_cfg)
                 if not math.isfinite(lp + lv):
-                    raise DataError(f"epoch {epoch}: non-finite training loss on item {s.id!r}")
+                    raise DataError(
+                        f"epoch {epoch}: non-finite training loss on item {s.id!r}{_after_step(net, state)}"
+                    )
                 epoch_lp.append(lp)
                 epoch_lv.append(lv)
-                pending += backward(net, tape, dpred).flat
+                backward(net, tape, dpred, out=step_grad if n == 0 else item_grad)
+                if n:
+                    step_grad += item_grad
 
-            pending /= len(batch)
-            norm, clipped = clip_gradients(pending, train_cfg.clip_norm)
+            step_grad /= len(batch)
+            norm, clipped = clip_gradients(step_grad, train_cfg.clip_norm)
             if not math.isfinite(norm):  # the step would turn every weight into NaN
                 ids = ", ".join(repr(train_items[idx].id) for idx in batch)
                 raise DataError(f"epoch {epoch}: non-finite gradient norm on items {ids}")
             if clipped:
                 emit({"event": "clip", "epoch": epoch, "norm": norm})
-            adam_step(net, pending, state, train_cfg)
+            adam_step(net, step_grad, state, train_cfg)
 
         log_row(epoch, "train", float(np.mean(epoch_lp)), float(np.mean(epoch_lv)))
 

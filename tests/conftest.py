@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import math
 import struct
 import sys
 from collections import defaultdict
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lipsync import evaluation, features, mesh, model, synthdata
+from lipsync.errors import FileFormatError
 from lipsync.model import ArchConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -43,6 +45,88 @@ def write_lsn1(path, vertex_count, named):
         blobs += [struct.pack("<I", len(name)), name, struct.pack("<I", arr.ndim)]
         blobs += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f8").tobytes()]
     path.write_bytes(b"".join(blobs))
+
+
+def reference_load(path):
+    """(V, arch, flat) of an LSN1 file: the reference for ``model.load_checkpoint``.
+
+    Parses the whole file from its bytes, one tensor at a time, checking
+    each payload for NaN and inf as it is read; a later tensor of a name
+    replaces an earlier one. Raises the loader's FileFormatError for each
+    defect, with its message and byte offset.
+    """
+    raw = Path(path).read_bytes()
+
+    def fail(message, offset=None):
+        return FileFormatError(message, path=str(path), offset=offset)
+
+    if len(raw) < 12:
+        raise fail("file too short for header", 0)
+    if raw[:4] != b"LSN1":
+        raise fail("bad magic, expected LSN1", 0)
+    vertex_count, n_tensors = struct.unpack_from("<II", raw, 4)
+    tensors = {}
+    pos = 12
+    for _ in range(n_tensors):
+        start = pos
+        try:
+            (name_len,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            name = raw[pos : pos + name_len].decode()
+            pos += name_len
+            (rank,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            dims = struct.unpack_from(f"<{rank}I", raw, pos)
+            pos += 4 * rank
+        except struct.error:
+            raise fail("truncated tensor table", pos)
+        except UnicodeDecodeError:
+            raise fail("tensor name is not UTF-8", pos)
+        if not 1 <= rank <= 3 or 0 in dims:
+            raise fail(f"tensor {name!r} has dims {dims}", start)
+        count = math.prod(dims)
+        if len(raw) - pos < 8 * count:
+            raise fail("truncated tensor payload", pos)
+        values = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(dims)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise fail("non-finite value in payload", pos + 8 * int(bad[0]))
+        tensors[name] = values
+        pos += 8 * count
+
+    def dim(name, axis):
+        if name not in tensors:
+            raise fail(f"missing tensor {name}")
+        if tensors[name].ndim <= axis:
+            raise fail(f"tensor {name} has shape {tensors[name].shape}")
+        return tensors[name].shape[axis]
+
+    use_conv = "conv1.kernels" in tensors
+    n_lstm = 0
+    while f"lstm{n_lstm + 1}.W_f" in tensors:
+        n_lstm += 1
+    arch = ArchConfig(
+        feature_dim=dim("conv1.kernels", 1) if use_conv else max(dim("lstm1.W_f", 1) - dim("lstm1.W_f", 0), 0),
+        conv_channels=dim("conv1.kernels", 0) if use_conv else ArchConfig.conv_channels,
+        conv_kernel=dim("conv1.kernels", 2) if use_conv else ArchConfig.conv_kernel,
+        lstm_sizes=tuple(dim(f"lstm{n}.W_f", 0) for n in range(1, n_lstm + 1)),
+        fc1_size=dim("fc1.weight", 0),
+        embedding_size=dim("fc2.weight", 0),
+        use_conv=use_conv,
+    )
+    if sum(map(math.prod, model._layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):
+        raise fail("tensor shapes describe a network larger than the payload")
+    net = model._bind(arch, vertex_count)
+    for name, view in net.items():
+        arr = tensors.pop(name, None)
+        if arr is None:
+            raise fail(f"missing tensor {name}")
+        if arr.shape != view.shape:
+            raise fail(f"tensor {name} has shape {arr.shape}, the layout needs {view.shape}")
+        view[...] = arr
+    if tensors:
+        raise fail(f"unexpected tensor {min(tensors)}")
+    return vertex_count, arch, net.flat
 
 
 # Up to four byte-level edits of a valid file, applied in order by ``mutate``.

@@ -1,6 +1,11 @@
+import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import write_lsn1
 from lipsync import audio, cli, features, mesh, model, synthdata, training
+from lipsync.errors import UsageError
 from lipsync.features import FeatureKind
 
 
@@ -96,6 +102,27 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], *([name, "--help"] for name in cli._COMMANDS), [], ["bogus"], ["infer"], ["train", "--epochs", "x"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_parser_output_matches_the_full_parser(self, argv, capsys):
+        # run builds only the invoked subcommand; what it prints must be what
+        # a parser holding every subcommand prints
+        code = run_cli(*argv)
+        printed = capsys.readouterr()
+        try:
+            args = cli._build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert (code, printed.out) == (exc.code, capsys.readouterr().out)
+        except UsageError as exc:
+            assert (code, printed.err) == (1, f"usage error: {exc}\n")
+        else:
+            assert args.command is None and code == 1
+            cli._build_parser().print_usage(sys.stderr)
+            assert printed.err == capsys.readouterr().err
+
     def test_infer_needs_exactly_one_input(self, tiny_checkpoint, tmp_path):
         code = run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--out", str(tmp_path / "o.lsa1"))
         assert code == 1
@@ -175,11 +202,28 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "non-finite" in err and err.count("\n") == 1
+        assert "optimizer step" not in err  # the initial weights, not a step, made the loss non-finite
         assert not out.exists()
         assert list((tmp_path / "ckpts").iterdir()) == []
 
 
 class TestInfer:
+    def test_peak_memory(self, tmp_path):
+        # the checkpoint's parameter vector is read once, in place; each
+        # copy of it that returns to the request adds 1.0 to this ratio
+        net = model.init_params(0, 100)
+        model.save_checkpoint(net, tmp_path / "net.lsn1")
+        audio.save_wav(synthdata.synth_speech(0.6, np.random.default_rng(0)), tmp_path / "clip.wav")
+        argv = ["infer", "--checkpoint", str(tmp_path / "net.lsn1"), "--wav", str(tmp_path / "clip.wav")]
+        assert run_cli(*argv, "--out", str(tmp_path / "warm.lsa1")) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--out", str(tmp_path / "anim.lsa1")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * net.flat.nbytes
+
     def test_two_second_clip_gives_120_frames(self, tiny_checkpoint, wav_2s, tmp_path):
         out = tmp_path / "anim.lsa1"
         assert run_cli(
@@ -332,6 +376,27 @@ class TestGenCorpusAndTrain:
         ) == 0
         rows = metrics.read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows if ",train," in r] == [str(e) for e in range(1, 11)]
+
+    # sha256 of the checkpoint and metrics CSV of a three-item-batch run,
+    # pinned before the gradient vector was reused across steps
+    BATCHED = {
+        "net.lsn1": "5210a14e7bac715e82226e05edff87a3f7a244ce37407a476998f4d88d59a643",
+        "metrics.csv": "d924ebdceb7304a6f58e2aa8f287b63948748d86457b1b1d42238ce348016b91",
+    }
+
+    def test_batched_training_bytes_pinned(self, mini_corpus, tmp_path):
+        assert run_cli(
+            "train",
+            "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+            "--out", str(tmp_path / "net.lsn1"),
+            "--metrics", str(tmp_path / "metrics.csv"),
+            "--epochs", "2",
+            "--batch-size", "3",
+            "--lr", "1e-3",
+            "--seed", "1",
+        ) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.BATCHED}
+        assert digests == self.BATCHED
 
     def test_lstm_arch_flag(self, mini_corpus, tmp_path):
         ckpt = tmp_path / "lstm.lsn1"
@@ -590,6 +655,9 @@ MALFORMED = {
     "train-config-seed-negative": (1, "seed must be >= 0", lambda i: i.train("--config", i.file("c.cfg", b"seed = -1\n"))),
     # the first step sets weights near 1e300, so the next item's loss overflows
     "train-lr-1e300": (2, "epoch 1: non-finite training loss on item", lambda i: i.train("--lr", "1e300")),
+    "train-lr-1e300-names-the-step": (
+        2, "after optimizer step 1 (largest weight magnitude 1e+300)", lambda i: i.train("--lr", "1e300")
+    ),
     # finite loss terms, overflowing gradient: the step is refused before it writes NaN weights
     "train-w-pos-1e308": (2, "epoch 1: non-finite gradient norm on items", lambda i: i.train("--w-pos", "1e308")),
     "train-checkpoint-every-negative": (
@@ -680,3 +748,19 @@ class TestMalformedInputs:
         assert code in (0, 1, 2)
         if max(lo, hi) > synthdata._MAX_DURATION:
             assert code == 1 and not inputs.out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lipsync.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+
+    out = tmp_path / "corpus"
+    gen = module("gen-corpus", "--out", str(out), "--sentences", "3", "--vertices", "20")
+    assert gen.returncode == 0, gen.stderr
+    assert len(synthdata.CorpusManifest.load(out / "corpus.jsonl").items) == 3
+    assert module().returncode == 1

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BYTE_MUTATIONS, mutate, tiny_net
+from conftest import BYTE_MUTATIONS, mutate, reference_load, tiny_net
 from lipsync import cli, features, mesh, model
-from lipsync.errors import LipSyncError
+from lipsync.errors import FileFormatError, LipSyncError
 
 LOADERS = {"LSF1": features.load_features, "LSA1": mesh.load_anim, "LSN1": model.load_checkpoint}
 
@@ -67,6 +67,29 @@ class TestContainerMutation:
             LOADERS[fmt](path)
         except LipSyncError:
             pass
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=BYTE_MUTATIONS)
+    @example(mutations=[("u32", 4, 0), ("u32", 5, 2**31), ("u32", 6, 2**31)])
+    @example(mutations=[("flip", 59, 78), ("flip", 60, 192)])  # the second conv weight becomes NaN
+    def test_lsn1_loader_matches_reference(self, valid_files, tmp_path_factory, mutations):
+        # the same parameters or the same message and offset. A NaN or inf
+        # is the one exception: the reference reports it as it reads the
+        # tensor, the loader after the table, so another defect can come first.
+        raw, u32_fields = valid_files["LSN1"]
+        path = tmp_path_factory.mktemp("mutated") / "file"
+        path.write_bytes(mutate(raw, mutations, u32_fields))
+        try:
+            want = reference_load(path)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as info:
+                model.load_checkpoint(path)
+            if "non-finite value" not in str(exc):
+                assert str(info.value) == str(exc)
+            return
+        got = model.load_checkpoint(path)
+        assert (got.vertex_count, got.arch, got.flat.tobytes()) == (want[0], want[1], want[2].tobytes())
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import TINY_ARCH, random_features, tiny_net, write_lsn1
+from conftest import TINY_ARCH, random_features, reference_load, tiny_net, write_lsn1
 from lipsync import model, training
 from lipsync.errors import ConfigError, FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
@@ -384,6 +387,16 @@ class TestBackward:
         for _, arr in grads.items():
             assert np.shares_memory(arr, grads.flat)
 
+    def test_out_is_overwritten_in_full(self):
+        # training writes every step's gradient into one vector
+        net = tiny_net(seed=4)
+        _, tape = model.forward_with_cache(net, random_features(np.random.default_rng(4), 6))
+        upstream = np.random.default_rng(5).standard_normal((6, 5, 3))
+        out = np.full_like(net.flat, np.nan)
+        grads = model.backward(net, tape, upstream, out=out)
+        assert grads.flat is out
+        assert np.array_equal(out, model.backward(net, tape, upstream).flat)
+
     def test_requires_cache(self):
         net = tiny_net()
         with pytest.raises(StateError):
@@ -474,12 +487,73 @@ class TestCheckpoint:
         with pytest.raises(FileFormatError):
             model.load_checkpoint(tmp_path / "t.lsn1")
 
+    def test_load_peak_memory(self, tmp_path):
+        # payloads are read in place: beyond the parameter vector itself,
+        # a copy of any of it would add 1.0 to this ratio
+        net = model.init_params(0, 100)
+        model.save_checkpoint(net, tmp_path / "n.lsn1")
+        model.load_checkpoint(tmp_path / "n.lsn1")
+        tracemalloc.start()
+        try:
+            model.load_checkpoint(tmp_path / "n.lsn1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * net.flat.nbytes
+
     def test_loaded_checkpoint_same_forward(self, tmp_path):
         net = tiny_net(seed=15)
         feats = random_features(np.random.default_rng(15), 12)
         model.save_checkpoint(net, tmp_path / "f.lsn1")
         back = model.load_checkpoint(tmp_path / "f.lsn1")
         assert np.array_equal(model.forward(net, feats).frames, model.forward(back, feats).frames)
+
+
+ARCHS = st.builds(
+    ArchConfig,
+    feature_dim=st.integers(1, 6),
+    conv_channels=st.integers(1, 4),
+    conv_kernel=st.integers(1, 5),
+    lstm_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    fc1_size=st.integers(1, 5),
+    embedding_size=st.integers(1, 4),
+    use_conv=st.booleans(),
+)
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(arch=ARCHS, vertices=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_archs_orders_and_duplicates(self, tmp_path_factory, arch, vertices, seed, data):
+        # tensors in any order, some preceded by a decoy of the same name and
+        # another shape, which the later tensor replaces; values over the
+        # whole float64 exponent range, signed zeros, and sometimes NaN or inf
+        rng = np.random.default_rng(seed)
+        net = model.init_params(0, vertices, arch)
+        net.flat[:] = np.ldexp(rng.standard_normal(net.flat.size), rng.integers(-1000, 1000, net.flat.size))
+        net.flat[rng.random(net.flat.size) < 0.05] = -0.0
+        for k in data.draw(st.lists(st.integers(0, net.flat.size - 1), max_size=2)):
+            net.flat[k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        named = [(name.encode(), arr) for name, arr in net.items()]
+        named = [named[k] for k in data.draw(st.permutations(range(len(named))))]
+        for k in data.draw(st.lists(st.integers(0, len(named) - 1), max_size=3)):
+            decoy = rng.standard_normal(tuple(rng.integers(1, 4, rng.integers(1, 4))))
+            named.insert(k, (named[k][0], decoy))
+        path = tmp_path_factory.mktemp("arch") / "n.lsn1"
+        write_lsn1(path, vertices, named)
+
+        try:
+            want = reference_load(path)
+        except FileFormatError as exc:  # only the injected NaN or inf
+            assert "non-finite value in payload" in str(exc)
+            with pytest.raises(FileFormatError) as info:
+                model.load_checkpoint(path)
+            assert str(info.value) == str(exc)
+            return
+        got = model.load_checkpoint(path)
+        assert (got.vertex_count, got.arch) == want[:2]
+        assert got.flat.tobytes() == want[2].tobytes() == net.flat.tobytes()
+        assert got.flat.dtype == np.float64 and got.flat.flags.writeable
 
 
 class TestMalformedCheckpoint:
