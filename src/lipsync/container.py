@@ -1,28 +1,43 @@
 """The binary container shared by LSF1, LSA1 and LSN1.
 
 Each file is a 4-byte magic, a little-endian ``struct`` header, then the
-payload. ``Format`` owns the header and size checks; the format modules
-decide what the header fields mean.
+payload. ``Format`` owns the header and size checks and reads each payload
+from the file straight into its array; the format modules decide what the
+header fields mean.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError
 
 
-def check_finite(values: np.ndarray, path, start: int) -> None:
-    """Reject a payload holding NaN or inf; ``start`` is its byte offset in the file."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        offset = start + values.itemsize * int(np.flatnonzero(~finite)[0])
-        raise FileFormatError("non-finite value in payload", path=str(path), offset=offset)
+def read_into(fh, out: np.ndarray, path, offset: int) -> np.ndarray:
+    """``out`` filled from ``fh`` at ``offset``; reads return at most 2 GiB on Linux, so it loops."""
+    fh.seek(offset)
+    rest = memoryview(out).cast("B")
+    while rest:
+        n = fh.readinto(rest)
+        if not n:  # the file was cut after its size was taken
+            raise FileFormatError("truncated tensor payload", path=str(path), offset=offset)
+        rest = rest[n:]
+    return out
+
+
+def check_finite(path, regions) -> None:
+    """Raise for the NaN or inf that comes first in the file among (byte offset, array) ``regions``."""
+    firsts = [start + values.itemsize * int(np.argmin(np.isfinite(values))) for start, values in regions
+              if not np.isfinite(values).all()]
+    if firsts:
+        raise FileFormatError("non-finite value in payload", path=str(path), offset=min(firsts))
 
 
 @dataclass(frozen=True)
@@ -36,39 +51,38 @@ class Format:
 
     def write(self, path, fields, *payload) -> None:
         """Write the magic and header, then each payload buffer in turn."""
+        # A regular file is replaced, not truncated: file systems that flush a
+        # truncated file on close make rewriting one several times slower.
+        # Links, devices and FIFOs are opened as they are.
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
         with open(path, "wb") as fh:
             fh.write(self.magic + struct.pack(self.header, *fields))
             for chunk in payload:
                 fh.write(chunk)
 
-    def fields(self, head: bytes, path) -> tuple:
-        """The header fields of a file that starts with ``head``, after the length and magic checks."""
-        if len(head) < self.header_size:
-            raise FileFormatError("file too short for header", path=str(path), offset=0)
-        if head[: len(self.magic)] != self.magic:
-            raise FileFormatError(f"bad magic, expected {self.magic.decode()}", path=str(path), offset=0)
-        return struct.unpack_from(self.header, head, len(self.magic))
+    @contextlib.contextmanager
+    def open(self, path):
+        """Yield the unbuffered file, its size and its header fields, after the length and magic checks."""
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(self.header_size)
+            if len(head) < self.header_size:
+                raise FileFormatError("file too short for header", path=str(path), offset=0)
+            if head[: len(self.magic)] != self.magic:
+                raise FileFormatError(f"bad magic, expected {self.magic.decode()}", path=str(path), offset=0)
+            yield fh, size, struct.unpack_from(self.header, head, len(self.magic))
 
-    def read(self, path) -> tuple[bytes, tuple]:
-        """The file's bytes and its header fields, after the length and magic checks."""
-        raw = Path(path).read_bytes()
-        return raw, self.fields(raw, path)
-
-    def array(self, raw: bytes, path, dtype: str, shape: tuple) -> np.ndarray:
-        """The payload after the header as a non-empty, finite array of ``shape``.
-
-        The array is a read-only view of ``raw``, not a copy.
-        """
+    def array(self, fh, size: int, path, dtype: str, shape: tuple) -> np.ndarray:
+        """The payload after the header, read into a new non-empty, finite array of ``shape``."""
         start = self.header_size
         expected = start + np.dtype(dtype).itemsize * math.prod(shape)
-        if len(raw) != expected:
-            raise FileFormatError(
-                f"payload size mismatch: expected {expected} bytes, found {len(raw)}",
-                path=str(path),
-                offset=min(len(raw), expected),
-            )
+        if size != expected:
+            message = f"payload size mismatch: expected {expected} bytes, found {size}"
+            raise FileFormatError(message, path=str(path), offset=min(size, expected))
         if expected == start:
             raise FileFormatError(f"empty payload, header shape {shape}", path=str(path), offset=start)
-        values = np.frombuffer(raw, dtype=dtype, offset=start).reshape(shape)
-        check_finite(values, path, start)
+        values = read_into(fh, np.empty(shape, dtype=dtype), path, start)
+        check_finite(path, [(start, values)])
         return values

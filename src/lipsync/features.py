@@ -24,7 +24,6 @@ CHAR_PROB_DIM = 29  # 26 letters + apostrophe + space + blank
 
 FEATURE_MAGIC = b"LSF1"
 _LSF1 = Format(FEATURE_MAGIC, "<IIIB")  # T, D, fps, kind
-_MAX_DIM = 2**32 - 1
 _CONTEXT = 2  # MFCC frames averaged on each side before projection
 # The logit scale trades softmax confidence against smoothness; 0.25 gives
 # confident rows that still move with the cepstral content.
@@ -145,17 +144,14 @@ def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:
 def save_features(f: FeatureSequence, path) -> None:
     """Write the LSF1 container: magic | u32 T | u32 D | u32 fps | u8 kind | f32 rows."""
     data = np.ascontiguousarray(f.data, dtype="<f4")
-    t, d = data.shape
-    if t > _MAX_DIM or d > _MAX_DIM:
-        raise FileFormatError("feature array too large for container", path=str(path))
-    _LSF1.write(path, (t, d, int(f.fps), int(f.kind)), data)
+    _LSF1.write(path, (*data.shape, int(f.fps), int(f.kind)), data)
 
 
 def load_features(path) -> FeatureSequence:
     path = Path(path)
-    raw, (t, d, fps, kind_code) = _LSF1.read(path)
-    try:
-        kind = FeatureKind(kind_code)
-    except ValueError:
-        raise FileFormatError(f"unknown feature kind {kind_code}", path=str(path), offset=16)
-    return FeatureSequence(data=_LSF1.array(raw, path, "<f4", (t, d)), fps=int(fps), kind=kind)
+    with _LSF1.open(path) as (fh, size, (t, d, fps, kind_code)):
+        try:
+            kind = FeatureKind(kind_code)
+        except ValueError:
+            raise FileFormatError(f"unknown feature kind {kind_code}", path=str(path), offset=16)
+        return FeatureSequence(data=_LSF1.array(fh, size, path, "<f4", (t, d)), fps=int(fps), kind=kind)

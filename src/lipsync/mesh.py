@@ -176,5 +176,5 @@ def save_anim(d: DisplacementSequence, path) -> None:
 
 def load_anim(path) -> DisplacementSequence:
     path = Path(path)
-    raw, (t, v, fps) = _LSA1.read(path)
-    return DisplacementSequence(frames=_LSA1.array(raw, path, "<f4", (t, v, 3)), fps=int(fps))
+    with _LSA1.open(path) as (fh, size, (t, v, fps)):
+        return DisplacementSequence(frames=_LSA1.array(fh, size, path, "<f4", (t, v, 3)), fps=int(fps))

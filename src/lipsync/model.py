@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import Format
+from .container import Format, check_finite, read_into
 from .errors import ConfigError, FileFormatError, ShapeError, StateError
 from .features import CHAR_PROB_DIM, FeatureSequence
 from .mesh import DisplacementSequence
@@ -457,9 +456,7 @@ def load_checkpoint(path) -> NetworkParams:
     twice, the later tensor wins.
     """
     path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        vertex_count, n_tensors = _LSN1.fields(fh.read(_LSN1.header_size), path)
+    with _LSN1.open(path) as (fh, size, (vertex_count, n_tensors)):
         tensors = _read_table(fh, size, n_tensors, path)
         arch = _arch_from_dims({name: dims for name, (dims, _) in tensors.items()}, str(path))
         shapes = _layout(arch, vertex_count)
@@ -469,23 +466,18 @@ def load_checkpoint(path) -> NetworkParams:
         if n_params > sum(math.prod(dims) for dims, _ in tensors.values()):
             raise FileFormatError("tensor shapes describe a network larger than the payload", path=str(path))
         net = _bind(arch, vertex_count, np.empty(n_params, dtype="<f8"))
-        offsets = []  # file offset of each view's payload, in flat order
+        regions = []  # (file offset, view) of each payload, in flat order
         for name, view in net.items():
             if name not in tensors:
                 raise FileFormatError(f"missing tensor {name}", path=str(path))
             dims, offset = tensors.pop(name)
             if dims != view.shape:
-                raise FileFormatError(
-                    f"tensor {name} has shape {dims}, the layout needs {view.shape}", path=str(path)
-                )
-            fh.seek(offset)
-            if fh.readinto(view) != view.nbytes:  # the file shrank since the table pass
-                raise FileFormatError("truncated tensor payload", path=str(path), offset=offset)
-            offsets.append(offset)
+                raise FileFormatError(f"tensor {name} has shape {dims}, the layout needs {view.shape}", path=str(path))
+            regions.append((offset, read_into(fh, view, path, offset)))
         if tensors:
             raise FileFormatError(f"unexpected tensor {min(tensors)}", path=str(path))
     if not np.isfinite(net.flat).all():
-        _raise_non_finite(net, offsets, path)
+        check_finite(path, regions)
     return net
 
 
@@ -495,31 +487,27 @@ def _read_table(fh, size: int, n_tensors: int, path) -> dict:
     ``size`` is the file's length. It bounds every read, so a corrupt length
     field cannot ask for more memory than the file holds.
     """
-    def truncated(at):
-        return FileFormatError("truncated tensor table", path=str(path), offset=at)
+    pos = _LSN1.header_size
+
+    def take(n):
+        nonlocal pos
+        if size - pos < n:
+            raise FileFormatError("truncated tensor table", path=str(path), offset=pos)
+        pos += n
+        return fh.read(n)
 
     tensors = {}
-    pos = _LSN1.header_size
     for _ in range(n_tensors):
         start = pos
         fh.seek(pos)
-        if size - pos < 4:
-            raise truncated(pos)
-        (name_len,) = struct.unpack("<I", fh.read(4))
-        pos += 4
+        (name_len,) = struct.unpack("<I", take(4))
         try:
             name = fh.read(min(name_len, size - pos)).decode()
         except UnicodeDecodeError:
             raise FileFormatError("tensor name is not UTF-8", path=str(path), offset=pos)
         pos += name_len
-        if size - pos < 4:
-            raise truncated(pos)
-        (rank,) = struct.unpack("<I", fh.read(4))
-        pos += 4
-        if size - pos < 4 * rank:
-            raise truncated(pos)
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        pos += 4 * rank
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
         # Layout tensors have rank 1..3 and no zero dimension. A zero
         # dimension would let any other dims past the payload size check.
         if not 1 <= rank <= 3 or 0 in dims:
@@ -530,16 +518,6 @@ def _read_table(fh, size: int, n_tensors: int, path) -> dict:
         tensors[name] = (dims, pos)
         pos += 8 * count
     return tensors
-
-
-def _raise_non_finite(net: NetworkParams, offsets: list, path) -> None:
-    """Raise for the non-finite value of ``net.flat`` that comes first in the file."""
-    ends = np.cumsum([view.size for _, view in net.items()])
-    bad = np.flatnonzero(~np.isfinite(net.flat))
-    item = np.searchsorted(ends, bad, side="right")
-    starts = np.concatenate([[0], ends[:-1]])
-    in_file = np.asarray(offsets)[item] + 8 * (bad - starts[item])
-    raise FileFormatError("non-finite value in payload", path=str(path), offset=int(in_file.min()))
 
 
 def _arch_from_dims(dims: dict, path: str) -> ArchConfig:

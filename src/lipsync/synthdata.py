@@ -38,6 +38,9 @@ _READOUT_SCALE = 0.25
 _MIN_DURATION = WINDOW_SECONDS + HOP_SECONDS
 # Longest sentence; a sentence's audio and feature arrays grow with it.
 _MAX_DURATION = 60.0
+# Most vertices of a generated head, ten times FLAME's 5023; every LSA1 file,
+# the decoder and each training step grow with it.
+_MAX_VERTICES = 50_000
 DURATION_RANGE = (0.8, 1.6)  # default sentence durations, seconds
 SPLIT_RATIO = (18, 1, 1)  # default train/val/test proportions
 
@@ -170,8 +173,8 @@ def _fibonacci_directions(n: int) -> np.ndarray:
 
 def make_head(v_target: int, seed: int = 0) -> TemplateMesh:
     """Procedural ellipsoid head with a denser lip patch and 20 landmarks."""
-    if v_target < 20:
-        raise ConfigError("v_target must be >= 20")
+    if not 20 <= v_target <= _MAX_VERTICES:
+        raise ConfigError(f"v_target must be in 20..{_MAX_VERTICES}, got {v_target}")
     rng = np.random.default_rng(seed)
     n_lip = max(8, v_target // 6)
     n_base = v_target - n_lip

@@ -129,6 +129,58 @@ def reference_load(path):
     return vertex_count, arch, net.flat
 
 
+def reference_load_container(path, magic: bytes, header: str, shape_of):
+    """(header fields, payload) of an LSF1 or LSA1 file: the reference for
+    ``load_features`` and ``load_anim``.
+
+    Reads the whole file into ``bytes`` and returns the f32 payload as a
+    read-only view of them. ``shape_of(fields, fail)`` gives the payload
+    shape, raising ``fail(message, offset)`` for a header it refuses. Raises
+    the loaders' FileFormatError for each defect, with its message and byte
+    offset.
+    """
+    raw = Path(path).read_bytes()
+
+    def fail(message, offset=None):
+        return FileFormatError(message, path=str(path), offset=offset)
+
+    start = len(magic) + struct.calcsize(header)
+    if len(raw) < start:
+        raise fail("file too short for header", 0)
+    if raw[: len(magic)] != magic:
+        raise fail(f"bad magic, expected {magic.decode()}", 0)
+    fields = struct.unpack_from(header, raw, len(magic))
+    shape = shape_of(fields, fail)
+    expected = start + 4 * math.prod(shape)
+    if len(raw) != expected:
+        raise fail(f"payload size mismatch: expected {expected} bytes, found {len(raw)}", min(len(raw), expected))
+    if expected == start:
+        raise fail(f"empty payload, header shape {shape}", start)
+    values = np.frombuffer(raw, dtype="<f4", offset=start).reshape(shape)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise fail("non-finite value in payload", start + 4 * int(bad[0]))
+    return fields, values
+
+
+def reference_load_features(path):
+    """(data, fps, kind) of an LSF1 file, read by ``reference_load_container``."""
+
+    def shape_of(fields, fail):
+        if fields[3] not in {kind.value for kind in features.FeatureKind}:
+            raise fail(f"unknown feature kind {fields[3]}", 16)
+        return fields[:2]
+
+    (_, _, fps, kind), data = reference_load_container(path, b"LSF1", "<IIIB", shape_of)
+    return data, fps, features.FeatureKind(kind)
+
+
+def reference_load_anim(path):
+    """(frames, fps) of an LSA1 file, read by ``reference_load_container``."""
+    (_, _, fps), frames = reference_load_container(path, b"LSA1", "<III", lambda fields, fail: (*fields[:2], 3))
+    return frames, fps
+
+
 # Up to four byte-level edits of a valid file, applied in order by ``mutate``.
 BYTE_MUTATIONS = st.lists(
     st.one_of(

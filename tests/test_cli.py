@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -593,6 +596,15 @@ class _Inputs:
     def gen_corpus(self, *flags):
         return ["gen-corpus", "--out", str(self.out), "--sentences", "3", "--vertices", "20", *flags]
 
+    def features(self, *flags):
+        return ["features", "--wav", self.wav(), "--out", str(self.out), *flags]
+
+    def export_obj_seq(self, *flags, checkpoint=None):
+        return [
+            "export-obj-seq", "--checkpoint", checkpoint or self.checkpoint(), "--wav", self.wav(),
+            "--template", self.template, "--landmarks", self.landmarks, "--out", str(self.out), *flags,
+        ]
+
 
 def _lsn1_one_tensor(i, dims, payload=b""):
     """A checkpoint whose one tensor, named w, has ``dims``; numpy holds at most 64 of them."""
@@ -620,6 +632,11 @@ MALFORMED = {
     "gen-corpus-max-dur-above-bound": (1, "<= 60.0 seconds", lambda i: i.gen_corpus("--max-dur", "60.001")),
     "gen-corpus-shorter-than-two-mfcc-frames": (1, "durations", lambda i: i.gen_corpus("--min-dur", "0.03")),
     "gen-corpus-min-above-max": (1, "durations", lambda i: i.gen_corpus("--min-dur", "1.0", "--max-dur", "0.5")),
+    # a head of 2**40 vertices would need 6.67 TiB for its first array
+    "gen-corpus-vertices-above-bound": (
+        1, "v_target must be in 20..50000, got 50001", lambda i: i.gen_corpus("--vertices", "50001")
+    ),
+    "gen-corpus-vertices-2**40": (1, f"got {2**40}", lambda i: i.gen_corpus("--vertices", str(2**40))),
     "eval-no-lip-landmarks": (
         2, "lip", lambda i: i.eval(landmarks=i.file("nolip.txt", Path(i.landmarks).read_bytes().replace(b"lip:", b"")))
     ),
@@ -640,17 +657,9 @@ MALFORMED = {
     "landmarks-not-utf8": (2, "lm.txt: not UTF-8", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\n\xfe\n"))),
     "config-not-utf8": (1, "c.cfg: not UTF-8", lambda i: i.train("--config", i.file("c.cfg", b"epochs = 1\n\xff\n"))),
     "gen-corpus-seed-negative": (1, "--seed must be >= 0", lambda i: i.gen_corpus("--seed=-1")),
-    "features-seed-negative": (
-        1, "--seed must be >= 0", lambda i: ["features", "--wav", i.wav(), "--out", str(i.out), "--seed=-1"]
-    ),
+    "features-seed-negative": (1, "--seed must be >= 0", lambda i: i.features("--seed=-1")),
     "infer-seed-negative": (1, "--seed must be >= 0", lambda i: i.infer("--seed=-1")),
-    "export-obj-seq-seed-negative": (
-        1, "--seed must be >= 0",
-        lambda i: [
-            "export-obj-seq", "--checkpoint", i.checkpoint(), "--wav", i.wav(), "--template", i.template,
-            "--landmarks", i.landmarks, "--out", str(i.out), "--seed=-1",
-        ],
-    ),
+    "export-obj-seq-seed-negative": (1, "--seed must be >= 0", lambda i: i.export_obj_seq("--seed=-1")),
     "train-seed-negative": (1, "--seed must be >= 0", lambda i: i.train("--seed=-1")),
     "train-config-seed-negative": (1, "seed must be >= 0", lambda i: i.train("--config", i.file("c.cfg", b"seed = -1\n"))),
     # the first step sets weights near 1e300, so the next item's loss overflows
@@ -670,11 +679,7 @@ MALFORMED = {
     # finite weights whose output overflows: an LSA1 or OBJ holding NaN would be written
     "infer-output-not-finite": (2, "network output holds NaN", lambda i: i.infer(checkpoint=i.checkpoint(1e200))),
     "export-obj-seq-output-not-finite": (
-        2, "network output holds NaN",
-        lambda i: [
-            "export-obj-seq", "--checkpoint", i.checkpoint(1e200), "--wav", i.wav(), "--template", i.template,
-            "--landmarks", i.landmarks, "--out", str(i.out),
-        ],
+        2, "network output holds NaN", lambda i: i.export_obj_seq(checkpoint=i.checkpoint(1e200))
     ),
     "infer-checkpoint-rank-65": (
         2, "tensor 'w' has dims", lambda i: i.infer(checkpoint=_lsn1_one_tensor(i, (1,) * 65, bytes(8)))
@@ -748,6 +753,65 @@ class TestMalformedInputs:
         assert code in (0, 1, 2)
         if max(lo, hi) > synthdata._MAX_DURATION:
             assert code == 1 and not inputs.out.exists()
+
+
+# Every numeric flag of the 7 subcommands and the values drawn for it:
+# negatives, 0, integers from 2**64 on, and for float flags NaN, infinities,
+# 1e300 and subnormals. Flags whose cost grows with the value draw in-range
+# values under a small cap, or values above the flag's bound.
+_ANY_INT = st.one_of(st.integers(), st.just(0), st.integers(min_value=2**64))
+_ANY_FLOAT = st.one_of(
+    _ANY_INT, st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 2.2e-308])
+)
+_DURATION = st.one_of(
+    st.floats(max_value=1.0),
+    st.floats(min_value=synthdata._MAX_DURATION, exclude_min=True),
+    st.sampled_from([math.nan, math.inf]),
+)
+NUMERIC_FLAGS = {
+    ("gen-corpus", "--sentences"): st.integers(max_value=4),
+    # at the bound a gen-corpus takes seconds; above it, nothing is allocated
+    ("gen-corpus", "--vertices"): st.one_of(st.integers(max_value=60), st.integers(min_value=2**40)),
+    ("gen-corpus", "--seed"): _ANY_INT,
+    ("gen-corpus", "--min-dur"): _DURATION,
+    ("gen-corpus", "--max-dur"): _DURATION,
+    ("features", "--seed"): _ANY_INT,
+    **{
+        ("train", "--" + key.replace("_", "-")): _ANY_FLOAT if cli._train_cast(key) is float else _ANY_INT
+        for key in cli.TRAIN_FIELDS
+    },
+    ("train", "--epochs"): st.integers(max_value=2),
+    ("infer", "--seed"): _ANY_INT,
+    ("export-obj-seq", "--seed"): _ANY_INT,
+    ("eval", "--px-per-unit"): _ANY_FLOAT,
+    ("traj", "--px-per-unit"): _ANY_FLOAT,
+    ("traj", "--landmark-index"): _ANY_INT,
+}
+_COMMAND_LINES = {
+    "gen-corpus": lambda i, flag: i.gen_corpus(flag),
+    "features": lambda i, flag: i.features(flag),
+    "train": lambda i, flag: i.train(flag),
+    "infer": lambda i, flag: i.infer(flag),
+    "export-obj-seq": lambda i, flag: i.export_obj_seq(flag),
+    "eval": lambda i, flag: i.eval(flag, scorer=("--checkpoint", i.checkpoint())),
+    "traj": lambda i, flag: i.traj(flag),
+}
+
+
+@pytest.mark.parametrize("command, flag", list(NUMERIC_FLAGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_any_numeric_flag_value_gets_an_exit_code(mini_corpus, tmp_path_factory, command, flag, data):
+    value = data.draw(NUMERIC_FLAGS[command, flag], label=flag)
+    inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("flag"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*_COMMAND_LINES[command](inputs, f"{flag}={value!r}"))
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (1 if code else 0) and "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_module_entry_point(tmp_path):

@@ -1,22 +1,85 @@
-"""Byte-mutation property of the LSF1, LSA1 and LSN1 loaders, and of the
+"""The shared container: its writer, its non-finite check, and the
+byte-mutation properties of the LSF1, LSA1 and LSN1 loaders and of the
 commands that read them."""
 
 import contextlib
 import io
+import itertools
 import math
+import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BYTE_MUTATIONS, mutate, reference_load, tiny_net
-from lipsync import cli, features, mesh, model
+from conftest import (
+    BYTE_MUTATIONS,
+    mutate,
+    reference_load,
+    reference_load_anim,
+    reference_load_features,
+    tiny_net,
+)
+from lipsync import cli, container, features, mesh, model
 from lipsync.errors import FileFormatError, LipSyncError
 
 LOADERS = {"LSF1": features.load_features, "LSA1": mesh.load_anim, "LSN1": model.load_checkpoint}
+# LSF1 and LSA1: the reference reader, and the loader's result as the tuple it returns
+REFERENCES = {
+    "LSF1": (reference_load_features, lambda f: (f.data, f.fps, f.kind)),
+    "LSA1": (reference_load_anim, lambda a: (a.frames, a.fps)),
+}
+
+
+class TestFormatWrite:
+    FMT = container.Format(b"TST1", "<I")
+    NEW = b"TST1" + struct.pack("<I", 7) + b"ab"
+
+    def test_replaces_a_longer_regular_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 100)
+        self.FMT.write(path, (7,), b"ab")
+        assert path.read_bytes() == self.NEW
+
+    def test_other_hard_links_keep_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        os.link(path, tmp_path / "twin")
+        self.FMT.write(path, (7,), b"ab")
+        assert (path.read_bytes(), (tmp_path / "twin").read_bytes()) == (self.NEW, b"old")
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old bytes, longer than the new ones")
+        link.symlink_to(target)
+        self.FMT.write(link, (7,), b"ab")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.NEW
+
+    def test_dev_null(self):
+        self.FMT.write(os.devnull, (7,), b"ab")
+        assert Path(os.devnull).is_char_device()
+
+
+class TestCheckFinite:
+    def test_reports_the_smallest_file_offset_in_any_region_order(self, tmp_path):
+        regions = [
+            (20, np.ones(5)),
+            (40, np.array([1.0, 2.0, 3.0, np.inf])),  # bad at byte 40 + 8 * 3, the first in the file
+            (60, np.array([1.0, 2.0, -np.inf, np.nan], dtype="<f4")),  # bad at byte 60 + 4 * 2
+            (100, np.array([[np.nan, 1.0], [2.0, np.nan]])),
+        ]
+        for order in itertools.permutations(regions):
+            with pytest.raises(FileFormatError) as info:
+                container.check_finite(tmp_path / "f", order)
+            assert info.value.offset == 64 and "non-finite value in payload" in str(info.value)
+
+    def test_finite_regions_pass(self, tmp_path):
+        container.check_finite(tmp_path / "f", [(20, np.ones(5)), (60, np.zeros((2, 3), dtype="<f4"))])
 
 
 def lsn1_u32_fields(raw: bytes) -> list:
@@ -90,6 +153,30 @@ class TestContainerMutation:
             return
         got = model.load_checkpoint(path)
         assert (got.vertex_count, got.arch, got.flat.tobytes()) == (want[0], want[1], want[2].tobytes())
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(fmt=st.sampled_from(sorted(REFERENCES)), mutations=BYTE_MUTATIONS)
+    @example(fmt="LSF1", mutations=[("flip", 16, 9)])  # unknown kind, ahead of the payload checks
+    @example(fmt="LSF1", mutations=[("u32", 0, 0)])  # empty payload
+    @example(fmt="LSA1", mutations=[("truncate", 24), ("extend", np.float32(np.nan).tobytes() + bytes(4 * 87))])
+    @example(fmt="LSA1", mutations=[("extend", b"\0")])
+    def test_lsf1_lsa1_loaders_match_reference(self, valid_files, tmp_path_factory, fmt, mutations):
+        # the same values, shape, fps and kind, or the same message at the same offset
+        raw, u32_fields = valid_files[fmt]
+        path = tmp_path_factory.mktemp("mutated") / "file"
+        path.write_bytes(mutate(raw, mutations, u32_fields))
+        reference, as_tuple = REFERENCES[fmt]
+        try:
+            want, *want_rest = reference(path)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as info:
+                LOADERS[fmt](path)
+            assert (str(info.value), info.value.offset) == (str(exc), exc.offset)
+            return
+        got, *got_rest = as_tuple(LOADERS[fmt](path))
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got_rest == want_rest
 
 
 @pytest.fixture(scope="module")
