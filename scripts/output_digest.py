@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Digest of every output of a fixed CLI chain, for byte-identity checks.
 
-Runs gen-corpus, train, eval, infer, features, traj and export-obj-seq in a
-temporary directory, then builds the ablation corpus, and prints one
-``sha256  name`` line for each command's stdout and for every file written.
+Runs gen-corpus, train (conv-lstm at batch size 1, lstm at batch size 3),
+eval, infer, features, traj and export-obj-seq in a temporary directory,
+then builds the ablation corpus, and prints one ``sha256  name`` line for
+each command's stdout and for every file written.
 Two checkouts that print the same lines wrote the same bytes. Paths are
 relative to the temporary directory, so runs compare across machines.
 BLAS runs on one thread unless the environment sets another count.
@@ -40,6 +41,12 @@ HEAD = ["--template", "corpus/template.obj", "--landmarks", "corpus/template.lan
 CHAIN = [
     ("gen-corpus", ["gen-corpus", "--out", "corpus", "--sentences", "8", "--vertices", "40", "--seed", "3"]),
     ("train", ["train", *CORPUS, "--out", "net.lsn1", "--epochs", "2", "--metrics", "metrics.csv"]),
+    # LSTM-only at batch size 3: the first LSTM reads the 29-dim features,
+    # and each step sums the gradients of three sentences.
+    ("train-lstm-batch3", ["train", *CORPUS, "--out", "lstm.lsn1", "--arch", "lstm", "--batch-size", "3",
+                           "--epochs", "2", "--metrics", "metrics-lstm.csv"]),
+    ("eval-test-lstm", ["eval", *CORPUS, *HEAD, "--split", "test", "--checkpoint", "lstm.lsn1",
+                        "--out", "eval-test-lstm.json"]),
     *(
         (f"eval-{split}-{label}", ["eval", *CORPUS, *HEAD, "--split", split, *scorer,
                                    "--out", f"eval-{split}-{label}.json"])

@@ -210,7 +210,7 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     """Run the layer over a list of (T_j, input) sequences stepped together.
 
     Slots hold the sequences longest first, so the ones still running at
-    step t are a prefix of k_t slots and nothing is padded or masked. Each
+    step t are a prefix of k slots and nothing is padded or masked. Each
     sequence keeps its own input-projection product, and the recurrent
     term is one matrix-vector product per running sequence, so every
     output is bit-equal to running the sequence alone. Returns the h rows
@@ -220,46 +220,58 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     for x in xs:
         if x.shape[1] != p.input_size:
             raise ShapeError(f"lstm layer expects input dim {p.input_size}, got {x.shape[1]}")
-    order = sorted(range(len(xs)), key=lambda j: -len(xs[j]))
-    lengths = [len(xs[j]) for j in order]
-    t_max = lengths[0] if xs else 0
-    w_h = p.W[:, :hid]
-    # Step t overwrites the input projections of step t with the gate values.
-    gates = np.empty((len(xs), t_max, 4 * hid))
+    n = len(xs)
+    order = sorted(range(n), key=lambda j: -len(xs[j]))
+    lengths = [len(xs[j]) for j in order] + [0]
+    t_max = lengths[0]
+    # Time-major: step t reads row t of h and c, writes row t + 1, and
+    # overwrites its input projections in gates with the gate values.
+    gates = np.empty((t_max, n, 4 * hid))
+    h = np.zeros((t_max + 1, n, hid))
+    c = np.zeros((t_max + 1, n, hid))
+    # The sigmoid rows hold -pre, so exp takes them as they are. Negation is
+    # exact, and a dot product with negated weights is the exact negation of
+    # the original, so every gate keeps the bits of 1 / (1 + exp(-pre)).
     for slot, j in enumerate(order):
-        gates[slot, : lengths[slot]] = xs[j] @ p.W[:, hid:].T + p.b
-    c = np.empty((len(xs), t_max, hid))
-    h = np.zeros((len(xs), t_max + 1, hid))  # h[:, t] is h_{t-1}
+        proj = gates[: lengths[slot], slot]
+        np.add(xs[j] @ p.W[:, hid:].T, p.b, out=proj)
+        np.negative(proj[:, : 3 * hid], out=proj[:, : 3 * hid])
+    w_h = p.W[:, :hid].copy()
+    np.negative(w_h[: 3 * hid], out=w_h[: 3 * hid])
+    rec, tmp = np.empty((n, 4 * hid, 1)), np.empty((n, hid))
 
-    c_state = np.zeros((len(xs), hid))
-    running = len(xs)
-    for t in range(t_max):
-        while lengths[running - 1] <= t:
-            running -= 1
-        s = gates[:running, t]
-        s += np.matmul(w_h, h[:running, t, :, None])[..., 0]
-        # Gate nonlinearities in place: sigmoid as 1 / (1 + exp(-z)), then tanh.
-        sig, cand = s[:, : 3 * hid], s[:, 3 * hid :]
-        np.negative(sig, out=sig)
-        np.exp(sig, out=sig)
-        sig += 1.0
-        np.divide(1.0, sig, out=sig)
-        np.tanh(cand, out=cand)
-        c_state = s[:, :hid] * c_state[:running] + s[:, hid : 2 * hid] * cand
-        c[:running, t] = c_state
-        np.multiply(s[:, 2 * hid : 3 * hid], np.tanh(c_state), out=h[:running, t + 1])
+    for k in range(n, 0, -1):
+        # Steps t0 .. t1 - 1 run the first k slots (lengths[n] is the appended
+        # 0); their row views are built once.
+        t0, t1 = lengths[k], lengths[k - 1]
+        seg = gates[t0:t1, :k]
+        views = (seg, seg[..., : 3 * hid], seg[..., 3 * hid :], *(seg[..., m * hid : (m + 1) * hid] for m in range(3)),
+                 h[t0:t1, :k, :, None], h[t0 + 1 : t1 + 1, :k], c[t0:t1, :k], c[t0 + 1 : t1 + 1, :k])
+        rec_k, rec_row, tmp_k = rec[:k], rec[:k, :, 0], tmp[:k]
+        for s, sig, cand, f, i, o, h_t, h_next, c_t, c_next in zip(*views):
+            np.matmul(w_h, h_t, out=rec_k)
+            np.add(s, rec_row, out=s)
+            np.exp(sig, out=sig)
+            np.add(sig, 1.0, out=sig)
+            np.divide(1.0, sig, out=sig)
+            np.tanh(cand, out=cand)
+            np.multiply(f, c_t, out=c_next)
+            np.multiply(i, cand, out=tmp_k)
+            np.add(c_next, tmp_k, out=c_next)
+            np.tanh(c_next, out=tmp_k)
+            np.multiply(o, tmp_k, out=h_next)
 
-    hs, caches = [None] * len(xs), [None] * len(xs)
+    hs, caches = [None] * n, [None] * n
     for slot, j in enumerate(order):
         t_len = lengths[slot]
-        hs[j] = h[slot, 1 : t_len + 1]
-        caches[j] = _LstmCache(x=xs[j], h_prev=h[slot, :t_len], gates=gates[slot, :t_len], c=c[slot, :t_len])
+        hs[j] = h[1 : t_len + 1, slot]
+        caches[j] = _LstmCache(x=xs[j], h_prev=h[:t_len, slot], gates=gates[:t_len, slot], c=c[1 : t_len + 1, slot])
     return hs, caches
 
 
 def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellParams):
     t_len, hid = dh_seq.shape
-    w_h = p.W[:, :hid]
+    w_h = p.W[:, :hid]  # a contiguous copy would move bits of dpre_t @ w_h at small H
     f, i, o, g = (cache.gates[:, k * hid : (k + 1) * hid] for k in range(4))
     c_prev = np.vstack([np.zeros(hid), cache.c[:-1]])
     # The recurrence only carries dh and dC; every other factor of the gate
@@ -273,16 +285,18 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
     dc_by_dh = o * (1.0 - tanh_c**2)
 
     dpre = np.empty((t_len, 4 * hid))
-    dh_carry = np.zeros(hid)
-    dc = np.zeros(hid)
-    for t in range(t_len - 1, -1, -1):
-        dh = dh_seq[t] + dh_carry
-        dc = dc + dh * dc_by_dh[t]
-        d = dpre[t].reshape(4, hid)
-        np.multiply(by_dc[t], dc, out=d)
-        np.multiply(dh, by_dh_o[t], out=d[2])
-        dh_carry = dpre[t] @ w_h
-        dc = dc * f[t]
+    blocks = dpre.reshape(t_len, 4, hid)
+    dh_carry, dh, dc, tmp = np.zeros(hid), np.empty(hid), np.zeros(hid), np.empty(hid)
+    # Reversed row views, built once; each step writes through out= only.
+    rows = (dh_seq, dc_by_dh, by_dc, dpre, blocks, blocks[:, 2], by_dh_o, f)
+    for dh_t, dc_by_dh_t, by_dc_t, dpre_t, d, d_o, by_dh_o_t, f_t in zip(*(r[::-1] for r in rows)):
+        np.add(dh_t, dh_carry, out=dh)
+        np.multiply(dh, dc_by_dh_t, out=tmp)
+        np.add(dc, tmp, out=dc)
+        np.multiply(by_dc_t, dc, out=d)
+        np.multiply(dh, by_dh_o_t, out=d_o)
+        np.matmul(dpre_t, w_h, out=dh_carry)
+        np.multiply(dc, f_t, out=dc)
 
     grad.W[...] = dpre.T @ np.hstack([cache.h_prev, cache.x])
     grad.b[...] = dpre.sum(axis=0)

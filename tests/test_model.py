@@ -35,23 +35,59 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
 def reference_lstm_forward(p, x):
     """The layer over one sequence, one step at a time: the oracle for the
-    batched recurrence. Returns the h rows and the C rows."""
+    batched recurrence. Returns the h rows, the C rows and the gate rows
+    (sigmoid f, i, o and the candidate tanh) that the backward reads."""
     t_len = len(x)
     hid = p.hidden_size
     pre = x @ p.W[:, hid:].T + p.b
     w_h = p.W[:, :hid]
     c = np.empty((t_len, hid))
+    gates = np.empty((t_len, 4 * hid))
     h_all = np.zeros((t_len + 1, hid))
     c_state = np.zeros(hid)
     for t in range(t_len):
         a = pre[t] + w_h @ h_all[t]
-        s = np.empty(4 * hid)
+        s = gates[t]
         s[: 3 * hid] = 1.0 / (1.0 + np.exp(-a[: 3 * hid]))
         s[3 * hid :] = np.tanh(a[3 * hid :])
         c_state = s[:hid] * c_state + s[hid : 2 * hid] * s[3 * hid :]
         c[t] = c_state
         np.multiply(s[2 * hid : 3 * hid], np.tanh(c_state), out=h_all[t + 1])
-    return h_all[1:], c
+    return h_all[1:], c, gates
+
+
+def reference_lstm_backward(p, cache, dh_seq, grad):
+    """BPTT through one layer with a fresh array per step: the oracle for the
+    buffered step loop of ``model._lstm_backward``."""
+    t_len, hid = dh_seq.shape
+    w_h = p.W[:, :hid]
+    f, i, o, g = (cache.gates[:, k * hid : (k + 1) * hid] for k in range(4))
+    c_prev = np.vstack([np.zeros(hid), cache.c[:-1]])
+    # The recurrence only carries dh and dC; every other factor of the gate
+    # pre-activation gradients is known for all steps up front:
+    #   dpre[t] = dC_t * by_dc[t] + dh_t * [0, 0, by_dh_o[t], 0]
+    by_dc = np.stack(
+        [c_prev * f * (1.0 - f), g * i * (1.0 - i), np.zeros_like(o), i * (1.0 - g**2)], axis=1
+    )
+    tanh_c = np.tanh(cache.c)
+    by_dh_o = tanh_c * o * (1.0 - o)
+    dc_by_dh = o * (1.0 - tanh_c**2)
+
+    dpre = np.empty((t_len, 4 * hid))
+    dh_carry = np.zeros(hid)
+    dc = np.zeros(hid)
+    for t in range(t_len - 1, -1, -1):
+        dh = dh_seq[t] + dh_carry
+        dc = dc + dh * dc_by_dh[t]
+        d = dpre[t].reshape(4, hid)
+        np.multiply(by_dc[t], dc, out=d)
+        np.multiply(dh, by_dh_o[t], out=d[2])
+        dh_carry = dpre[t] @ w_h
+        dc = dc * f[t]
+
+    grad.W[...] = dpre.T @ np.hstack([cache.h_prev, cache.x])
+    grad.b[...] = dpre.sum(axis=0)
+    return dpre @ p.W[:, hid:]
 
 
 def reference_forward(net, feats):
@@ -59,7 +95,7 @@ def reference_forward(net, feats):
     x = np.asarray(feats.data, dtype=np.float64)
     for layer in net.layers:
         if isinstance(layer, LstmCellParams):
-            x, _ = reference_lstm_forward(layer, x)
+            x, _, _ = reference_lstm_forward(layer, x)
         else:
             x, _ = model._FORWARD[type(layer)](layer, x)
     return x.reshape(len(x), net.vertex_count, 3)
@@ -264,17 +300,29 @@ def shuffled_lengths(seed, longest=120):
 class TestBatchedForward:
     """The batched recurrence against the per-sequence oracle, bit for bit."""
 
-    def test_layer_matches_oracle(self):
+    def check_layer(self, lengths):
         rng = np.random.default_rng(12)
         cell = tiny_net(seed=12).lstms[0]
-        xs = [rng.standard_normal((t, cell.input_size)) for t in [5, 0, 17, 1, 17, 9]]
+        xs = [rng.standard_normal((t, cell.input_size)) for t in lengths]
         hs, caches = model._lstm_forward(cell, xs)
+        assert len(hs) == len(caches) == len(xs)
         for x, h, cache in zip(xs, hs, caches):
-            h_ref, c_ref = reference_lstm_forward(cell, x)
+            h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
             assert np.array_equal(h, h_ref)
             assert np.array_equal(cache.c, c_ref)
+            assert np.array_equal(cache.gates, gates_ref)
             assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, cell.hidden_size)), h_ref])[:-1])
             assert cache.x is x
+
+    def test_layer_matches_oracle(self):
+        self.check_layer([5, 0, 17, 1, 17, 9])
+
+    @pytest.mark.parametrize(
+        "lengths", [[1], [3, 3, 3], [0, 0], []], ids=["one-step", "equal", "all-empty", "none"]
+    )
+    def test_layer_segment_edges(self, lengths):
+        # each distinct length ends a run of steps over the same sequences
+        self.check_layer(lengths)
 
     @pytest.mark.parametrize(
         "arch",
@@ -319,6 +367,41 @@ class TestBatchedForward:
         seqs = [random_features(np.random.default_rng(6), 4), FeatureSequence(data=np.zeros((4, 13)))]
         with pytest.raises(ShapeError):
             list(model.forward_batch(tiny_net(), seqs))
+
+
+def layer_cases():
+    """(id, cell) for the four production LSTM shapes and every tiny-net LSTM."""
+    for name, net in (("production", model.init_params(0, 5)), ("tiny", tiny_net(seed=9))):
+        for n, cell in enumerate(net.lstms, start=1):
+            yield f"{name}-lstm{n}-{cell.hidden_size}x{cell.input_size}", cell
+
+
+LAYERS = dict(layer_cases())
+
+
+class TestLayerBackwardBits:
+    """Forward and backward of one layer against the per-step oracles, bit for bit."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 73, 137])
+    @pytest.mark.parametrize("layer", list(LAYERS))
+    def test_matches_reference(self, layer, t_len):
+        cell = LAYERS[layer]
+        hid = cell.hidden_size
+        rng = np.random.default_rng(t_len)
+        x = rng.standard_normal((t_len, cell.input_size))
+        dh_seq = rng.standard_normal((t_len, hid))
+        h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
+        h_prev = np.vstack([np.zeros((1, hid)), h_ref])[:-1]
+        want = zero_cell(hid, cell.input_size)
+        dx_want = reference_lstm_backward(
+            cell, model._LstmCache(x=x, h_prev=h_prev, gates=gates_ref, c=c_ref), dh_seq, want
+        )
+        _, (cache,) = model._lstm_forward(cell, [x])
+        got = zero_cell(hid, cell.input_size)
+        dx = model._lstm_backward(cell, cache, dh_seq, got)
+        assert np.array_equal(dx, dx_want)
+        assert np.array_equal(got.W, want.W)
+        assert np.array_equal(got.b, want.b)
 
 
 def scalar_loss(net, feats, truth, cfg):
