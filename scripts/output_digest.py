@@ -55,6 +55,8 @@ CHAIN = [
     ),
     ("infer-16k", ["infer", "--checkpoint", "net.lsn1", "--wav", "16000.wav", "--out", "16000.lsa1"]),
     ("infer-44k", ["infer", "--checkpoint", "net.lsn1", "--wav", "44100.wav", "--out", "44100.lsa1"]),
+    ("infer-8k", ["infer", "--checkpoint", "net.lsn1", "--wav", "8000.wav", "--out", "8000.lsa1"]),
+    ("infer-48k", ["infer", "--checkpoint", "net.lsn1", "--wav", "48000.wav", "--out", "48000.lsa1"]),
     ("features-surrogate", ["features", "--wav", "44100.wav", "--out", "surrogate.lsf1"]),
     ("features-mfcc", ["features", "--wav", "44100.wav", "--out", "mfcc.lsf1", "--kind", "mfcc"]),
     ("traj", ["traj", "--anim", "16000.lsa1", *HEAD, "--out", "traj.csv"]),
@@ -68,7 +70,7 @@ def sha256(data: bytes) -> str:
 
 def digest_chain():
     """Run the chain in the current directory and print the digests."""
-    for rate in (16000, 44100):
+    for rate in (8000, 16000, 44100, 48000):
         wav = synthdata.synth_speech(0.5, np.random.default_rng(rate), sample_rate=rate)
         audio.save_wav(wav, f"{rate}.wav")
     for name, argv in CHAIN:

@@ -37,13 +37,19 @@ _MAX_WAV_RATE = 192_000
 # sinc, and the Kaiser shape parameter.
 _SINC_CROSSINGS = 16
 _KAISER_BETA = 8.6
-# Outputs per resampling block; bounds the gathered input windows.
-_BLOCK = 8192
-# Kernel tables kept across resample calls, least recently used dropped
-# first, up to this many bytes in all. A coprime rate's table is as large
-# as its output (about 3 MB for half a second at 22051 Hz) and is not kept.
+# Consecutive phases that share one padded kernel matrix, and so one BLAS
+# product per block of outputs.
+_GROUP = 32
+# Bytes of padded kernel matrices built at a time; the kernel's own
+# temporaries scale with it. Bounds memory at coprime rates, whose
+# phases number up to 16000.
+_BLOCK_BYTES = 1 << 20
+# Kernel matrices kept across resample calls, least recently used dropped
+# first, up to this many bytes in all. They are kept only when all phases of
+# a call fit one block: a coprime rate's grow with its output (16000 phases
+# for a second) and are rebuilt each call.
 _TABLE_CACHE_BYTES = 1 << 21
-_TABLES: dict = {}  # (source rate, target rate, first phase, end phase) -> (first, table)
+_TABLES: dict = {}  # (source rate, target rate, first phase, end phase) -> (starts, mats)
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,14 @@ def _kaiser_window(u: np.ndarray, beta: float) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, np.i0(beta * np.sqrt(inside)) / np.i0(beta), 0.0)
 
 
-def _phase_table(source_rate: int, target_rate: int, p0: int, p1: int):
-    """Kernel rows of phases p0..p1-1 for one rate pair, cached in ``_TABLES``.
+def _phase_table(source_rate, target_rate, p0, p1, group, n_taps, width, keep):
+    """Padded kernel matrices of phases p0..p1-1 for one rate pair.
 
-    Returns (first, table): the first input sample each phase reads, and
-    its (n_taps,) row of the Kaiser-windowed sinc; both read-only.
+    Returns (starts, mats), both read-only. Group k holds phases
+    p0 + group*k onward, none of whose windows starts before input sample
+    starts[k]. mats[k, j] is the Kaiser-windowed sinc row of the group's
+    phase j, placed at that phase's first input sample within the group's
+    ``width`` samples and zero elsewhere. Kept in ``_TABLES`` when ``keep``.
     """
     key = (source_rate, target_rate, p0, p1)
     if key in _TABLES:
@@ -159,16 +168,21 @@ def _phase_table(source_rate: int, target_rate: int, p0: int, p1: int):
     half = _SINC_CROSSINGS / cutoff
     centers = np.arange(p0, p1) / ratio
     first = np.ceil(centers - half).astype(np.int64)
-    delta = centers[:, None] - (first[:, None] + np.arange(int(2 * half) + 2))
+    delta = centers[:, None] - (first[:, None] + np.arange(n_taps))
     table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
-    first.setflags(write=False)
-    table.setflags(write=False)
-    size = first.nbytes + table.nbytes
-    if size <= _TABLE_CACHE_BYTES:
+    starts = first[::group].copy()
+    # Flat index of each row's first tap: its row, plus its offset in the group.
+    row_firsts = np.arange(0, (p1 - p0) * width, width) + first - starts.repeat(group)[: p1 - p0]
+    mats = np.zeros((len(starts), group, width))
+    mats.reshape(-1)[row_firsts[:, None] + np.arange(n_taps)] = table
+    starts.setflags(write=False)
+    mats.setflags(write=False)
+    size = starts.nbytes + mats.nbytes
+    if keep and size <= _TABLE_CACHE_BYTES:
         while sum(a.nbytes + b.nbytes for a, b in _TABLES.values()) + size > _TABLE_CACHE_BYTES:
             del _TABLES[next(iter(_TABLES))]
-        _TABLES[key] = first, table
-    return first, table
+        _TABLES[key] = starts, mats
+    return starts, mats
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -179,42 +193,72 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     target Nyquist to avoid aliasing into the mel bands.
 
     Both rates are integers, so with g = gcd(source, target) output
-    k = p + up*r (up = target/g, down = source/g) sits at input position
-    p*down/up + down*r: its kernel row is that of phase p, and its input
-    window starts down*r samples after phase p's. The kernel is evaluated
-    once per phase, kept for later calls at the same rates, and applied to
-    every repeat of that phase.
+    k = p + up*r (up = target/g, down = source/g, both scaled up to give at
+    least one group of phases) sits at input position p*down/up + down*r:
+    its kernel row is that of phase p, and its input window starts down*r
+    samples after phase p's. Row r = m*s + i is sub-row i of row s; with
+    m*down at least the width of a group's windows, the windows of one
+    group and sub-row, over all s, are the rows of a strided view of the
+    input that BLAS reads in place. One product of those views with the
+    group's padded kernel matrix gives the group's outputs.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if w.sample_rate == target_rate:
         return w
 
-    x = np.asarray(w.samples, dtype=np.float64)
+    x = np.ascontiguousarray(w.samples, dtype=np.float64)
     n_in = len(x)
-    n_out = int(round(n_in * (target_rate / w.sample_rate)))
+    ratio = target_rate / w.sample_rate
+    n_out = int(round(n_in * ratio))
     g = math.gcd(w.sample_rate, target_rate)
-    up, down = target_rate // g, w.sample_rate // g
+    scale = -(-_GROUP // (target_rate // g))
+    up, down = scale * target_rate // g, scale * w.sample_rate // g
+    group = up if up < 2 * _GROUP else _GROUP
+    n_taps = int(2 * _SINC_CROSSINGS / min(1.0, ratio)) + 2
+    # The windows of a group start within ceil((group-1)*down/up) samples of
+    # each other; one sample more covers a ceil that rounding moved up.
+    width = n_taps + -(-(group - 1) * down // up) + (group > 1)
+    m = -(-width // down)
+    stride = m * down
 
-    # out[r, p] is output p + up*r; the last row runs past n_out into zeros.
+    # out[s, i, p] is output p + up*(m*s + i); the last rows run past n_out.
     n_phases = min(up, n_out)
-    out = np.empty((-(-n_out // up), n_phases))
-    for p0 in range(0, n_phases, _BLOCK):
-        first, table = _phase_table(w.sample_rate, target_rate, p0, min(p0 + _BLOCK, n_phases))
-        n_taps = table.shape[1]
-        repeats = max(1, _BLOCK // len(first))
-        for r0 in range(0, len(out), repeats):
-            rows = slice(r0, min(r0 + repeats, len(out)))
-            starts = first[:, None] + down * np.arange(rows.start, rows.stop)
-            # Zero-padded input span that this block of outputs reads.
-            lo, hi = starts[0, 0], starts[-1, -1] + n_taps
-            span = np.zeros(hi - lo)
-            a, b = np.clip((lo, hi), 0, n_in)
-            span[a - lo : b - lo] = x[a:b]
-            # (phase, repeat, tap): the table row of each phase meets all its repeats.
-            windows = np.lib.stride_tricks.sliding_window_view(span, n_taps)[starts - lo]
-            out[rows, p0 : p0 + len(first)] = np.matmul(windows, table[:, :, None])[..., 0].T
-    return Waveform(samples=out.ravel()[:n_out], sample_rate=int(target_rate))
+    n_rows = -(-n_out // (up * m))
+    out = np.empty((n_rows, m, n_phases))
+    block = max(1, _BLOCK_BYTES // (8 * group * width)) * group
+    for p0 in range(0, n_phases, block):
+        p1 = min(p0 + block, n_phases)
+        starts, mats = _phase_table(
+            w.sample_rate, target_rate, p0, p1, group, n_taps, width, keep=p1 - p0 == n_phases
+        )
+        starts = starts.tolist()
+        # Row s of every group and sub-row reads reach samples from starts[0] + stride*s.
+        reach = starts[-1] - starts[0] + (m - 1) * down + width
+        inner_lo = min(n_rows, max(0, -(starts[0] // stride)))
+        inner_hi = min(n_rows, max(inner_lo, (n_in - starts[0] - reach) // stride + 1))
+        # Rows that read before or past the input read a zero-padded copy of
+        # just their span; the rows between them read the input itself.
+        for s0, s1 in ((0, inner_lo), (inner_lo, inner_hi), (inner_hi, n_rows)):
+            if s0 == s1:
+                continue
+            lo = starts[0] + stride * s0
+            hi = lo + stride * (s1 - s0 - 1) + reach
+            if 0 <= lo and hi <= n_in:
+                span, origin = x, 0
+            else:
+                span, origin = np.zeros(hi - lo), lo
+                a = max(lo, 0)
+                b = max(a, min(hi, n_in))
+                span[a - lo : b - lo] = x[a:b]
+            for k, start in enumerate(starts):
+                g0, g1 = p0 + k * group, min(p0 + (k + 1) * group, p1)
+                windows = np.ndarray(  # (sub-row, row, tap), read in place
+                    (m, s1 - s0, width), buffer=span, offset=8 * (start + stride * s0 - origin),
+                    strides=(8 * down, 8 * stride, 8),
+                )
+                np.matmul(windows, mats[k, : g1 - g0].T, out=out[s0:s1, :, g0:g1].transpose(1, 0, 2))
+    return Waveform(samples=out.reshape(-1)[:n_out], sample_rate=int(target_rate))
 
 
 def _mel_filterbank() -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 from unittest import mock
@@ -155,6 +156,74 @@ def reference_resample(w, target_rate):
     return audio.Waveform(samples=out, sample_rate=int(target_rate))
 
 
+def reference_resample_gather(w, target_rate):
+    """The path the strided-view resampler replaced, kept as its equivalence oracle.
+
+    For each block of about 8192 outputs it gathers every (phase, repeat,
+    tap) input window from a zero-padded copy of the span the block reads,
+    and takes one batched dot with the phase rows of the kernel table.
+    """
+    if target_rate <= 0:
+        raise ValueError("target_rate must be positive")
+    if w.sample_rate == target_rate:
+        return w
+
+    x = np.asarray(w.samples, dtype=np.float64)
+    n_in = len(x)
+    n_out = int(round(n_in * (target_rate / w.sample_rate)))
+    g = math.gcd(w.sample_rate, target_rate)
+    up, down = target_rate // g, w.sample_rate // g
+
+    # out[r, p] is output p + up*r; the last row runs past n_out into zeros.
+    n_phases = min(up, n_out)
+    out = np.empty((-(-n_out // up), n_phases))
+    for p0 in range(0, n_phases, _GATHER_BLOCK):
+        first, table = gather_phase_table(w.sample_rate, target_rate, p0, min(p0 + _GATHER_BLOCK, n_phases))
+        n_taps = table.shape[1]
+        repeats = max(1, _GATHER_BLOCK // len(first))
+        for r0 in range(0, len(out), repeats):
+            rows = slice(r0, min(r0 + repeats, len(out)))
+            starts = first[:, None] + down * np.arange(rows.start, rows.stop)
+            # Zero-padded input span that this block of outputs reads.
+            lo, hi = starts[0, 0], starts[-1, -1] + n_taps
+            span = np.zeros(hi - lo)
+            a, b = np.clip((lo, hi), 0, n_in)
+            span[a - lo : b - lo] = x[a:b]
+            # (phase, repeat, tap): the table row of each phase meets all its repeats.
+            windows = np.lib.stride_tricks.sliding_window_view(span, n_taps)[starts - lo]
+            out[rows, p0 : p0 + len(first)] = np.matmul(windows, table[:, :, None])[..., 0].T
+    return audio.Waveform(samples=out.ravel()[:n_out], sample_rate=int(target_rate))
+
+
+_GATHER_BLOCK = 8192  # outputs per block of the gather path
+
+
+def gather_phase_table(source_rate, target_rate, p0, p1):
+    """(first, table) of the gather path: phase p's first input sample and its (n_taps,) kernel row."""
+    ratio = target_rate / source_rate
+    cutoff = min(1.0, ratio)
+    half = audio._SINC_CROSSINGS / cutoff
+    centers = np.arange(p0, p1) / ratio
+    first = np.ceil(centers - half).astype(np.int64)
+    delta = centers[:, None] - (first[:, None] + np.arange(int(2 * half) + 2))
+    return first, cutoff * np.sinc(cutoff * delta) * audio._kaiser_window(delta / half, audio._KAISER_BETA)
+
+
+def resample_peak(rate, seconds):
+    """Resample ``seconds`` of noise at ``rate`` to 16 kHz from an empty kernel
+    cache; returns the output and the tracemalloc peak in bytes."""
+    w = audio.Waveform(samples=np.random.default_rng(0).uniform(-1, 1, seconds * rate), sample_rate=rate)
+    with mock.patch.object(audio, "_TABLES", {}):
+        tracemalloc.start()
+        try:
+            out = audio.resample(w, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(out.samples) == round(seconds * rate * 16000 / rate)
+    return out, peak
+
+
 def tone_gain_db(resampler, source_rate, freq):
     """Gain of a unit tone through a resampler to 16 kHz, from the RMS of an
     interior stretch of 200 periods of 1 kHz (a whole number of periods of
@@ -207,12 +276,12 @@ class TestResample:
     def test_table_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(audio, "_TABLES", {})
         rng = np.random.default_rng(4)
-        # 0.5 s at 22051 Hz: 8000 coprime phases x 46 taps, larger than the cap
+        # 0.5 s at 22051 Hz: 8000 coprime phases x 90 padded taps, more than one block
         audio.resample(audio.Waveform(samples=rng.standard_normal(11026), sample_rate=22051), 16000)
         assert audio._TABLES == {}
-        # a cap that holds either table (44.1 kHz 116480 bytes, 22.05 kHz
-        # 120320) but not both: the least recently used one goes
-        monkeypatch.setattr(audio, "_TABLE_CACHE_BYTES", 200_000)
+        # a cap that holds either table (44.1 kHz 226600 bytes, 22.05 kHz
+        # 230480) but not both: the least recently used one goes
+        monkeypatch.setattr(audio, "_TABLE_CACHE_BYTES", 300_000)
         for rate in (44100, 22050):
             audio.resample(audio.Waveform(samples=rng.standard_normal(rate // 10), sample_rate=rate), 16000)
         assert list(audio._TABLES) == [(22050, 16000, 0, 320)]
@@ -264,17 +333,44 @@ class TestResample:
             assert abs(gain) <= 0.01
         assert tone_gain_db(audio.resample, source_rate, 10000) <= -80
 
+    # 60 s of input; the output alone is 7.3 MiB. The peaks measured with an
+    # empty cache were 7.6 MiB at 48 kHz and 8.7 MiB at 44.1 kHz; the bound
+    # leaves 1.3 MiB above the larger one.
     def test_memory_bounded_on_long_input(self):
-        # 60 s at 48 kHz; the output alone is 7.3 MiB.
-        w = audio.Waveform(samples=np.random.default_rng(0).uniform(-1, 1, 60 * 48000), sample_rate=48000)
-        tracemalloc.start()
-        try:
-            out = audio.resample(w, 16000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(out.samples) == 60 * 16000
-        assert peak <= 48 * 2**20
+        assert resample_peak(48000, 60)[1] <= 10 * 2**20
+
+    def test_memory_bounded_on_long_input_44k(self):
+        assert resample_peak(44100, 60)[1] <= 10 * 2**20
+
+    # 1 s of input. The kernel of a coprime rate such as 191999 Hz has 16000
+    # phases of 385 taps, 49 MB in all; it is built a byte-bounded block at a time.
+    @pytest.mark.parametrize("rate", [191_999, 192_000, 22_051])
+    def test_memory_bounded_at_high_and_coprime_rates(self, rate):
+        assert resample_peak(rate, 1)[1] <= 32 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=20000),
+        rates=st.sampled_from(
+            [(src, 16000) for src in (8000, 11025, 22050, 22051, 44100, 48000, 96000, 191_999, 192_000)]
+            + [(16000, 48000)]
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=1, rates=(48000, 16000), seed=0)  # no output sample at all
+    @example(n=1, rates=(16000, 48000), seed=0)
+    @example(n=440, rates=(11025, 16000), seed=0)  # n_out < up = 640
+    @example(n=20000, rates=(22051, 16000), seed=0)  # coprime: up = 16000 > n_out
+    @example(n=20000, rates=(11025, 16000), seed=1)  # n_out spans many repeats of up
+    @example(n=8033, rates=(8001, 16000), seed=0)  # a phase block whose last row reads only zeros
+    def test_matches_gather_path(self, n, rates, seed):
+        # Same kernel rows and windows; only the order of each output's sum differs.
+        src, dst = rates
+        w = audio.Waveform(samples=np.random.default_rng(seed).uniform(-1, 1, n), sample_rate=src)
+        got = audio.resample(w, dst).samples
+        want = reference_resample_gather(w, dst).samples
+        assert len(got) == len(want) == round(n * dst / src)
+        assert len(got) == 0 or np.abs(got - want).max() <= 1e-13
 
 
 def speechlike(seconds=1.0):

@@ -29,6 +29,7 @@ def test_output_digest_covers_every_output():
         "stdout:train", "stdout:eval-test-self-test", "stdout:export-obj-seq", "corpus/corpus.jsonl",
         "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "mfcc.lsf1", "traj.csv",
         "objs/frame_0000.obj", "ablation/corpus.jsonl", "stdout:train-lstm-batch3", "lstm.lsn1",
+        "stdout:infer-8k", "8000.lsa1", "stdout:infer-48k", "48000.lsa1",
     ):
         assert name in digests
 
