@@ -4,7 +4,11 @@
 Runs gen-corpus, train (conv-lstm at batch size 1, lstm at batch size 3),
 eval, infer, features, traj and export-obj-seq in a temporary directory,
 then builds the ablation corpus, and prints one ``sha256  name`` line for
-each command's stdout and for every file written.
+each command's stdout and for every file written. For each input WAV it
+also prints the digest of every float64 stage that infer computes: the
+16 kHz samples, the MFCCs, the surrogate features and the network output.
+LSA1 and LSF1 files store float32, so those lines show a change that
+float32 rounding hides in the files.
 Two checkouts that print the same lines wrote the same bytes. Paths are
 relative to the temporary directory, so runs compare across machines.
 BLAS runs on one thread unless the environment sets another count.
@@ -31,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from lipsync import audio, cli, synthdata  # noqa: E402
+from lipsync import audio, cli, features, model, synthdata  # noqa: E402
 from run_ablation import build_corpus  # noqa: E402
 
 CORPUS = ["--manifest", "corpus/corpus.jsonl"]
@@ -64,13 +68,27 @@ CHAIN = [
 ]
 
 
+RATES = (8000, 16000, 44100, 48000)  # of the input WAVs, one "{rate}.wav" each
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def float64_stages(wav_path, net):
+    """(stage name, float64 array) for each step of infer's path from a WAV to the network output."""
+    w = audio.load_wav(wav_path)
+    if w.sample_rate != audio.CANONICAL_RATE:
+        w = audio.resample(w, audio.CANONICAL_RATE)
+    frames = audio.mfcc(w)
+    seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(0))
+    out = model.forward(net, seq)
+    return [("resampled", w.samples), ("mfcc", frames.frames), ("surrogate", seq.data), ("forward", out.frames)]
+
+
 def digest_chain():
     """Run the chain in the current directory and print the digests."""
-    for rate in (8000, 16000, 44100, 48000):
+    for rate in RATES:
         wav = synthdata.synth_speech(0.5, np.random.default_rng(rate), sample_rate=rate)
         audio.save_wav(wav, f"{rate}.wav")
     for name, argv in CHAIN:
@@ -80,6 +98,10 @@ def digest_chain():
         if code:
             raise SystemExit(f"exit {code}: lipsync {' '.join(argv)}")
         print(f"{sha256(out.getvalue().encode())}  stdout:{name}")
+    net = model.load_checkpoint("net.lsn1")
+    for rate in RATES:
+        for stage, values in float64_stages(f"{rate}.wav", net):
+            print(f"{sha256(np.ascontiguousarray(values, dtype='<f8').tobytes())}  float64:{rate}.{stage}")
     build_corpus(Path("ablation"))
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{sha256(path.read_bytes())}  {path.as_posix()}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -325,11 +326,23 @@ def _build_parser(names=_COMMANDS) -> _Parser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The lipsync parser holding subcommand ``name`` alone, built once per
+    process: at most one cached parser per entry of ``_COMMANDS``.
+
+    Parsing reads a parser and never changes it: each call starts from a
+    fresh namespace filled with the declared defaults.
+    """
+    return _build_parser((name,))
+
+
 def run(argv) -> int:
     # Building a subcommand's parser costs more than most requests' other
-    # fixed work, so only the invoked one is built. Without a known command
-    # (--help, a typo, nothing) every one is, for the full help and choices.
-    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
+    # fixed work, so only the invoked one is built, and only on its first
+    # call. Without a known command (--help, a typo, nothing) every one is,
+    # for the full help and choices.
+    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
     try:
         try:
             args = parser.parse_args(argv)

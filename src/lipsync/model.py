@@ -234,26 +234,33 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     # the original, so every gate keeps the bits of 1 / (1 + exp(-pre)).
     for slot, j in enumerate(order):
         proj = gates[: lengths[slot], slot]
-        np.add(xs[j] @ p.W[:, hid:].T, p.b, out=proj)
+        np.matmul(xs[j], p.W[:, hid:].T, out=proj)
+        np.add(proj, p.b, out=proj)
         np.negative(proj[:, : 3 * hid], out=proj[:, : 3 * hid])
     w_h = p.W[:, :hid].copy()
     np.negative(w_h[: 3 * hid], out=w_h[: 3 * hid])
-    rec, tmp = np.empty((n, 4 * hid, 1)), np.empty((n, hid))
+    rec, tmp, ones = np.empty((n, 4 * hid)), np.empty((n, hid)), np.ones((n, 3 * hid))
 
     for k in range(n, 0, -1):
         # Steps t0 .. t1 - 1 run the first k slots (lengths[n] is the appended
         # 0); their row views are built once.
         t0, t1 = lengths[k], lengths[k - 1]
         seg = gates[t0:t1, :k]
+        # One running sequence takes the same gemv through np.dot on
+        # contiguous 1-D rows, without the stacked matmul's call overhead.
+        if k == 1:
+            product, h_in, rec_out = np.dot, h[t0:t1, 0], rec[0]
+        else:
+            product, h_in, rec_out = np.matmul, h[t0:t1, :k, :, None], rec[:k, :, None]
         views = (seg, seg[..., : 3 * hid], seg[..., 3 * hid :], *(seg[..., m * hid : (m + 1) * hid] for m in range(3)),
-                 h[t0:t1, :k, :, None], h[t0 + 1 : t1 + 1, :k], c[t0:t1, :k], c[t0 + 1 : t1 + 1, :k])
-        rec_k, rec_row, tmp_k = rec[:k], rec[:k, :, 0], tmp[:k]
+                 h_in, h[t0 + 1 : t1 + 1, :k], c[t0:t1, :k], c[t0 + 1 : t1 + 1, :k])
+        rec_k, tmp_k, ones_k = rec[:k], tmp[:k], ones[:k]
         for s, sig, cand, f, i, o, h_t, h_next, c_t, c_next in zip(*views):
-            np.matmul(w_h, h_t, out=rec_k)
-            np.add(s, rec_row, out=s)
+            product(w_h, h_t, out=rec_out)
+            np.add(s, rec_k, out=s)
             np.exp(sig, out=sig)
-            np.add(sig, 1.0, out=sig)
-            np.divide(1.0, sig, out=sig)
+            np.add(sig, ones_k, out=sig)
+            np.divide(ones_k, sig, out=sig)
             np.tanh(cand, out=cand)
             np.multiply(f, c_t, out=c_next)
             np.multiply(i, cand, out=tmp_k)
@@ -298,8 +305,8 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
         np.matmul(dpre_t, w_h, out=dh_carry)
         np.multiply(dc, f_t, out=dc)
 
-    grad.W[...] = dpre.T @ np.hstack([cache.h_prev, cache.x])
-    grad.b[...] = dpre.sum(axis=0)
+    np.matmul(dpre.T, np.hstack([cache.h_prev, cache.x]), out=grad.W)
+    np.sum(dpre, axis=0, out=grad.b)
     return dpre @ p.W[:, hid:]
 
 

@@ -268,10 +268,13 @@ def train(
                 epoch_lp.append(lp)
                 epoch_lv.append(lv)
                 backward(net, tape, dpred, out=step_grad if n == 0 else item_grad)
+                # Otherwise this tape lives on through the next item's forward.
+                del pred, tape, dpred
                 if n:
                     step_grad += item_grad
 
-            step_grad /= len(batch)
+            if len(batch) > 1:  # dividing by 1 is exact, so one item skips the pass
+                step_grad /= len(batch)
             norm, clipped = clip_gradients(step_grad, train_cfg.clip_norm)
             if not math.isfinite(norm):  # the step would turn every weight into NaN
                 ids = ", ".join(repr(train_items[idx].id) for idx in batch)
@@ -288,7 +291,13 @@ def train(
                 raise DataError(f"epoch {epoch}: non-finite validation loss")
             vtotal = log_row(epoch, "val", vlp, vlv)
             if vtotal < best[0]:
-                best = (vtotal, net.copy(), epoch)
+                # The kept copy is allocated once; each later improvement overwrites it.
+                if best[1] is None:
+                    kept = net.copy()
+                else:
+                    kept = best[1]
+                    np.copyto(kept.flat, net.flat)
+                best = (vtotal, kept, epoch)
                 if ckpt_dir is not None:
                     save_checkpoint(net, ckpt_dir / "best.lsn1")
 

@@ -256,6 +256,51 @@ class TestInfer:
         assert seq.dim == 13 and seq.kind == FeatureKind.MFCC_RAW
 
 
+class TestCachedParser:
+    """run builds each subcommand's parser once per process; no call may
+    see what an earlier one parsed."""
+
+    def test_flag_does_not_leak_into_the_next_infer(self, tiny_checkpoint, wav_2s, tmp_path):
+        cli._command_parser.cache_clear()
+
+        def infer(name, *flags):
+            out = tmp_path / name
+            argv = ["infer", "--checkpoint", str(tiny_checkpoint), "--wav", str(wav_2s), "--out", str(out)]
+            assert run_cli(*argv, *flags) == 0
+            return out.read_bytes()
+
+        first = infer("first.lsa1")
+        assert infer("seed3.lsa1", "--seed", "3") != first
+        assert infer("after.lsa1") == first
+        assert cli._command_parser.cache_info().currsize == 1
+
+    def test_default_epochs_after_an_explicit_count(self, mini_corpus, tmp_path):
+        def epochs(name, *flags):
+            metrics = tmp_path / f"{name}.csv"
+            assert run_cli(
+                "train",
+                "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+                "--out", str(tmp_path / f"{name}.lsn1"),
+                "--metrics", str(metrics),
+                *flags,
+            ) == 0
+            return [r.split(",")[0] for r in metrics.read_text().splitlines()[1:] if ",train," in r]
+
+        assert epochs("one", "--epochs", "1") == ["1"]
+        assert epochs("default") == [str(e) for e in range(1, 11)]
+
+    def test_full_usage_after_cached_subcommands(self, capsys):
+        for name in cli._COMMANDS:
+            assert run_cli(name, "--help") == 0
+        capsys.readouterr()
+        assert run_cli("--help") == 0
+        assert capsys.readouterr().out == cli._build_parser().format_help()
+        assert run_cli("bogus") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument command: invalid choice: 'bogus'")
+        assert all(repr(name) in err for name in cli._COMMANDS)
+
+
 class TestGenCorpusAndTrain:
     def test_gen_corpus_layout(self, tmp_path):
         out = tmp_path / "corpus"

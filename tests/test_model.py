@@ -370,10 +370,14 @@ class TestBatchedForward:
 
 
 def layer_cases():
-    """(id, cell) for the four production LSTM shapes and every tiny-net LSTM."""
+    """(id, cell) for the four production LSTM shapes, every tiny-net LSTM,
+    and one LSTM over 29-dim input for each hidden size 1..7."""
     for name, net in (("production", model.init_params(0, 5)), ("tiny", tiny_net(seed=9))):
         for n, cell in enumerate(net.lstms, start=1):
             yield f"{name}-lstm{n}-{cell.hidden_size}x{cell.input_size}", cell
+    for hid in range(1, 8):
+        cell = model.init_params(hid, 5, ArchConfig(use_conv=False, lstm_sizes=(hid,))).lstms[0]
+        yield f"hidden{hid}-{hid}x{cell.input_size}", cell
 
 
 LAYERS = dict(layer_cases())
@@ -382,26 +386,48 @@ LAYERS = dict(layer_cases())
 class TestLayerBackwardBits:
     """Forward and backward of one layer against the per-step oracles, bit for bit."""
 
-    @pytest.mark.parametrize("t_len", [1, 2, 73, 137])
-    @pytest.mark.parametrize("layer", list(LAYERS))
-    def test_matches_reference(self, layer, t_len):
-        cell = LAYERS[layer]
+    def check_backward(self, cell, x, cache, rng):
         hid = cell.hidden_size
-        rng = np.random.default_rng(t_len)
-        x = rng.standard_normal((t_len, cell.input_size))
-        dh_seq = rng.standard_normal((t_len, hid))
+        dh_seq = rng.standard_normal((len(x), hid))
         h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
         h_prev = np.vstack([np.zeros((1, hid)), h_ref])[:-1]
         want = zero_cell(hid, cell.input_size)
         dx_want = reference_lstm_backward(
             cell, model._LstmCache(x=x, h_prev=h_prev, gates=gates_ref, c=c_ref), dh_seq, want
         )
-        _, (cache,) = model._lstm_forward(cell, [x])
         got = zero_cell(hid, cell.input_size)
         dx = model._lstm_backward(cell, cache, dh_seq, got)
         assert np.array_equal(dx, dx_want)
         assert np.array_equal(got.W, want.W)
         assert np.array_equal(got.b, want.b)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 73, 137])
+    @pytest.mark.parametrize("layer", list(LAYERS))
+    def test_matches_reference(self, layer, t_len):
+        # one sequence: every step runs a single-sequence segment
+        cell = LAYERS[layer]
+        rng = np.random.default_rng(t_len)
+        x = rng.standard_normal((t_len, cell.input_size))
+        _, (cache,) = model._lstm_forward(cell, [x])
+        self.check_backward(cell, x, cache, rng)
+
+    @pytest.mark.parametrize("lengths", [[9, 2], [2, 9], [40, 1, 1], [1, 40, 1]])
+    @pytest.mark.parametrize(
+        "layer", ["production-lstm1-128x32", "production-lstm3-64x128", "tiny-lstm4-3x3", "hidden1-1x29"]
+    )
+    def test_longest_running_alone_matches_reference(self, layer, lengths):
+        # the longest sequence runs its last steps as a single-sequence
+        # segment after the shorter ones stop
+        cell = LAYERS[layer]
+        rng = np.random.default_rng(len(lengths))
+        xs = [rng.standard_normal((t, cell.input_size)) for t in lengths]
+        hs, caches = model._lstm_forward(cell, xs)
+        for x, h, cache in zip(xs, hs, caches):
+            h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(cache.c, c_ref)
+            assert np.array_equal(cache.gates, gates_ref)
+            self.check_backward(cell, x, cache, rng)
 
 
 def scalar_loss(net, feats, truth, cfg):

@@ -30,6 +30,8 @@ def test_output_digest_covers_every_output():
         "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "mfcc.lsf1", "traj.csv",
         "objs/frame_0000.obj", "ablation/corpus.jsonl", "stdout:train-lstm-batch3", "lstm.lsn1",
         "stdout:infer-8k", "8000.lsa1", "stdout:infer-48k", "48000.lsa1",
+        *(f"float64:{rate}.{stage}" for rate in (8000, 16000, 44100, 48000)
+          for stage in ("resampled", "mfcc", "surrogate", "forward")),
     ):
         assert name in digests
 
@@ -62,3 +64,35 @@ def test_plot_trajectory_writes_png(tmp_path):
     proc = plot(truth, pred, "-o", tmp_path / "curves.png")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "curves.png").read_bytes().startswith(b"\x89PNG")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_seed_list():
+    ab = load_script("ab_pairs")
+    assert ab.seed_list("100-103") == [100, 101, 102, 103]
+    assert ab.seed_list("3,5-6,9") == [3, 5, 6, 9]
+
+
+def test_ab_pairs_summary_counts_wins_and_claims():
+    ab = load_script("ab_pairs")
+
+    def run(rtf, frames, failed=0):
+        metrics = {"rtf_p50": {"value": rtf}, "train_frames_per_s": {"value": frames}, "val_loss_final": {"value": 0.5}}
+        return {"failed": failed, "metrics": metrics}
+
+    # rtf wins 9 of 10 by far more than the parent's spread; frames/s wins 5
+    pairs = [(run(0.010 + 0.0001 * n, 100.0), run(0.008 if n else 0.011, 100.0 + (-1) ** n)) for n in range(10)]
+    pairs[3] = (pairs[3][0], run(0.008, 99.0, failed=2))
+    better = {"rtf_p50": "lower", "train_frames_per_s": "higher", "val_loss_final": "lower"}
+    lines = ab.summarize(pairs, better)
+    rows = {line.split()[0]: line.split() for line in lines[1:-1]}
+    assert rows["rtf_p50"][-3:] == ["9/10", "0", "yes"]
+    assert rows["train_frames_per_s"][-3:] == ["5/10", "0", "no"]
+    assert rows["val_loss_final"][-3:] == ["0/10", "10", "no"]
+    assert lines[-1] == "failed operations: parent 0, change 2"
