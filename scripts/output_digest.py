@@ -68,7 +68,7 @@ CHAIN = [
 ]
 
 
-RATES = (8000, 16000, 44100, 48000)  # of the input WAVs, one "{rate}.wav" each
+RATES = (8000, 11025, 16000, 22050, 44100, 48000)  # of the input WAVs, one "{rate}.wav" each
 
 
 def sha256(data: bytes) -> str:
@@ -79,7 +79,7 @@ def float64_stages(wav_path, net):
     """(stage name, float64 array) for each step of infer's path from a WAV to the network output."""
     w = audio.load_wav(wav_path)
     if w.sample_rate != audio.CANONICAL_RATE:
-        w = audio.resample(w, audio.CANONICAL_RATE)
+        w = audio.resample(w)
     frames = audio.mfcc(w)
     seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(0))
     out = model.forward(net, seq)

@@ -7,6 +7,7 @@ mel filters spanning 0-8000 Hz, and 13 cepstral coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -44,12 +45,12 @@ _GROUP = 32
 # temporaries scale with it. Bounds memory at coprime rates, whose
 # phases number up to 16000.
 _BLOCK_BYTES = 1 << 20
-# Kernel matrices kept across resample calls, least recently used dropped
-# first, up to this many bytes in all. They are kept only when all phases of
-# a call fit one block: a coprime rate's grow with its output (16000 phases
-# for a second) and are rebuilt each call.
-_TABLE_CACHE_BYTES = 1 << 21
-_TABLES: dict = {}  # (source rate, target rate, first phase, end phase) -> (starts, mats)
+# Kernel tables kept across resample calls, least recently used dropped
+# first: enough for the common standard rates, each table 13-292 KB, and at
+# most _TABLE_CACHE_SIZE * _BLOCK_BYTES (8 MiB) in all. A table is kept only
+# when one block holds all of a call's phases: a coprime rate's grow with its
+# output (16000 phases for a second) and are rebuilt each call.
+_TABLE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -144,32 +145,29 @@ def save_wav(w: Waveform, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _kaiser_window(u: np.ndarray, beta: float) -> np.ndarray:
+def _kaiser_window(u: np.ndarray) -> np.ndarray:
     # Continuous Kaiser window on u in [-1, 1], zero outside.
     inside = np.clip(1.0 - u * u, 0.0, None)
-    return np.where(np.abs(u) <= 1.0, np.i0(beta * np.sqrt(inside)) / np.i0(beta), 0.0)
+    return np.where(np.abs(u) <= 1.0, np.i0(_KAISER_BETA * np.sqrt(inside)) / np.i0(_KAISER_BETA), 0.0)
 
 
-def _phase_table(source_rate, target_rate, p0, p1, group, n_taps, width, keep):
-    """Padded kernel matrices of phases p0..p1-1 for one rate pair.
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _phase_table(source_rate, p0, p1, group, n_taps, width):
+    """Padded kernel matrices of phases p0..p1-1 from ``source_rate`` to 16 kHz.
 
     Returns (starts, mats), both read-only. Group k holds phases
     p0 + group*k onward, none of whose windows starts before input sample
     starts[k]. mats[k, j] is the Kaiser-windowed sinc row of the group's
     phase j, placed at that phase's first input sample within the group's
-    ``width`` samples and zero elsewhere. Kept in ``_TABLES`` when ``keep``.
+    ``width`` samples and zero elsewhere.
     """
-    key = (source_rate, target_rate, p0, p1)
-    if key in _TABLES:
-        _TABLES[key] = _TABLES.pop(key)  # most recently used last
-        return _TABLES[key]
-    ratio = target_rate / source_rate
+    ratio = CANONICAL_RATE / source_rate
     cutoff = min(1.0, ratio)
     half = _SINC_CROSSINGS / cutoff
     centers = np.arange(p0, p1) / ratio
     first = np.ceil(centers - half).astype(np.int64)
     delta = centers[:, None] - (first[:, None] + np.arange(n_taps))
-    table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half, _KAISER_BETA)
+    table = cutoff * np.sinc(cutoff * delta) * _kaiser_window(delta / half)
     starts = first[::group].copy()
     # Flat index of each row's first tap: its row, plus its offset in the group.
     row_firsts = np.arange(0, (p1 - p0) * width, width) + first - starts.repeat(group)[: p1 - p0]
@@ -177,16 +175,11 @@ def _phase_table(source_rate, target_rate, p0, p1, group, n_taps, width, keep):
     mats.reshape(-1)[row_firsts[:, None] + np.arange(n_taps)] = table
     starts.setflags(write=False)
     mats.setflags(write=False)
-    size = starts.nbytes + mats.nbytes
-    if keep and size <= _TABLE_CACHE_BYTES:
-        while sum(a.nbytes + b.nbytes for a, b in _TABLES.values()) + size > _TABLE_CACHE_BYTES:
-            del _TABLES[next(iter(_TABLES))]
-        _TABLES[key] = starts, mats
     return starts, mats
 
 
-def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Band-limited sample-rate conversion with a Kaiser-windowed sinc kernel.
+def resample(w: Waveform) -> Waveform:
+    """Band-limited conversion to ``CANONICAL_RATE`` with a Kaiser-windowed sinc kernel.
 
     The output has exactly round(n * target/source) samples, so duration is
     preserved to within one sample period. Downsampling low-passes at the
@@ -202,18 +195,16 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     input that BLAS reads in place. One product of those views with the
     group's padded kernel matrix gives the group's outputs.
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if w.sample_rate == target_rate:
+    if w.sample_rate == CANONICAL_RATE:
         return w
 
     x = np.ascontiguousarray(w.samples, dtype=np.float64)
     n_in = len(x)
-    ratio = target_rate / w.sample_rate
+    ratio = CANONICAL_RATE / w.sample_rate
     n_out = int(round(n_in * ratio))
-    g = math.gcd(w.sample_rate, target_rate)
-    scale = -(-_GROUP // (target_rate // g))
-    up, down = scale * target_rate // g, scale * w.sample_rate // g
+    g = math.gcd(w.sample_rate, CANONICAL_RATE)
+    scale = -(-_GROUP // (CANONICAL_RATE // g))
+    up, down = scale * CANONICAL_RATE // g, scale * w.sample_rate // g
     group = up if up < 2 * _GROUP else _GROUP
     n_taps = int(2 * _SINC_CROSSINGS / min(1.0, ratio)) + 2
     # The windows of a group start within ceil((group-1)*down/up) samples of
@@ -229,9 +220,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     block = max(1, _BLOCK_BYTES // (8 * group * width)) * group
     for p0 in range(0, n_phases, block):
         p1 = min(p0 + block, n_phases)
-        starts, mats = _phase_table(
-            w.sample_rate, target_rate, p0, p1, group, n_taps, width, keep=p1 - p0 == n_phases
-        )
+        build = _phase_table if p1 - p0 == n_phases else _phase_table.__wrapped__
+        starts, mats = build(w.sample_rate, p0, p1, group, n_taps, width)
         starts = starts.tolist()
         # Row s of every group and sub-row reads reach samples from starts[0] + stride*s.
         reach = starts[-1] - starts[0] + (m - 1) * down + width
@@ -258,7 +248,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
                     strides=(8 * down, 8 * stride, 8),
                 )
                 np.matmul(windows, mats[k, : g1 - g0].T, out=out[s0:s1, :, g0:g1].transpose(1, 0, 2))
-    return Waveform(samples=out.reshape(-1)[:n_out], sample_rate=int(target_rate))
+    return Waveform(samples=out.reshape(-1)[:n_out], sample_rate=CANONICAL_RATE)
 
 
 def _mel_filterbank() -> np.ndarray:
@@ -380,5 +370,5 @@ def mfcc_from_wav(path) -> MfccFrames:
     """The WAV front end: load, resample to 16 kHz when needed, MFCC."""
     w = load_wav(path)
     if w.sample_rate != CANONICAL_RATE:
-        w = resample(w, CANONICAL_RATE)
+        w = resample(w)
     return mfcc(w)

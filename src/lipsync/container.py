@@ -74,15 +74,15 @@ class Format:
                 raise FileFormatError(f"bad magic, expected {self.magic.decode()}", path=str(path), offset=0)
             yield fh, size, struct.unpack_from(self.header, head, len(self.magic))
 
-    def array(self, fh, size: int, path, dtype: str, shape: tuple) -> np.ndarray:
-        """The payload after the header, read into a new non-empty, finite array of ``shape``."""
+    def array(self, fh, size: int, path, shape: tuple) -> np.ndarray:
+        """The float32 payload after the header, read into a new non-empty, finite array of ``shape``."""
         start = self.header_size
-        expected = start + np.dtype(dtype).itemsize * math.prod(shape)
+        expected = start + 4 * math.prod(shape)
         if size != expected:
             message = f"payload size mismatch: expected {expected} bytes, found {size}"
             raise FileFormatError(message, path=str(path), offset=min(size, expected))
         if expected == start:
             raise FileFormatError(f"empty payload, header shape {shape}", path=str(path), offset=start)
-        values = read_into(fh, np.empty(shape, dtype=dtype), path, start)
+        values = read_into(fh, np.empty(shape, dtype="<f4"), path, start)
         check_finite(path, [(start, values)])
         return values

@@ -72,22 +72,20 @@ class SurrogateProvider:
         return cls(projection=projection, bias=bias)
 
 
-def resample_features(data: np.ndarray, source_rate: float, duration: float | None = None) -> np.ndarray:
-    """Linear time interpolation of feature rows onto the FEATURE_FPS frame grid.
+def resample_features(data: np.ndarray, duration: float) -> np.ndarray:
+    """Linear time interpolation of MFCC_FRAME_RATE feature rows onto the FEATURE_FPS frame grid.
 
     Output row k is the source signal evaluated at time k / FEATURE_FPS,
-    clamped to the source's frame range, for k = 0 .. round(FEATURE_FPS * T)-1
-    where T defaults to n_rows / source_rate. Rows on the probability simplex
-    stay on it: every output row is a convex combination of two inputs.
+    clamped to the source's frame range, for k = 0 .. round(FEATURE_FPS * duration)-1.
+    Rows on the probability simplex stay on it: every output row is a
+    convex combination of two inputs.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) < 2:
         raise InsufficientFramesError("feature resampling needs at least two rows")
-    if duration is None:
-        duration = len(data) / source_rate
     n_out = int(round(FEATURE_FPS * duration))
     times = np.arange(n_out) / FEATURE_FPS
-    pos = np.clip(times * source_rate, 0.0, len(data) - 1.0)
+    pos = np.clip(times * MFCC_FRAME_RATE, 0.0, len(data) - 1.0)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, len(data) - 1)
     frac = (pos - lo)[:, None]
@@ -126,13 +124,13 @@ def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSeq
     averaged = _context_average(np.asarray(m.frames, dtype=np.float64), _CONTEXT, _CONTEXT)
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
-    data = resample_features(simplex, MFCC_FRAME_RATE, duration=m.source_duration)
+    data = resample_features(simplex, m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.CHAR_PROB_SURROGATE)
 
 
 def mfcc_features(m: MfccFrames) -> FeatureSequence:
     """Raw 13-dim MFCC rows resampled to 60 fps (alternative feature path)."""
-    data = resample_features(np.asarray(m.frames, dtype=np.float64), MFCC_FRAME_RATE, duration=m.source_duration)
+    data = resample_features(np.asarray(m.frames, dtype=np.float64), m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.MFCC_RAW)
 
 
@@ -154,4 +152,4 @@ def load_features(path) -> FeatureSequence:
             kind = FeatureKind(kind_code)
         except ValueError:
             raise FileFormatError(f"unknown feature kind {kind_code}", path=str(path), offset=16)
-        return FeatureSequence(data=_LSF1.array(fh, size, path, "<f4", (t, d)), fps=int(fps), kind=kind)
+        return FeatureSequence(data=_LSF1.array(fh, size, path, (t, d)), fps=int(fps), kind=kind)

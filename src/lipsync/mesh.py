@@ -81,6 +81,8 @@ def load_landmarks(path) -> tuple[np.ndarray, np.ndarray]:
             indices.append(int(text))
         except ValueError:
             raise MeshParseError(f"bad landmark index {text!r}", path=str(path), line=lineno)
+        if not -(2**63) <= indices[-1] < 2**63:
+            raise MeshParseError(f"landmark index {text} outside int64", path=str(path), line=lineno)
         lip.append(is_lip)
     return np.asarray(indices, dtype=int), np.asarray(lip, dtype=bool)
 
@@ -177,4 +179,4 @@ def save_anim(d: DisplacementSequence, path) -> None:
 def load_anim(path) -> DisplacementSequence:
     path = Path(path)
     with _LSA1.open(path) as (fh, size, (t, v, fps)):
-        return DisplacementSequence(frames=_LSA1.array(fh, size, path, "<f4", (t, v, 3)), fps=int(fps))
+        return DisplacementSequence(frames=_LSA1.array(fh, size, path, (t, v, 3)), fps=int(fps))

@@ -122,8 +122,8 @@ class CorpusItem:
     id: str
     features: str  # path relative to the manifest
     anim: str
-    duration: float
     split: str
+    duration: float | None = None  # seconds; written by generate_corpus, not read back
 
 
 @dataclass
@@ -154,7 +154,7 @@ class CorpusManifest:
                 text = {key: rec[key] for key in ("id", "features", "anim", "split")}
                 if not all(isinstance(value, str) for value in text.values()):
                     raise TypeError("id, features, anim and split must be strings")
-                items.append(CorpusItem(duration=float(rec["duration"]), **text))
+                items.append(CorpusItem(**text))
             except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object, or a non-string field
                 raise FileFormatError(f"bad manifest line: {exc}", path=str(path), line=lineno)
         ids = [item.id for item in items]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_lsn1
+from conftest import mutate, write_lsn1
 from lipsync import audio, cli, features, mesh, model, synthdata, training
 from lipsync.errors import UsageError
 from lipsync.features import FeatureKind
@@ -632,9 +632,9 @@ class _Inputs:
             "--landmarks", landmarks or self.landmarks, "--out", str(self.out), *scorer, *flags,
         ]
 
-    def traj(self, *flags):
+    def traj(self, *flags, landmarks=None):
         return [
-            "traj", "--anim", self.anim, "--template", self.template, "--landmarks", self.landmarks,
+            "traj", "--anim", self.anim, "--template", self.template, "--landmarks", landmarks or self.landmarks,
             "--out", str(self.out), *flags,
         ]
 
@@ -644,11 +644,16 @@ class _Inputs:
     def features(self, *flags):
         return ["features", "--wav", self.wav(), "--out", str(self.out), *flags]
 
-    def export_obj_seq(self, *flags, checkpoint=None):
+    def export_obj_seq(self, *flags, checkpoint=None, landmarks=None):
         return [
             "export-obj-seq", "--checkpoint", checkpoint or self.checkpoint(), "--wav", self.wav(),
-            "--template", self.template, "--landmarks", self.landmarks, "--out", str(self.out), *flags,
+            "--template", self.template, "--landmarks", landmarks or self.landmarks, "--out", str(self.out), *flags,
         ]
+
+    def huge_landmark(self) -> str:
+        """The sidecar with an index one past the int64 range on its second line."""
+        lines = Path(self.landmarks).read_text().splitlines(keepends=True)
+        return self.file("lm.txt", "".join([lines[0], f"lip:{2**63}\n", *lines[1:]]).encode())
 
 
 def _lsn1_one_tensor(i, dims, payload=b""):
@@ -688,9 +693,6 @@ MALFORMED = {
     "manifest-line-not-object": (
         2, "m.jsonl: bad manifest line", lambda i: i.eval(manifest=i.file("m.jsonl", b"[1, 2]\n"))
     ),
-    "manifest-duration-not-number": (
-        2, "(line 1)", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i, duration="abc")))
-    ),
     "manifest-path-not-string": (
         2, "(line 1)", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i, features=None)))
     ),
@@ -700,6 +702,15 @@ MALFORMED = {
     "obj-nan-vertex": (2, "h.obj: non-finite vertex", lambda i: i.eval(template=i.file("h.obj", b"v 0 nan 0\n"))),
     "obj-not-utf8": (2, "(line 2)", lambda i: i.eval(template=i.file("h.obj", b"v 0 0 0\n\xff 1 1\n"))),
     "landmarks-not-utf8": (2, "lm.txt: not UTF-8", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\n\xfe\n"))),
+    # numpy holds landmark indices as int64
+    **{
+        f"{command}-landmark-index-above-int64": (2, f"lm.txt: landmark index {2**63} outside int64 (line 2)", argv)
+        for command, argv in (
+            ("eval", lambda i: i.eval(landmarks=i.huge_landmark())),
+            ("traj", lambda i: i.traj(landmarks=i.huge_landmark())),
+            ("export-obj-seq", lambda i: i.export_obj_seq(landmarks=i.huge_landmark())),
+        )
+    },
     "config-not-utf8": (1, "c.cfg: not UTF-8", lambda i: i.train("--config", i.file("c.cfg", b"epochs = 1\n\xff\n"))),
     "gen-corpus-seed-negative": (1, "--seed must be >= 0", lambda i: i.gen_corpus("--seed=-1")),
     "features-seed-negative": (1, "--seed must be >= 0", lambda i: i.features("--seed=-1")),
@@ -858,6 +869,83 @@ def test_any_numeric_flag_value_gets_an_exit_code(mini_corpus, tmp_path_factory,
     assert err.getvalue().count("\n") == (1 if code else 0) and "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
 
+
+
+# Up to four edits of a text input: a byte XORed, the tail cut, bytes
+# appended, a run of digits or an integer past int64 spliced in, or a line
+# duplicated or dropped.
+TEXT_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+        st.tuples(
+            st.just("splice"),
+            st.integers(0, 2**16),
+            st.one_of(st.text("0123456789", min_size=1, max_size=40), st.integers(min_value=2**63).map(str)),
+        ),
+        st.tuples(st.sampled_from(["duplicate", "drop"]), st.integers(0, 2**16)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate_text(raw: bytes, mutations) -> bytes:
+    """``raw`` after each edit of ``TEXT_MUTATIONS``, applied in order."""
+    for kind, *arg in mutations:
+        if kind == "splice":
+            at = arg[0] % (len(raw) + 1)
+            raw = raw[:at] + arg[1].encode() + raw[at:]
+        elif kind in ("duplicate", "drop"):
+            lines = raw.splitlines(keepends=True)
+            if lines:
+                at = arg[0] % len(lines)
+                lines[at : at + 1] = [lines[at]] * (2 if kind == "duplicate" else 0)
+                raw = b"".join(lines)
+        else:
+            raw = mutate(raw, [(kind, *arg)], ())
+    return raw
+
+
+# Each text input, by the _Inputs attribute that holds its path, and the
+# commands that read it; train reads the config file through --config.
+_TRAIN_CONFIG = b"lr = 0.001\nbatch_size = 2\nw_pos = 1.0\nw_vel = 0.5\nseed = 3\nclip_norm = 5.0\n"
+TEXT_INPUTS = [
+    ("manifest", "eval"), ("manifest", "train"),
+    ("template", "eval"), ("template", "traj"), ("template", "export-obj-seq"),
+    ("landmarks", "eval"), ("landmarks", "traj"), ("landmarks", "export-obj-seq"),
+    ("config", "train"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.sampled_from(TEXT_INPUTS), mutations=TEXT_MUTATIONS)
+@example(target=("landmarks", "eval"), mutations=[("splice", 4, str(10**30))])
+@example(target=("landmarks", "traj"), mutations=[("splice", 4, str(2**63))])
+@example(target=("config", "train"), mutations=[("splice", 5, "9" * 40)])
+def test_any_mutated_text_input_gets_an_exit_code(mini_corpus, tmp_path_factory, target, mutations):
+    attr, command = target
+    inputs = _Inputs(mini_corpus, tmp_path_factory.mktemp("text"))
+    for folder in ("features", "anims"):  # the mutated manifest's paths resolve next to it
+        (inputs.tmp / folder).symlink_to(inputs.root / folder)
+    inputs.config = inputs.file("train.cfg", _TRAIN_CONFIG)
+    mutated = mutate_text(Path(getattr(inputs, attr)).read_bytes(), mutations)
+    setattr(inputs, attr, inputs.file(f"mutated-{attr}", mutated))
+    argv = {
+        "eval": inputs.eval(),
+        "train": inputs.train("--config", inputs.config),
+        "traj": inputs.traj(),
+        "export-obj-seq": inputs.export_obj_seq(),
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 def test_module_entry_point(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])

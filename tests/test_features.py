@@ -96,27 +96,27 @@ class TestContextAverage:
 class TestResampleFeatures:
     def test_constant_rows_stay_constant(self):
         data = np.tile([1.5, -2.0, 0.25], (10, 1))
-        out = features.resample_features(data, source_rate=100.0)
+        out = features.resample_features(data, 0.1)
         assert out.shape == (6, 3)
         assert np.allclose(out, data[0], atol=1e-12)
 
     def test_one_second_at_100hz_gives_60_rows(self):
-        out = features.resample_features(np.random.default_rng(0).random((100, 4)), 100.0)
+        out = features.resample_features(np.random.default_rng(0).random((100, 4)), 1.0)
         assert len(out) == 60
 
     def test_two_rows_linear_interpolation(self):
-        # rows 0 and 1 at 2 Hz: time midpoint of the pair is 0.25 s = frame 15
-        data = np.array([[0.0], [1.0]])
-        out = features.resample_features(data, source_rate=2.0)
-        assert len(out) == 60
-        assert abs(out[15, 0] - 0.5) < 1e-9
+        # rows at 100 Hz: frame 1 (1/60 s) lies 2/3 of the way from row 1 to row 2
+        data = np.array([[0.0], [1.0], [3.0]])
+        out = features.resample_features(data, 0.1)
+        assert len(out) == 6
+        assert abs(out[1, 0] - (1.0 + 2.0 * 2 / 3)) < 1e-9
         assert out[0, 0] == 0.0
         # frames past the last source time clamp to the final row
-        assert np.all(out[30:, 0] == 1.0)
+        assert np.all(out[2:, 0] == 3.0)
 
     def test_needs_two_rows(self):
         with pytest.raises(InsufficientFramesError):
-            features.resample_features(np.ones((1, 4)), 100.0)
+            features.resample_features(np.ones((1, 4)), 0.01)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), rows=st.integers(2, 40))
@@ -124,7 +124,7 @@ class TestResampleFeatures:
         rng = np.random.default_rng(seed)
         raw = rng.random((rows, 7)) + 1e-3
         simplex = raw / raw.sum(axis=1, keepdims=True)
-        out = features.resample_features(simplex, source_rate=100.0)
+        out = features.resample_features(simplex, rows / 100)
         if len(out):
             assert out.min() >= 0.0
             assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)

@@ -29,8 +29,8 @@ def test_output_digest_covers_every_output():
         "stdout:train", "stdout:eval-test-self-test", "stdout:export-obj-seq", "corpus/corpus.jsonl",
         "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "mfcc.lsf1", "traj.csv",
         "objs/frame_0000.obj", "ablation/corpus.jsonl", "stdout:train-lstm-batch3", "lstm.lsn1",
-        "stdout:infer-8k", "8000.lsa1", "stdout:infer-48k", "48000.lsa1",
-        *(f"float64:{rate}.{stage}" for rate in (8000, 16000, 44100, 48000)
+        "stdout:infer-8k", "8000.lsa1", "stdout:infer-48k", "48000.lsa1", "11025.wav", "22050.wav",
+        *(f"float64:{rate}.{stage}" for rate in (8000, 11025, 16000, 22050, 44100, 48000)
           for stage in ("resampled", "mfcc", "surrogate", "forward")),
     ):
         assert name in digests

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,19 @@ class TestGenerateCorpus:
         assert {i.split for i in manifest.items} == {"train", "val", "test"}
         first = manifest.items[0]
         assert manifest.resolve(first.features).exists()
+
+    @pytest.mark.parametrize("duration", ['"abc"', "true", "1e400", None])
+    def test_manifest_duration_is_not_read(self, mini_corpus, tmp_path, duration):
+        # generate_corpus writes each sentence's duration; loading neither needs nor parses it
+        written = json.loads((mini_corpus["root"] / "corpus.jsonl").read_text().splitlines()[0])
+        assert isinstance(written["duration"], float)
+        del written["duration"]
+        line = json.dumps(written)
+        if duration is not None:
+            line = line[:-1] + f', "duration": {duration}}}'
+        (tmp_path / "m.jsonl").write_text(line + "\n")
+        (item,) = CorpusManifest.load(tmp_path / "m.jsonl").items
+        assert (item.id, item.duration) == (written["id"], None)
 
 
 class TestSynthSpeech:
