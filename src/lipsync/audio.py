@@ -48,8 +48,8 @@ _BLOCK_BYTES = 1 << 20
 # Kernel tables kept across resample calls, least recently used dropped
 # first: enough for the common standard rates, each table 13-292 KB, and at
 # most _TABLE_CACHE_SIZE * _BLOCK_BYTES (8 MiB) in all. A table is kept only
-# when one block holds all of a call's phases: a coprime rate's grow with its
-# output (16000 phases for a second) and are rebuilt each call.
+# when one block holds all of a rate's phases: a coprime rate's number up to
+# 16000 and are rebuilt each call, only those its output uses.
 _TABLE_CACHE_SIZE = 8
 
 
@@ -220,9 +220,11 @@ def resample(w: Waveform) -> Waveform:
     block = max(1, _BLOCK_BYTES // (8 * group * width)) * group
     for p0 in range(0, n_phases, block):
         p1 = min(p0 + block, n_phases)
-        build = _phase_table if p1 - p0 == n_phases else _phase_table.__wrapped__
-        starts, mats = build(w.sample_rate, p0, p1, group, n_taps, width)
-        starts = starts.tolist()
+        if up <= block:  # one table holds every phase: built once per rate, also for a short output
+            starts, mats = _phase_table(w.sample_rate, 0, up, group, n_taps, width)
+        else:
+            starts, mats = _phase_table.__wrapped__(w.sample_rate, p0, p1, group, n_taps, width)
+        starts = starts[: -(-(p1 - p0) // group)].tolist()  # the groups of phases p0..p1-1
         # Row s of every group and sub-row reads reach samples from starts[0] + stride*s.
         reach = starts[-1] - starts[0] + (m - 1) * down + width
         inner_lo = min(n_rows, max(0, -(starts[0] // stride)))

@@ -316,33 +316,22 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names=_COMMANDS) -> _Parser:
-    """The lipsync parser with the subcommands ``names``."""
-    parser = _Parser(prog="lipsync", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in names:
-        help_line, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
-    return parser
-
-
 @functools.cache
-def _command_parser(name: str) -> _Parser:
-    """The lipsync parser holding subcommand ``name`` alone, built once per
-    process: at most one cached parser per entry of ``_COMMANDS``.
+def _parser() -> _Parser:
+    """The lipsync parser, built on the first call and kept for the process.
 
     Parsing reads a parser and never changes it: each call starts from a
     fresh namespace filled with the declared defaults.
     """
-    return _build_parser((name,))
+    parser = _Parser(prog="lipsync", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
+    return parser
 
 
 def run(argv) -> int:
-    # Building a subcommand's parser costs more than most requests' other
-    # fixed work, so only the invoked one is built, and only on its first
-    # call. Without a known command (--help, a typo, nothing) every one is,
-    # for the full help and choices.
-    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
+    parser = _parser()
     try:
         try:
             args = parser.parse_args(argv)

@@ -42,6 +42,10 @@ CHECKPOINT_MAGIC = b"LSN1"
 _LSN1 = Format(CHECKPOINT_MAGIC, "<II")  # V, tensor count
 GATES = "fioC"  # row-block order of the fused LSTM gate matrix
 DENSE_LAYERS = (("fc1", "tanh"), ("fc2", "linear"), ("decoder", "linear"))
+# Every network reads CHAR_PROB_DIM-wide input. With ArchConfig.use_conv it
+# starts with _N_CONV temporal convolutions of kernel width _CONV_KERNEL.
+_N_CONV = 2
+_CONV_KERNEL = 5
 
 
 @dataclass
@@ -50,18 +54,6 @@ class Conv1dParams:
 
     kernels: np.ndarray
     bias: np.ndarray
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.kernels.shape[2]
 
 
 @dataclass
@@ -95,9 +87,7 @@ class DenseParams:
 class ArchConfig:
     """Shape knobs; the defaults are the production preset."""
 
-    feature_dim: int = CHAR_PROB_DIM
     conv_channels: int = 32
-    conv_kernel: int = 5
     lstm_sizes: tuple[int, ...] = (128, 128, 64, 64)
     fc1_size: int = 128
     embedding_size: int = 50
@@ -141,12 +131,12 @@ def _layout(arch: ArchConfig, vertex_count: int) -> list[tuple]:
     Conv, LSTM, then dense layers, each weight before its bias: the tensor
     order of the LSN1 checkpoint.
     """
-    n_conv = 2 if arch.use_conv else 0
+    n_conv = _N_CONV if arch.use_conv else 0
     n_lstm = len(arch.lstm_sizes)
-    widths = [arch.feature_dim, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
+    widths = [CHAR_PROB_DIM, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
     widths += [arch.fc1_size, arch.embedding_size, 3 * vertex_count]
     io = list(zip(widths[:-1], widths[1:]))
-    shapes = [s for i, o in io[:n_conv] for s in ((o, i, arch.conv_kernel), (o,))]
+    shapes = [s for i, o in io[:n_conv] for s in ((o, i, _CONV_KERNEL), (o,))]
     shapes += [s for i, h in io[n_conv : n_conv + n_lstm] for s in ((4 * h, h + i), (4 * h,))]
     shapes += [s for i, o in io[n_conv + n_lstm :] for s in ((o, i), (o,))]
     return shapes
@@ -160,7 +150,7 @@ def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
         flat = np.zeros(bounds[-1])
     views = iter([flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)])
     return NetworkParams(
-        convs=[Conv1dParams(next(views), next(views)) for _ in range(2 if arch.use_conv else 0)],
+        convs=[Conv1dParams(next(views), next(views)) for _ in range(_N_CONV if arch.use_conv else 0)],
         lstms=[LstmCellParams(next(views), next(views)) for _ in arch.lstm_sizes],
         dense=[DenseParams(next(views), next(views), act) for _, act in DENSE_LAYERS],
         vertex_count=vertex_count,
@@ -185,7 +175,8 @@ def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -
         arr[...] = rng.uniform(-limit, limit, size=arr.shape)
 
     for conv in net.convs:
-        glorot(conv.kernels, conv.in_channels * conv.width, conv.out_channels * conv.width)
+        out_ch, in_ch, k = conv.kernels.shape
+        glorot(conv.kernels, in_ch * k, out_ch * k)
     for cell in net.lstms:
         glorot(cell.W, cell.W.shape[1], cell.hidden_size)
         cell.b[: cell.hidden_size] = 1.0  # keeps long-range memory open early in training
@@ -312,22 +303,22 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
 
 def _conv_forward(p: Conv1dParams, x: np.ndarray):
     t_len, in_ch = x.shape
-    if in_ch != p.in_channels:
-        raise ShapeError(f"conv expects {p.in_channels} channels, got {in_ch}")
-    k = p.width
+    out_ch, expected, k = p.kernels.shape
+    if in_ch != expected:
+        raise ShapeError(f"conv expects {expected} channels, got {in_ch}")
     pad = (k - 1) // 2
     xp = np.zeros((t_len + k - 1, in_ch))
     xp[pad : pad + t_len] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, in_ch, k)
     flat = windows.reshape(t_len, in_ch * k)
-    pre = flat @ p.kernels.reshape(p.out_channels, in_ch * k).T + p.bias
+    pre = flat @ p.kernels.reshape(out_ch, in_ch * k).T + p.bias
     y = np.maximum(pre, 0.0)
     return y, (xp, flat, pre > 0.0)
 
 
 def _conv_backward(p: Conv1dParams, cache, dy: np.ndarray, grad: Conv1dParams):
     xp, flat, mask = cache
-    k = p.width
+    k = p.kernels.shape[2]
     pad = (k - 1) // 2
     t_len = len(dy)
     dpre = dy * mask
@@ -376,12 +367,10 @@ class ForwardCache:
     out_shape: tuple
 
 
-def _input(net: NetworkParams, feats: FeatureSequence) -> np.ndarray:
+def _input(feats: FeatureSequence) -> np.ndarray:
     x = np.asarray(feats.data, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.arch.feature_dim:
-        raise ShapeError(
-            f"network expects T x {net.arch.feature_dim} features, got {x.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != CHAR_PROB_DIM:
+        raise ShapeError(f"network expects T x {CHAR_PROB_DIM} features, got {x.shape}")
     return x
 
 
@@ -406,14 +395,14 @@ def _displacements(net: NetworkParams, y: np.ndarray, feats: FeatureSequence) ->
 def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
     """Run the network over a feature sequence and keep the tape for backward."""
     tapes = []
-    (y,) = _run_layers(net, [_input(net, feats)], tapes)
+    (y,) = _run_layers(net, [_input(feats)], tapes)
     out = _displacements(net, y, feats)
     return out, ForwardCache(layers=[tape for (tape,) in tapes], out_shape=out.frames.shape)
 
 
 def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
     """Vertex displacements for a feature sequence, one pose per input frame."""
-    (y,) = _run_layers(net, [_input(net, feats)])
+    (y,) = _run_layers(net, [_input(feats)])
     return _displacements(net, y, feats)
 
 
@@ -425,7 +414,7 @@ def forward_batch(net: NetworkParams, seqs):
     """
     seqs = iter(seqs)
     while chunk := list(itertools.islice(seqs, _CHUNK)):
-        ys = _run_layers(net, [_input(net, feats) for feats in chunk])
+        ys = _run_layers(net, [_input(feats) for feats in chunk])
         yield from (_displacements(net, y, feats) for y, feats in zip(ys, chunk))
 
 
@@ -543,27 +532,20 @@ def _read_table(fh, size: int, n_tensors: int, path) -> dict:
 
 def _arch_from_dims(dims: dict, path: str) -> ArchConfig:
     """The architecture that LSN1 tensors of these dims describe."""
-    def dim(name, axis):
+    # Only row counts vary; another input or kernel width fails the layout.
+    def rows(name):
         if name not in dims:
             raise FileFormatError(f"missing tensor {name}", path=path)
-        if len(dims[name]) <= axis:
-            raise FileFormatError(f"tensor {name} has shape {dims[name]}", path=path)
-        return dims[name][axis]
+        return dims[name][0]
 
     use_conv = "conv1.kernels" in dims
     n_lstm = 0
     while f"lstm{n_lstm + 1}.W_f" in dims:
         n_lstm += 1
-    if use_conv:
-        feature_dim = dim("conv1.kernels", 1)
-    else:  # clamped at 0 so that a too narrow lstm1.W_f fails the shape check
-        feature_dim = max(dim("lstm1.W_f", 1) - dim("lstm1.W_f", 0), 0)
     return ArchConfig(
-        feature_dim=feature_dim,
-        conv_channels=dim("conv1.kernels", 0) if use_conv else ArchConfig.conv_channels,
-        conv_kernel=dim("conv1.kernels", 2) if use_conv else ArchConfig.conv_kernel,
-        lstm_sizes=tuple(dim(f"lstm{n}.W_f", 0) for n in range(1, n_lstm + 1)),
-        fc1_size=dim("fc1.weight", 0),
-        embedding_size=dim("fc2.weight", 0),
+        conv_channels=rows("conv1.kernels") if use_conv else ArchConfig.conv_channels,
+        lstm_sizes=tuple(rows(f"lstm{n}.W_f") for n in range(1, n_lstm + 1)),
+        fc1_size=rows("fc1.weight"),
+        embedding_size=rows("fc2.weight"),
         use_conv=use_conv,
     )

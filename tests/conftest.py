@@ -34,6 +34,26 @@ def tiny_net(seed=0, vertices=5, use_conv=True):
     return model.init_params(seed, vertices, TINY_ARCH if use_conv else TINY_ARCH_NO_CONV)
 
 
+# Tiny networks whose LSN1 files are consistent with an input 13 wide
+# (through conv1 or, without convs, lstm1) or with 3-wide conv kernels.
+OTHER_WIDTHS = ["conv-13-wide", "lstm-13-wide", "kernel-3"]
+
+
+def other_width_tensors(defect):
+    """(name bytes, array) pairs of a tiny network with the ``defect`` of
+    ``OTHER_WIDTHS``: no command writes such a file."""
+    named = []
+    for name, arr in tiny_net(use_conv=defect != "lstm-13-wide").items():
+        if defect == "conv-13-wide" and name == "conv1.kernels":
+            arr = arr[:, :13]
+        elif defect == "lstm-13-wide" and name.startswith("lstm1.W_"):
+            arr = arr[:, :-16]
+        elif defect == "kernel-3" and name.endswith(".kernels"):
+            arr = arr[:, :, 1:4]
+        named.append((name.encode(), arr))
+    return named
+
+
 def random_features(rng, t_len, dim=29):
     return features.FeatureSequence(data=rng.standard_normal((t_len, dim)) * 0.5)
 
@@ -94,24 +114,20 @@ def reference_load(path):
         tensors[name] = values
         pos += 8 * count
 
-    def dim(name, axis):
+    def rows(name):
         if name not in tensors:
             raise fail(f"missing tensor {name}")
-        if tensors[name].ndim <= axis:
-            raise fail(f"tensor {name} has shape {tensors[name].shape}")
-        return tensors[name].shape[axis]
+        return tensors[name].shape[0]
 
     use_conv = "conv1.kernels" in tensors
     n_lstm = 0
     while f"lstm{n_lstm + 1}.W_f" in tensors:
         n_lstm += 1
     arch = ArchConfig(
-        feature_dim=dim("conv1.kernels", 1) if use_conv else max(dim("lstm1.W_f", 1) - dim("lstm1.W_f", 0), 0),
-        conv_channels=dim("conv1.kernels", 0) if use_conv else ArchConfig.conv_channels,
-        conv_kernel=dim("conv1.kernels", 2) if use_conv else ArchConfig.conv_kernel,
-        lstm_sizes=tuple(dim(f"lstm{n}.W_f", 0) for n in range(1, n_lstm + 1)),
-        fc1_size=dim("fc1.weight", 0),
-        embedding_size=dim("fc2.weight", 0),
+        conv_channels=rows("conv1.kernels") if use_conv else ArchConfig.conv_channels,
+        lstm_sizes=tuple(rows(f"lstm{n}.W_f") for n in range(1, n_lstm + 1)),
+        fc1_size=rows("fc1.weight"),
+        embedding_size=rows("fc2.weight"),
         use_conv=use_conv,
     )
     if sum(map(math.prod, model._layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):

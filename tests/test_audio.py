@@ -299,6 +299,27 @@ class TestResample:
         assert resample_at(rates[1]).misses == info.misses + 1
         assert audio._phase_table.cache_info().currsize == audio._TABLE_CACHE_SIZE
 
+    def test_short_outputs_share_their_rate_table(self):
+        # outputs shorter than one period (435..537 < up = 640 at 11.025 kHz)
+        # read the rate's one table of every phase, and evict nothing
+        audio._phase_table.cache_clear()
+        rng = np.random.default_rng(5)
+
+        def resample(n, rate):
+            w = audio.Waveform(samples=rng.uniform(-1, 1, n), sample_rate=rate)
+            out = audio.resample(w).samples
+            assert np.abs(out - reference_resample_gather(w).samples).max() <= 1e-13
+            return out
+
+        x = rng.uniform(-1, 1, 4800)
+        first = audio.resample(audio.Waveform(samples=x, sample_rate=48000)).samples
+        for n in range(300, 371, 10):
+            resample(n, 11025)
+        again = audio.resample(audio.Waveform(samples=x, sample_rate=48000)).samples
+        info = audio._phase_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (8, 2, 2)
+        assert np.array_equal(again, first)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(min_value=200, max_value=5000),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate, write_lsn1
+from conftest import OTHER_WIDTHS, mutate, other_width_tensors, write_lsn1
 from lipsync import audio, cli, features, mesh, model, synthdata, training
 from lipsync.errors import UsageError
 from lipsync.features import FeatureKind
@@ -111,19 +111,20 @@ class TestUsageErrors:
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_parser_output_matches_the_full_parser(self, argv, capsys):
-        # run builds only the invoked subcommand; what it prints must be what
-        # a parser holding every subcommand prints
+        # run parses with its cached parser; what it prints must be what a
+        # freshly built one prints
         code = run_cli(*argv)
         printed = capsys.readouterr()
+        fresh = cli._parser.__wrapped__()
         try:
-            args = cli._build_parser().parse_args(argv)
+            args = fresh.parse_args(argv)
         except SystemExit as exc:
             assert (code, printed.out) == (exc.code, capsys.readouterr().out)
         except UsageError as exc:
             assert (code, printed.err) == (1, f"usage error: {exc}\n")
         else:
             assert args.command is None and code == 1
-            cli._build_parser().print_usage(sys.stderr)
+            fresh.print_usage(sys.stderr)
             assert printed.err == capsys.readouterr().err
 
     def test_infer_needs_exactly_one_input(self, tiny_checkpoint, tmp_path):
@@ -151,13 +152,15 @@ class TestDataErrors:
         assert "error" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("defect", ["shape", "name"])
+    @pytest.mark.parametrize("defect", ["shape", "name", *OTHER_WIDTHS])
     def test_malformed_checkpoint_is_exit_2(self, tmp_path, wav_2s, capsys, defect):
         named = [(name.encode(), arr) for name, arr in model.init_params(0, 5).items()]
         if defect == "shape":
             named[0] = (named[0][0], np.zeros((32, 30, 5)))
-        else:
+        elif defect == "name":
             named[0] = (b"conv1.\xffkernels", named[0][1])
+        else:
+            named = other_width_tensors(defect)
         bad = tmp_path / "bad.lsn1"
         write_lsn1(bad, 5, named)
         code = run_cli(
@@ -257,11 +260,11 @@ class TestInfer:
 
 
 class TestCachedParser:
-    """run builds each subcommand's parser once per process; no call may
-    see what an earlier one parsed."""
+    """run builds one parser per process; no call may see what an earlier
+    one parsed."""
 
     def test_flag_does_not_leak_into_the_next_infer(self, tiny_checkpoint, wav_2s, tmp_path):
-        cli._command_parser.cache_clear()
+        cli._parser.cache_clear()
 
         def infer(name, *flags):
             out = tmp_path / name
@@ -272,7 +275,8 @@ class TestCachedParser:
         first = infer("first.lsa1")
         assert infer("seed3.lsa1", "--seed", "3") != first
         assert infer("after.lsa1") == first
-        assert cli._command_parser.cache_info().currsize == 1
+        info = cli._parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_default_epochs_after_an_explicit_count(self, mini_corpus, tmp_path):
         def epochs(name, *flags):
@@ -290,15 +294,19 @@ class TestCachedParser:
         assert epochs("default") == [str(e) for e in range(1, 11)]
 
     def test_full_usage_after_cached_subcommands(self, capsys):
+        cli._parser.cache_clear()
         for name in cli._COMMANDS:
             assert run_cli(name, "--help") == 0
         capsys.readouterr()
         assert run_cli("--help") == 0
-        assert capsys.readouterr().out == cli._build_parser().format_help()
+        assert capsys.readouterr().out == cli._parser.__wrapped__().format_help()
         assert run_cli("bogus") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument command: invalid choice: 'bogus'")
         assert all(repr(name) in err for name in cli._COMMANDS)
+        assert run_cli("infer") == 1
+        info = cli._parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestGenCorpusAndTrain:

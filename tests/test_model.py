@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_ARCH, random_features, reference_load, tiny_net, write_lsn1
+from conftest import (
+    OTHER_WIDTHS,
+    TINY_ARCH,
+    other_width_tensors,
+    random_features,
+    reference_load,
+    tiny_net,
+    write_lsn1,
+)
 from lipsync import model, training
 from lipsync.errors import ConfigError, FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
@@ -580,8 +588,7 @@ class TestCheckpoint:
         model.save_checkpoint(net, tmp_path / "n.lsn1")
         back = model.load_checkpoint(tmp_path / "n.lsn1")
         assert back.convs == []
-        assert back.arch.use_conv is False
-        assert back.arch.feature_dim == 29
+        assert back.arch == ArchConfig(lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6, use_conv=False)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.lsn1").write_bytes(b"WRNG" + b"\x00" * 16)
@@ -620,9 +627,7 @@ class TestCheckpoint:
 
 ARCHS = st.builds(
     ArchConfig,
-    feature_dim=st.integers(1, 6),
     conv_channels=st.integers(1, 4),
-    conv_kernel=st.integers(1, 5),
     lstm_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
     fc1_size=st.integers(1, 5),
     embedding_size=st.integers(1, 4),
@@ -676,6 +681,13 @@ class TestMalformedCheckpoint:
         write_lsn1(tmp_path / "s.lsn1", 5, named)
         with pytest.raises(FileFormatError, match="fc1.weight"):
             model.load_checkpoint(tmp_path / "s.lsn1")
+
+    @pytest.mark.parametrize("defect", OTHER_WIDTHS)
+    def test_other_input_or_kernel_width_refused(self, tmp_path, defect):
+        # the input is always 29 wide and every conv kernel 5
+        write_lsn1(tmp_path / "w.lsn1", 5, other_width_tensors(defect))
+        with pytest.raises(FileFormatError):
+            model.load_checkpoint(tmp_path / "w.lsn1")
 
     def test_decoder_rows_disagree_with_header(self, tmp_path):
         write_lsn1(tmp_path / "v.lsn1", 4, self.named(tiny_net()))

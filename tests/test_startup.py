@@ -1,4 +1,5 @@
-"""Start-up guard: the commands that serve requests never import scipy.
+"""Start-up guard: the commands that serve requests never import scipy, and
+importing the CLI builds no parser.
 
 Importing scipy.fft and scipy.spatial took about 0.4 s of every command's
 start-up. Only gen-corpus needs scipy (the head's convex hull).
@@ -17,7 +18,8 @@ from lipsync import audio, synthdata
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of (name, command line).
-# Prints the exit code of each command and the scipy modules loaded after it.
+# Prints the exit code of each command and the scipy modules loaded after it;
+# for the import, the number of parsers built in place of an exit code.
 _PROBE = """
 import contextlib, io, json, sys
 
@@ -26,7 +28,7 @@ def scipy_modules():
 
 from lipsync import cli
 
-seen = {"import lipsync.cli": [0, scipy_modules()]}
+seen = {"import lipsync.cli": [cli._parser.cache_info().currsize, scipy_modules()]}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         seen[name] = [cli.run(argv), scipy_modules()]
