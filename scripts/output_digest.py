@@ -4,7 +4,9 @@
 Runs gen-corpus, train (conv-lstm at batch size 1, lstm at batch size 3),
 eval, infer, features, traj and export-obj-seq in a temporary directory,
 then builds the ablation corpus, and prints one ``sha256  name`` line for
-each command's stdout and for every file written. For each input WAV it
+each command's stdout and for every file written. The infer requests wait
+until ``net.lsn1`` is old enough for the CLI to keep its network, so all but
+the first reuse the network the first one loaded. For each input WAV it
 also prints the digest of every float64 stage that infer computes: the
 16 kHz samples, the MFCCs, the surrogate features and the network output.
 LSA1 and LSF1 files store float32, so those lines show a change that
@@ -23,6 +25,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # One BLAS thread: a dot product split over threads sums in another order,
@@ -86,12 +89,20 @@ def float64_stages(wav_path, net):
     return [("resampled", w.samples), ("mfcc", frames.frames), ("surrogate", seq.data), ("forward", out.frames)]
 
 
+def wait_until_settled(path):
+    """Sleep until the CLI keeps the network it loads from ``path``."""
+    ready_ns = os.stat(path).st_ctime_ns + cli._SETTLE_NS
+    time.sleep(max(0, ready_ns - time.time_ns()) / 1e9 + 0.01)
+
+
 def digest_chain():
     """Run the chain in the current directory and print the digests."""
     for rate in RATES:
         wav = synthdata.synth_speech(0.5, np.random.default_rng(rate), sample_rate=rate)
         audio.save_wav(wav, f"{rate}.wav")
     for name, argv in CHAIN:
+        if name == "infer-16k":  # the first of the four infer requests over net.lsn1
+            wait_until_settled("net.lsn1")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.run(argv)

@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
+import stat
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +171,44 @@ def _animate(net, seq):
     return disp, frames32
 
 
+# The last network that _network loaded from a settled regular file, bound
+# read-only, with that file's stat key; None when there is none.
+_kept = None
+# A file whose ctime is less than this much older than the start of a load is
+# not kept: on a file system whose timestamps tick in up to 2 s steps, a
+# rewrite within one tick could leave every field of the stat key unchanged.
+_SETTLE_NS = 2_000_000_000
+
+
+def _network(path) -> model.NetworkParams:
+    """The network of the LSN1 checkpoint at ``path``, loaded once while the file is unchanged.
+
+    Requests in one process often name the same checkpoint. The network
+    loaded from a regular file whose ctime is more than ``_SETTLE_NS`` older
+    than the request is kept, read-only, under the file's device, inode,
+    size, mtime and ctime; a later request whose file has the same five
+    values gets it without a load. Any other request drops the kept network
+    before it loads, so at most one is held.
+    """
+    global _kept
+    start = time.time_ns()
+    try:
+        st = os.stat(path)
+        key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    except OSError:  # load_checkpoint reports it
+        st = key = None
+    if _kept is not None and _kept[0] == key:
+        return _kept[1]
+    _kept = None
+    net = model.load_checkpoint(path)
+    if st is not None and stat.S_ISREG(st.st_mode) and st.st_ctime_ns < start - _SETTLE_NS:
+        net = net.read_only()
+        _kept = (key, net)
+    return net
+
+
 def _cmd_infer(args) -> int:
-    net = model.load_checkpoint(args.checkpoint)
+    net = _network(args.checkpoint)
     seq = _infer_features(args)
     disp, frames32 = _animate(net, seq)
     mesh.save_anim(mesh.DisplacementSequence(frames=frames32, fps=disp.fps), args.out)
@@ -191,7 +230,7 @@ def _cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise UsageError("eval needs --checkpoint (or --self-test)")
-        net = model.load_checkpoint(args.checkpoint)
+        net = _network(args.checkpoint)
         report = evaluation.evaluate(net, head, samples, cfg)
         label = Path(args.checkpoint).stem
 
@@ -202,7 +241,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_obj_seq(args) -> int:
-    net = model.load_checkpoint(args.checkpoint)
+    net = _network(args.checkpoint)
     head = mesh.load_obj(args.template, landmark_path=args.landmarks)
     if head.n_vertices != net.vertex_count:
         raise TopologyError(
@@ -331,6 +370,7 @@ def _parser() -> _Parser:
 
 
 def run(argv) -> int:
+    global _kept
     parser = _parser()
     try:
         try:
@@ -342,6 +382,8 @@ def run(argv) -> int:
             return 1
         if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy seeds are non-negative
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        if not hasattr(args, "checkpoint"):  # a command that loads no network frees the kept one
+            _kept = None
         # Every non-finite result is checked where it arises and reported in
         # one line, so numpy's overflow and invalid-value warnings are noise.
         with np.errstate(all="ignore"):

@@ -109,20 +109,21 @@ class NetworkParams:
 
     def items(self):
         """(LSN1 tensor name, view) pairs in ``flat`` order, one per LSTM gate block."""
-        out = []
-        for n, conv in enumerate(self.convs, start=1):
-            out += [(f"conv{n}.kernels", conv.kernels), (f"conv{n}.bias", conv.bias)]
-        for n, cell in enumerate(self.lstms, start=1):
-            hid = cell.hidden_size
-            for part, arr in (("W", cell.W), ("b", cell.b)):
-                for k, gate in enumerate(GATES):
-                    out.append((f"lstm{n}.{part}_{gate}", arr[k * hid : (k + 1) * hid]))
-        for (name, _), layer in zip(DENSE_LAYERS, self.dense):
-            out += [(f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias)]
+        out, start = [], 0
+        for name, shape in _tensors(self.arch, self.vertex_count):
+            size = math.prod(shape)
+            out.append((name, self.flat[start : start + size].reshape(shape)))
+            start += size
         return out
 
     def copy(self) -> "NetworkParams":
         return _bind(self.arch, self.vertex_count, self.flat.copy())
+
+    def read_only(self) -> "NetworkParams":
+        """The same parameters, bound over a view of ``flat`` that refuses writes."""
+        flat = self.flat.view()
+        flat.flags.writeable = False
+        return _bind(self.arch, self.vertex_count, flat)
 
 
 def _layout(arch: ArchConfig, vertex_count: int) -> list[tuple]:
@@ -140,6 +141,21 @@ def _layout(arch: ArchConfig, vertex_count: int) -> list[tuple]:
     shapes += [s for i, h in io[n_conv : n_conv + n_lstm] for s in ((4 * h, h + i), (4 * h,))]
     shapes += [s for i, o in io[n_conv + n_lstm :] for s in ((o, i), (o,))]
     return shapes
+
+
+def _tensors(arch: ArchConfig, vertex_count: int) -> list[tuple[str, tuple]]:
+    """(LSN1 tensor name, shape) in ``flat`` order: the arrays of ``_layout``,
+    each LSTM matrix and bias split into its gate row blocks."""
+    shapes = iter(_layout(arch, vertex_count))
+    out = []
+    for n in range(1, (_N_CONV if arch.use_conv else 0) + 1):
+        out += [(f"conv{n}.kernels", next(shapes)), (f"conv{n}.bias", next(shapes))]
+    for n in range(1, len(arch.lstm_sizes) + 1):
+        for part, (rows, *cols) in zip("Wb", (next(shapes), next(shapes))):
+            out += [(f"lstm{n}.{part}_{gate}", (rows // len(GATES), *cols)) for gate in GATES]
+    for name, _ in DENSE_LAYERS:
+        out += [(f"{name}.weight", next(shapes)), (f"{name}.bias", next(shapes))]
+    return out
 
 
 def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
@@ -461,31 +477,37 @@ def load_checkpoint(path) -> NetworkParams:
     """Read an LSN1 checkpoint.
 
     One pass over the tensor table finds each tensor's dims and payload
-    offset, and the dims alone give the architecture. Each payload is then
-    read straight into its view of one ``flat`` vector. When a name occurs
-    twice, the later tensor wins.
+    offset, and the dims alone give the architecture. Every tensor is
+    checked against the layout before ``flat`` is allocated: each payload
+    fits in the file, so a network they match fits too. Each payload is then
+    read straight into its view of ``flat``. When a name occurs twice, the
+    later tensor wins.
     """
     path = Path(path)
     with _LSN1.open(path) as (fh, size, (vertex_count, n_tensors)):
         tensors = _read_table(fh, size, n_tensors, path)
         arch = _arch_from_dims({name: dims for name, (dims, _) in tensors.items()}, str(path))
-        shapes = _layout(arch, vertex_count)
-        # A header V, or one layer's shape read into the next, can describe a
-        # network far larger than the file; refuse before allocating it.
-        n_params = sum(map(math.prod, shapes))
-        if n_params > sum(math.prod(dims) for dims, _ in tensors.values()):
-            raise FileFormatError("tensor shapes describe a network larger than the payload", path=str(path))
+        layout = _tensors(arch, vertex_count)
+        n_params = sum(math.prod(shape) for _, shape in layout)
+        for name, shape in layout:
+            if name not in tensors:
+                raise FileFormatError(f"missing tensor {name}", path=str(path))
+            dims = tensors[name][0]
+            if dims != shape:
+                message = f"tensor {name} has shape {dims}, the layout needs {shape}"
+                # A header V, or one layer's shape read into the next, can
+                # describe a network far larger than the file.
+                if n_params > sum(math.prod(d) for d, _ in tensors.values()):
+                    message = f"tensor shapes describe a network larger than the payload: {message}"
+                raise FileFormatError(message, path=str(path))
+        unexpected = set(tensors) - {name for name, _ in layout}
+        if unexpected:
+            raise FileFormatError(f"unexpected tensor {min(unexpected)}", path=str(path))
         net = _bind(arch, vertex_count, np.empty(n_params, dtype="<f8"))
         regions = []  # (file offset, view) of each payload, in flat order
         for name, view in net.items():
-            if name not in tensors:
-                raise FileFormatError(f"missing tensor {name}", path=str(path))
-            dims, offset = tensors.pop(name)
-            if dims != view.shape:
-                raise FileFormatError(f"tensor {name} has shape {dims}, the layout needs {view.shape}", path=str(path))
+            offset = tensors[name][1]
             regions.append((offset, read_into(fh, view, path, offset)))
-        if tensors:
-            raise FileFormatError(f"unexpected tensor {min(tensors)}", path=str(path))
     if not np.isfinite(net.flat).all():
         check_finite(path, regions)
     return net

@@ -130,18 +130,21 @@ def reference_load(path):
         embedding_size=rows("fc2.weight"),
         use_conv=use_conv,
     )
-    if sum(map(math.prod, model._layout(arch, vertex_count))) > sum(a.size for a in tensors.values()):
-        raise fail("tensor shapes describe a network larger than the payload")
+    layout = model._tensors(arch, vertex_count)
+    for name, shape in layout:
+        if name not in tensors:
+            raise fail(f"missing tensor {name}")
+        if tensors[name].shape != shape:
+            message = f"tensor {name} has shape {tensors[name].shape}, the layout needs {shape}"
+            if sum(math.prod(s) for _, s in layout) > sum(a.size for a in tensors.values()):
+                message = f"tensor shapes describe a network larger than the payload: {message}"
+            raise fail(message)
+    unexpected = set(tensors) - {name for name, _ in layout}
+    if unexpected:
+        raise fail(f"unexpected tensor {min(unexpected)}")
     net = model._bind(arch, vertex_count)
     for name, view in net.items():
-        arr = tensors.pop(name, None)
-        if arr is None:
-            raise fail(f"missing tensor {name}")
-        if arr.shape != view.shape:
-            raise fail(f"tensor {name} has shape {arr.shape}, the layout needs {view.shape}")
-        view[...] = arr
-    if tensors:
-        raise fail(f"unexpected tensor {min(tensors)}")
+        view[...] = tensors[name]
     return vertex_count, arch, net.flat
 
 

@@ -7,7 +7,9 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -307,6 +309,107 @@ class TestCachedParser:
         assert run_cli("infer") == 1
         info = cli._parser.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+
+class TestKeptNetwork:
+    """run keeps the network of a settled checkpoint file across requests."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self, monkeypatch):
+        monkeypatch.setattr(cli, "_kept", None)
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths model.load_checkpoint is called with."""
+        paths, load = [], model.load_checkpoint
+        monkeypatch.setattr(model, "load_checkpoint", lambda path: paths.append(path) or load(path))
+        return paths
+
+    @staticmethod
+    def infer(checkpoint, wav, out):
+        assert run_cli("infer", "--checkpoint", str(checkpoint), "--wav", str(wav), "--out", str(out)) == 0
+        return out.read_bytes()
+
+    def requests(self, mini_corpus, checkpoint, wav, out_dir):
+        """The bytes that infer, eval and export-obj-seq write over ``checkpoint``."""
+        root = mini_corpus["root"]
+        head = ["--template", str(root / "template.obj"), "--landmarks", str(root / "template.landmarks.txt")]
+        assert run_cli(
+            "eval", "--manifest", str(root / "corpus.jsonl"), *head, "--checkpoint", str(checkpoint),
+            "--out", str(out_dir / "eval.json"),
+        ) == 0
+        assert run_cli(
+            "export-obj-seq", "--checkpoint", str(checkpoint), "--wav", str(wav), *head, "--out", str(out_dir / "objs")
+        ) == 0
+        objs = [path.read_bytes() for path in sorted((out_dir / "objs").iterdir())]
+        return self.infer(checkpoint, wav, out_dir / "anim.lsa1"), (out_dir / "eval.json").read_bytes(), objs
+
+    def test_repeated_requests_write_the_bytes_of_a_fresh_load(
+        self, mini_corpus, wav_2s, tmp_path, monkeypatch, loads
+    ):
+        ckpt = tmp_path / "net.lsn1"
+        model.save_checkpoint(model.init_params(0, 40), ckpt)
+        # a file written within the settle window is loaded by every request
+        monkeypatch.setattr(cli, "_SETTLE_NS", 10**15)
+        (tmp_path / "fresh").mkdir()
+        fresh = self.requests(mini_corpus, ckpt, wav_2s, tmp_path / "fresh")
+        assert len(loads) == 3 and cli._kept is None
+        monkeypatch.setattr(cli, "_SETTLE_NS", 0)
+        for n in range(2):
+            (tmp_path / str(n)).mkdir()
+            assert self.requests(mini_corpus, ckpt, wav_2s, tmp_path / str(n)) == fresh
+        assert len(loads) == 4
+
+    def test_same_size_rewrite_within_a_timestamp_tick_is_loaded(self, wav_2s, tmp_path, monkeypatch):
+        # On a file system whose timestamps tick in whole seconds, a rewrite
+        # in place within the tick keeps every field of the stat key; only
+        # the settle rule keeps the old network from being reused.
+        def coarse_stat(path):
+            st = os.stat(path)
+            fields = ("st_mode", "st_dev", "st_ino", "st_size")
+            ticks = {f"st_{t}time_ns": getattr(st, f"st_{t}time_ns") // 10**9 * 10**9 for t in "mc"}
+            return types.SimpleNamespace(**{f: getattr(st, f) for f in fields}, **ticks)
+
+        monkeypatch.setattr(cli, "os", types.SimpleNamespace(stat=coarse_stat))
+        ckpt, other = tmp_path / "net.lsn1", tmp_path / "other.lsn1"
+        model.save_checkpoint(model.init_params(1, 5), other)
+        want = self.infer(other, wav_2s, tmp_path / "want.lsa1")
+        time.sleep((1.05 - time.time() % 1) % 1)  # early in a tick: the two writes below most likely share it
+        model.save_checkpoint(model.init_params(0, 5), ckpt)
+        first = self.infer(ckpt, wav_2s, tmp_path / "first.lsa1")
+        ckpt.write_bytes(other.read_bytes())  # in place: the same inode and size
+        assert self.infer(ckpt, wav_2s, tmp_path / "second.lsa1") == want != first
+
+    def test_settled_file_is_loaded_once_until_rewritten(self, wav_2s, tmp_path, monkeypatch, capsys, loads):
+        monkeypatch.setattr(cli, "_SETTLE_NS", 0)
+        ckpt = tmp_path / "net.lsn1"
+        model.save_checkpoint(model.init_params(0, 5), ckpt)
+        first = self.infer(ckpt, wav_2s, tmp_path / "a.lsa1")
+        assert self.infer(ckpt, wav_2s, tmp_path / "b.lsa1") == first
+        assert len(loads) == 1
+        model.save_checkpoint(model.init_params(0, 6), ckpt)
+        self.infer(ckpt, wav_2s, tmp_path / "c.lsa1")
+        assert len(loads) == 2
+        assert capsys.readouterr().out.splitlines()[-1].startswith("wrote 120 frames x 6 vertices")
+
+    def test_kept_network_is_read_only(self, tiny_checkpoint, wav_2s, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_SETTLE_NS", 0)
+        self.infer(tiny_checkpoint, wav_2s, tmp_path / "a.lsa1")
+        net = cli._kept[1]
+        arrays = [net.flat, *(arr for _, arr in net.items())]
+        arrays += [arr for layer in net.layers for arr in vars(layer).values() if isinstance(arr, np.ndarray)]
+        assert len(arrays) == 1 + len(net.items()) + 2 * len(net.layers)
+        assert not any(arr.flags.writeable for arr in arrays)
+
+    @pytest.mark.parametrize("command", ["train", "features", "traj", "gen-corpus"])
+    def test_commands_without_a_checkpoint_drop_it(self, mini_corpus, tiny_checkpoint, wav_2s, tmp_path,
+                                                   monkeypatch, command):
+        monkeypatch.setattr(cli, "_SETTLE_NS", 0)
+        self.infer(tiny_checkpoint, wav_2s, tmp_path / "a.lsa1")
+        assert cli._kept is not None
+        inputs = _Inputs(mini_corpus, tmp_path)
+        assert run_cli(*getattr(inputs, command.replace("-", "_"))()) == 0
+        assert cli._kept is None
 
 
 class TestGenCorpusAndTrain:

@@ -368,6 +368,20 @@ class TestBatchedForward:
         feats = random_features(np.random.default_rng(5), 137)
         assert np.array_equal(model.forward(net, feats).frames, reference_forward(net, feats))
 
+    @pytest.mark.parametrize("use_conv", [True, False], ids=["conv", "lstm-only"])
+    def test_read_only_parameters_give_the_same_bytes(self, use_conv):
+        # the forward only reads the parameters: a network bound over a
+        # read-only flat raises on any write, and must give the same output
+        net = tiny_net(seed=7, use_conv=use_conv)
+        frozen = net.read_only()
+        assert not frozen.flat.flags.writeable and np.shares_memory(frozen.flat, net.flat)
+        rng = np.random.default_rng(7)
+        seqs = [random_features(rng, t) for t in (9, 1, 14, 4)]
+        for feats in seqs:
+            assert model.forward(frozen, feats).frames.tobytes() == model.forward(net, feats).frames.tobytes()
+        got = [out.frames.tobytes() for out in model.forward_batch(frozen, seqs)]
+        assert got == [out.frames.tobytes() for out in model.forward_batch(net, seqs)]
+
     def test_no_sequences(self):
         assert list(model.forward_batch(tiny_net(), [])) == []
 
@@ -684,9 +698,11 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("defect", OTHER_WIDTHS)
     def test_other_input_or_kernel_width_refused(self, tmp_path, defect):
-        # the input is always 29 wide and every conv kernel 5
+        # the input is always 29 wide and every conv kernel 5; the message
+        # names the first tensor in layout order that does not fit
         write_lsn1(tmp_path / "w.lsn1", 5, other_width_tensors(defect))
-        with pytest.raises(FileFormatError):
+        first = "lstm1.W_f" if defect == "lstm-13-wide" else "conv1.kernels"
+        with pytest.raises(FileFormatError, match=f"tensor {first} has shape"):
             model.load_checkpoint(tmp_path / "w.lsn1")
 
     def test_decoder_rows_disagree_with_header(self, tmp_path):
