@@ -213,7 +213,7 @@ class _LstmCache:
     c: np.ndarray
 
 
-def _lstm_forward(p: LstmCellParams, xs: list):
+def _lstm_forward(p: LstmCellParams, xs: list, tape: bool = True):
     """Run the layer over a list of (T_j, input) sequences stepped together.
 
     Slots hold the sequences longest first, so the ones still running at
@@ -221,7 +221,8 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     sequence keeps its own input-projection product, and the recurrent
     term is one matrix-vector product per running sequence, so every
     output is bit-equal to running the sequence alone. Returns the h rows
-    and the backward cache of each sequence, in input order.
+    of each sequence, in input order, and with ``tape`` their backward
+    caches (else None). Only h keeps its history without a tape.
     """
     hid = p.hidden_size
     for x in xs:
@@ -231,11 +232,13 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     order = sorted(range(n), key=lambda j: -len(xs[j]))
     lengths = [len(xs[j]) for j in order] + [0]
     t_max = lengths[0]
-    # Time-major: step t reads row t of h and c, writes row t + 1, and
-    # overwrites its input projections in gates with the gate values.
+    # Time-major: step t reads row t of h and c, writes row t + 1, and with
+    # a tape overwrites its input projections in gates with the gate values.
     gates = np.empty((t_max, n, 4 * hid))
     h = np.zeros((t_max + 1, n, hid))
-    c = np.zeros((t_max + 1, n, hid))
+    # Without a tape, a step's gates go to work and C_t lives in row t % 2 of c.
+    c = np.zeros((t_max + 1 if tape else 2, n, hid))
+    work = None if tape else np.empty((n, 4 * hid))
     # The sigmoid rows hold -pre, so exp takes them as they are. Negation is
     # exact, and a dot product with negated weights is the exact negation of
     # the original, so every gate keeps the bits of 1 / (1 + exp(-pre)).
@@ -247,40 +250,49 @@ def _lstm_forward(p: LstmCellParams, xs: list):
     w_h = p.W[:, :hid].copy()
     np.negative(w_h[: 3 * hid], out=w_h[: 3 * hid])
     rec, tmp, ones = np.empty((n, 4 * hid)), np.empty((n, hid)), np.ones((n, 3 * hid))
+    # all four gates, the three sigmoids, the candidate, then f, i and o
+    cuts = (slice(None), slice(3 * hid), slice(3 * hid, None), *(slice(m * hid, (m + 1) * hid) for m in range(3)))
+    add, multiply, exp, divide, tanh = np.add, np.multiply, np.exp, np.divide, np.tanh
 
     for k in range(n, 0, -1):
         # Steps t0 .. t1 - 1 run the first k slots (lengths[n] is the appended
-        # 0); their row views are built once.
+        # 0); their operands are built once. One running sequence uses 1-D
+        # rows and takes the same gemv through np.dot, without the stacked
+        # matmul's call overhead.
         t0, t1 = lengths[k], lengths[k - 1]
-        seg = gates[t0:t1, :k]
-        # One running sequence takes the same gemv through np.dot on
-        # contiguous 1-D rows, without the stacked matmul's call overhead.
         if k == 1:
-            product, h_in, rec_out = np.dot, h[t0:t1, 0], rec[0]
+            run, product, h_in, rec_out = 0, np.dot, h[t0:t1, 0], rec[0]
         else:
-            product, h_in, rec_out = np.matmul, h[t0:t1, :k, :, None], rec[:k, :, None]
-        views = (seg, seg[..., : 3 * hid], seg[..., 3 * hid :], *(seg[..., m * hid : (m + 1) * hid] for m in range(3)),
-                 h_in, h[t0 + 1 : t1 + 1, :k], c[t0:t1, :k], c[t0 + 1 : t1 + 1, :k])
-        rec_k, tmp_k, ones_k = rec[:k], tmp[:k], ones[:k]
-        for s, sig, cand, f, i, o, h_t, h_next, c_t, c_next in zip(*views):
-            product(w_h, h_t, out=rec_out)
-            np.add(s, rec_k, out=s)
-            np.exp(sig, out=sig)
-            np.add(sig, ones_k, out=sig)
-            np.divide(ones_k, sig, out=sig)
-            np.tanh(cand, out=cand)
-            np.multiply(f, c_t, out=c_next)
-            np.multiply(i, cand, out=tmp_k)
-            np.add(c_next, tmp_k, out=c_next)
-            np.tanh(c_next, out=tmp_k)
-            np.multiply(o, tmp_k, out=h_next)
+            run, product, h_in, rec_out = slice(k), np.matmul, h[t0:t1, :k, :, None], rec[:k, :, None]
+        proj = gates[t0:t1, run]
+        if tape:
+            steps = (proj, *(proj[..., cut] for cut in cuts), h_in, h[t0 + 1 : t1 + 1, run],
+                     c[t0:t1, run], c[t0 + 1 : t1 + 1, run])
+        else:
+            c_rows = (c[t0 % 2, run], c[1 - t0 % 2, run])
+            steps = (proj, *(itertools.repeat(work[run][..., cut]) for cut in cuts), h_in, h[t0 + 1 : t1 + 1, run],
+                     itertools.cycle(c_rows), itertools.cycle(c_rows[::-1]))
+        rec_k, tmp_k, ones_k = rec[run], tmp[run], ones[run]
+        for x_t, s, sig, cand, f, i, o, h_t, h_next, c_t, c_next in zip(*steps):
+            product(w_h, h_t, rec_out)
+            add(x_t, rec_k, s)
+            exp(sig, sig)
+            add(sig, ones_k, sig)
+            divide(ones_k, sig, sig)
+            tanh(cand, cand)
+            multiply(f, c_t, c_next)
+            multiply(i, cand, tmp_k)
+            add(c_next, tmp_k, c_next)
+            tanh(c_next, tmp_k)
+            multiply(o, tmp_k, h_next)
 
     hs, caches = [None] * n, [None] * n
     for slot, j in enumerate(order):
         t_len = lengths[slot]
         hs[j] = h[1 : t_len + 1, slot]
-        caches[j] = _LstmCache(x=xs[j], h_prev=h[:t_len, slot], gates=gates[:t_len, slot], c=c[1 : t_len + 1, slot])
-    return hs, caches
+        if tape:
+            caches[j] = _LstmCache(x=xs[j], h_prev=h[:t_len, slot], gates=gates[:t_len, slot], c=c[1 : t_len + 1, slot])
+    return hs, caches if tape else None
 
 
 def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellParams):
@@ -301,16 +313,17 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
     dpre = np.empty((t_len, 4 * hid))
     blocks = dpre.reshape(t_len, 4, hid)
     dh_carry, dh, dc, tmp = np.zeros(hid), np.empty(hid), np.zeros(hid), np.empty(hid)
-    # Reversed row views, built once; each step writes through out= only.
+    add, multiply, matmul = np.add, np.multiply, np.matmul
+    # Reversed row views, built once; each step writes into its last operand.
     rows = (dh_seq, dc_by_dh, by_dc, dpre, blocks, blocks[:, 2], by_dh_o, f)
     for dh_t, dc_by_dh_t, by_dc_t, dpre_t, d, d_o, by_dh_o_t, f_t in zip(*(r[::-1] for r in rows)):
-        np.add(dh_t, dh_carry, out=dh)
-        np.multiply(dh, dc_by_dh_t, out=tmp)
-        np.add(dc, tmp, out=dc)
-        np.multiply(by_dc_t, dc, out=d)
-        np.multiply(dh, by_dh_o_t, out=d_o)
-        np.matmul(dpre_t, w_h, out=dh_carry)
-        np.multiply(dc, f_t, out=dc)
+        add(dh_t, dh_carry, dh)
+        multiply(dh, dc_by_dh_t, tmp)
+        add(dc, tmp, dc)
+        multiply(by_dc_t, dc, d)
+        multiply(dh, by_dh_o_t, d_o)
+        matmul(dpre_t, w_h, dh_carry)
+        multiply(dc, f_t, dc)
 
     np.matmul(dpre.T, np.hstack([cache.h_prev, cache.x]), out=grad.W)
     np.sum(dpre, axis=0, out=grad.b)
@@ -395,7 +408,7 @@ def _run_layers(net: NetworkParams, xs: list, tapes=None) -> list:
     list, each layer appends its per-sequence caches to it."""
     for layer in net.layers:
         if isinstance(layer, LstmCellParams):
-            xs, caches = _lstm_forward(layer, xs)
+            xs, caches = _lstm_forward(layer, xs, tapes is not None)
         else:
             xs, caches = zip(*(_FORWARD[type(layer)](layer, x) for x in xs))
         if tapes is not None:

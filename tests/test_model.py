@@ -308,29 +308,38 @@ def shuffled_lengths(seed, longest=120):
 class TestBatchedForward:
     """The batched recurrence against the per-sequence oracle, bit for bit."""
 
-    def check_layer(self, lengths):
+    def check_layer(self, lengths, tape):
+        # without a tape, C alternates between two rows and only h is returned
         rng = np.random.default_rng(12)
         cell = tiny_net(seed=12).lstms[0]
         xs = [rng.standard_normal((t, cell.input_size)) for t in lengths]
-        hs, caches = model._lstm_forward(cell, xs)
-        assert len(hs) == len(caches) == len(xs)
-        for x, h, cache in zip(xs, hs, caches):
+        hs, caches = model._lstm_forward(cell, xs, tape)
+        assert len(hs) == len(xs)
+        assert len(caches) == len(xs) if tape else caches is None
+        for j, (x, h) in enumerate(zip(xs, hs)):
             h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
             assert np.array_equal(h, h_ref)
-            assert np.array_equal(cache.c, c_ref)
-            assert np.array_equal(cache.gates, gates_ref)
-            assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, cell.hidden_size)), h_ref])[:-1])
-            assert cache.x is x
+            if tape:
+                cache = caches[j]
+                assert np.array_equal(cache.c, c_ref)
+                assert np.array_equal(cache.gates, gates_ref)
+                assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, cell.hidden_size)), h_ref])[:-1])
+                assert cache.x is x
 
-    def test_layer_matches_oracle(self):
-        self.check_layer([5, 0, 17, 1, 17, 9])
+    @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no-tape"])
+    def test_layer_matches_oracle(self, tape):
+        self.check_layer([5, 0, 17, 1, 17, 9], tape)
 
+    @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no-tape"])
     @pytest.mark.parametrize(
-        "lengths", [[1], [3, 3, 3], [0, 0], []], ids=["one-step", "equal", "all-empty", "none"]
+        "lengths",
+        [[1], [3, 3, 3], [0, 0], [], [4, 3, 1], [6, 4, 1]],
+        ids=["one-step", "equal", "all-empty", "none", "odd-t-shrink", "even-t-shrink"],
     )
-    def test_layer_segment_edges(self, lengths):
-        # each distinct length ends a run of steps over the same sequences
-        self.check_layer(lengths)
+    def test_layer_segment_edges(self, lengths, tape):
+        # each distinct length ends a run of steps over the same sequences;
+        # the last two shrink the running prefix after odd and even step counts
+        self.check_layer(lengths, tape)
 
     @pytest.mark.parametrize(
         "arch",
