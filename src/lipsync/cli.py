@@ -255,13 +255,7 @@ def _cmd_export_obj_seq(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in range(len(posed)):
-        frame_mesh = mesh.TemplateMesh(
-            vertices=posed[t],
-            faces=head.faces,
-            landmarks=head.landmarks,
-            lip_mask=head.lip_mask,
-        )
-        mesh.save_obj(frame_mesh, out_dir / f"frame_{t:04d}.obj")
+        mesh.save_obj(dataclasses.replace(head, vertices=posed[t]), out_dir / f"frame_{t:04d}.obj")
     print(f"wrote {len(posed)} OBJ frames to {out_dir}")
     return 0
 

@@ -13,7 +13,8 @@ Layer stack (widths for the production preset):
 ``NetworkParams`` keeps the layers in three lists, ``convs``, ``lstms`` and
 ``dense``; the number of LSTMs follows ``ArchConfig.lstm_sizes``. Every
 parameter array is a view into one contiguous float64 vector ``flat``, laid
-out by ``_bind`` in checkpoint tensor order. ``backward`` returns gradients
+out by ``_bind`` from ``_tensors``, the one table of checkpoint tensor names
+and shapes, in its order. ``backward`` returns gradients
 in the same layout, so the optimizer works on whole vectors. Each LSTM holds
 its four gates fused into one (4H, H + input) matrix, row blocks f, i, o, C.
 
@@ -25,6 +26,7 @@ captured during the forward pass of one sequence. All math is float64.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Format, check_finite, read_into
-from .errors import ConfigError, FileFormatError, ShapeError, StateError
+from .errors import ConfigError, DataError, FileFormatError, ShapeError, StateError
 from .features import CHAR_PROB_DIM, FeatureSequence
 from .mesh import DisplacementSequence
 
@@ -109,12 +111,9 @@ class NetworkParams:
 
     def items(self):
         """(LSN1 tensor name, view) pairs in ``flat`` order, one per LSTM gate block."""
-        out, start = [], 0
-        for name, shape in _tensors(self.arch, self.vertex_count):
-            size = math.prod(shape)
-            out.append((name, self.flat[start : start + size].reshape(shape)))
-            start += size
-        return out
+        table = _tensors(self.arch, self.vertex_count)
+        bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape in table)]
+        return [(name, self.flat[a:b].reshape(shape)) for (name, shape), a, b in zip(table, bounds, bounds[1:])]
 
     def copy(self) -> "NetworkParams":
         return _bind(self.arch, self.vertex_count, self.flat.copy())
@@ -126,45 +125,42 @@ class NetworkParams:
         return _bind(self.arch, self.vertex_count, flat)
 
 
-def _layout(arch: ArchConfig, vertex_count: int) -> list[tuple]:
-    """Parameter array shapes in ``flat`` order.
-
-    Conv, LSTM, then dense layers, each weight before its bias: the tensor
-    order of the LSN1 checkpoint.
-    """
+@functools.lru_cache(maxsize=64)
+def _tensors(arch: ArchConfig, vertex_count: int) -> tuple:
+    """(LSN1 tensor name, shape) in ``flat`` order, the one table of parameter shapes: conv, LSTM,
+    then dense layers, each weight before its bias, an LSTM's split into its gate row blocks."""
     n_conv = _N_CONV if arch.use_conv else 0
-    n_lstm = len(arch.lstm_sizes)
     widths = [CHAR_PROB_DIM, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
     widths += [arch.fc1_size, arch.embedding_size, 3 * vertex_count]
-    io = list(zip(widths[:-1], widths[1:]))
-    shapes = [s for i, o in io[:n_conv] for s in ((o, i, _CONV_KERNEL), (o,))]
-    shapes += [s for i, h in io[n_conv : n_conv + n_lstm] for s in ((4 * h, h + i), (4 * h,))]
-    shapes += [s for i, o in io[n_conv + n_lstm :] for s in ((o, i), (o,))]
-    return shapes
-
-
-def _tensors(arch: ArchConfig, vertex_count: int) -> list[tuple[str, tuple]]:
-    """(LSN1 tensor name, shape) in ``flat`` order: the arrays of ``_layout``,
-    each LSTM matrix and bias split into its gate row blocks."""
-    shapes = iter(_layout(arch, vertex_count))
+    layers = [f"conv{n}" for n in range(1, n_conv + 1)]
+    layers += [f"lstm{n}" for n in range(1, len(arch.lstm_sizes) + 1)] + [name for name, _ in DENSE_LAYERS]
     out = []
-    for n in range(1, (_N_CONV if arch.use_conv else 0) + 1):
-        out += [(f"conv{n}.kernels", next(shapes)), (f"conv{n}.bias", next(shapes))]
-    for n in range(1, len(arch.lstm_sizes) + 1):
-        for part, (rows, *cols) in zip("Wb", (next(shapes), next(shapes))):
-            out += [(f"lstm{n}.{part}_{gate}", (rows // len(GATES), *cols)) for gate in GATES]
-    for name, _ in DENSE_LAYERS:
-        out += [(f"{name}.weight", next(shapes)), (f"{name}.bias", next(shapes))]
-    return out
+    for name, i, o in zip(layers, widths, widths[1:]):
+        if name.startswith("conv"):
+            out += [(f"{name}.kernels", (o, i, _CONV_KERNEL)), (f"{name}.bias", (o,))]
+        elif name.startswith("lstm"):
+            out += [(f"{name}.W_{gate}", (o, o + i)) for gate in GATES]
+            out += [(f"{name}.b_{gate}", (o,)) for gate in GATES]
+        else:
+            out += [(f"{name}.weight", (o, i)), (f"{name}.bias", (o,))]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _cuts(arch: ArchConfig, vertex_count: int) -> tuple:
+    """(start, stop, shape) in ``flat`` of each layer array; an LSTM's W or b spans its four gate blocks."""
+    shapes = [(rows * len(GATES) if name.endswith("_f") else rows, *cols)
+              for name, (rows, *cols) in _tensors(arch, vertex_count) if not name.endswith(("_i", "_o", "_C"))]
+    bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
+    return tuple(zip(bounds, bounds[1:], shapes))
 
 
 def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
     """Lay the layers of ``arch`` out as views into one float64 vector, zeros by default."""
-    shapes = _layout(arch, vertex_count)
-    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+    cuts = _cuts(arch, vertex_count)
     if flat is None:
-        flat = np.zeros(bounds[-1])
-    views = iter([flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)])
+        flat = np.zeros(cuts[-1][1])
+    views = iter([flat[a:b].reshape(shape) for a, b, shape in cuts])
     return NetworkParams(
         convs=[Conv1dParams(next(views), next(views)) for _ in range(_N_CONV if arch.use_conv else 0)],
         lstms=[LstmCellParams(next(views), next(views)) for _ in arch.lstm_sizes],
@@ -178,26 +174,19 @@ def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
 def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -> NetworkParams:
     """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1.0.
 
-    Weights are drawn in layout order; a fused LSTM matrix takes one draw,
-    which yields the same numbers as four per-gate draws of H rows each.
-    """
+    Each tensor of rank >= 2 is drawn in ``flat`` order, fan-in ``shape[1] * k``
+    and fan-out ``shape[0] * k`` for kernel width k, else 1."""
     if vertex_count < 1:
         raise ConfigError("vertex_count must be >= 1")
     rng = np.random.default_rng(seed)
     net = _bind(arch, vertex_count)
-
-    def glorot(arr, fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        arr[...] = rng.uniform(-limit, limit, size=arr.shape)
-
-    for conv in net.convs:
-        out_ch, in_ch, k = conv.kernels.shape
-        glorot(conv.kernels, in_ch * k, out_ch * k)
-    for cell in net.lstms:
-        glorot(cell.W, cell.W.shape[1], cell.hidden_size)
-        cell.b[: cell.hidden_size] = 1.0  # keeps long-range memory open early in training
-    for layer in net.dense:
-        glorot(layer.weight, layer.weight.shape[1], layer.weight.shape[0])
+    for name, arr in net.items():
+        if arr.ndim >= 2:
+            k = math.prod(arr.shape[2:])
+            limit = np.sqrt(6.0 / (arr.shape[1] * k + arr.shape[0] * k))
+            arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+        elif name.endswith(".b_f"):
+            arr[...] = 1.0  # keeps long-range memory open early in training
     return net
 
 
@@ -476,7 +465,11 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=
 
 
 def save_checkpoint(net: NetworkParams, path) -> None:
-    """LSN1 container: magic | u32 V | u32 tensor count | named f64 tensors."""
+    """LSN1 container: magic | u32 V | u32 tensor count | named f64 tensors.
+
+    Parameters holding NaN or inf are refused before the file is touched."""
+    if not np.isfinite(net.flat).all():
+        raise DataError(f"network parameters hold NaN or inf; {path} not written")
     items = net.items()
     blobs = []
     for name, arr in items:
@@ -517,12 +510,10 @@ def load_checkpoint(path) -> NetworkParams:
         if unexpected:
             raise FileFormatError(f"unexpected tensor {min(unexpected)}", path=str(path))
         net = _bind(arch, vertex_count, np.empty(n_params, dtype="<f8"))
-        regions = []  # (file offset, view) of each payload, in flat order
         for name, view in net.items():
-            offset = tensors[name][1]
-            regions.append((offset, read_into(fh, view, path, offset)))
+            read_into(fh, view, path, tensors[name][1])
     if not np.isfinite(net.flat).all():
-        check_finite(path, regions)
+        check_finite(path, [(tensors[name][1], view) for name, view in net.items()])
     return net
 
 

@@ -26,7 +26,7 @@ from .features import (
     surrogate_features,
 )
 from .mesh import DisplacementSequence, TemplateMesh, load_anim, save_anim
-from .training import Sample
+from .training import Sample, _validate_items
 
 # Head frame: x right, y up, z out of the face.
 _SEMI_AXES = np.array([0.55, 0.68, 0.60])
@@ -313,7 +313,10 @@ def generate_corpus(
 
 
 def load_split(manifest: CorpusManifest, split: str):
-    """Samples (id, features, displacements) for one split of the corpus."""
+    """Samples (id, features, displacements) for one split of the corpus.
+
+    A sample whose feature and displacement frame counts differ raises DataError naming it.
+    """
     samples = []
     for item in manifest.split(split):
         samples.append(
@@ -323,4 +326,5 @@ def load_split(manifest: CorpusManifest, split: str):
                 displacements=load_anim(manifest.resolve(item.anim)),
             )
         )
+    _validate_items(samples, split)
     return samples

@@ -221,7 +221,11 @@ def train(
     train/validation metrics through ``sink`` (a callable taking an event
     dict) and retains the parameters of the best validation epoch. A
     non-finite training or validation loss, or gradient norm, raises DataError.
+    Every ``checkpoint_every`` epochs the parameters go to ``checkpoint_dir``,
+    which that setting needs (ConfigError without it).
     """
+    if train_cfg.checkpoint_every > 0 and checkpoint_dir is None:
+        raise ConfigError("checkpoint_every needs a checkpoint directory to write to")
     train_items = list(train_items)
     val_items = list(val_items)
     if not train_items:
@@ -301,11 +305,7 @@ def train(
                 if ckpt_dir is not None:
                     save_checkpoint(net, ckpt_dir / "best.lsn1")
 
-        if (
-            ckpt_dir is not None
-            and train_cfg.checkpoint_every > 0
-            and epoch % train_cfg.checkpoint_every == 0
-        ):
+        if train_cfg.checkpoint_every > 0 and epoch % train_cfg.checkpoint_every == 0:
             save_checkpoint(net, ckpt_dir / f"epoch_{epoch:04d}.lsn1")
 
     best_params = best[1] if best[1] is not None else net

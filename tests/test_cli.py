@@ -734,8 +734,8 @@ class _Inputs:
             "--out", str(self.out), *flags,
         ]
 
-    def train(self, *flags):
-        return ["train", "--manifest", self.manifest, "--out", str(self.out), "--epochs", "1", *flags]
+    def train(self, *flags, manifest=None):
+        return ["train", "--manifest", manifest or self.manifest, "--out", str(self.out), "--epochs", "1", *flags]
 
     def eval(self, *flags, manifest=None, template=None, landmarks=None, scorer=("--self-test",)):
         return [
@@ -776,6 +776,23 @@ def _lsn1_one_tensor(i, dims, payload=b""):
 def _manifest_line(i, **changes):
     line = json.loads(Path(i.manifest).read_text().splitlines()[0])
     return (json.dumps({**line, **changes}) + "\n").encode()
+
+
+def _one_sentence(i, cut=0, **changes):
+    """A manifest of the corpus's first sentence, a train one, with ``changes``
+    and the last ``cut`` frames of its animation dropped."""
+    line = json.loads(Path(i.manifest).read_text().splitlines()[0])
+    anim = mesh.load_anim(i.root / line["anim"])
+    kept = mesh.DisplacementSequence(frames=anim.frames[: anim.n_frames - cut], fps=anim.fps)
+    mesh.save_anim(kept, i.tmp / "a.lsa1")
+    paths = {"features": str(i.root / line["features"]), "anim": str(i.tmp / "a.lsa1")}
+    return i.file("one.jsonl", _manifest_line(i, **paths, **changes))
+
+
+def _wav_with_fmt(i, fmt: bytes) -> str:
+    """A WAV file with this fmt chunk body and one 16-bit sample of data."""
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 2) + bytes(2)
+    return i.file("odd.wav", b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
 # case: (exit code, text the one stderr line must hold, command line)
@@ -836,6 +853,36 @@ MALFORMED = {
     ),
     # finite loss terms, overflowing gradient: the step is refused before it writes NaN weights
     "train-w-pos-1e308": (2, "epoch 1: non-finite gradient norm on items", lambda i: i.train("--w-pos", "1e308")),
+    # no validation split checks the weights of the last step, which overflow to inf
+    "train-non-finite-weights-not-saved": (
+        2, "network parameters hold NaN or inf",
+        lambda i: i.train("--lr", "1.7e308", "--clip-norm", "0", manifest=_one_sentence(i)),
+    ),
+    "train-no-train-sentences": (
+        1, "manifest has no training items", lambda i: i.train(manifest=_one_sentence(i, split="test"))
+    ),
+    "train-checkpoint-every-without-dir": (
+        1, "checkpoint_every needs a checkpoint directory", lambda i: i.train("--checkpoint-every", "2")
+    ),
+    "eval-self-test-frame-count-mismatch": (
+        2, "item 's0000' in test split:", lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"))
+    ),
+    "eval-checkpoint-frame-count-mismatch": (
+        2, "item 's0000' in test split:",
+        lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"), scorer=("--checkpoint", i.checkpoint())),
+    ),
+    "eval-no-scorer": (1, "eval needs --checkpoint", lambda i: i.eval(scorer=())),
+    "infer-wav-fmt-chunk-short": (
+        2, "fmt chunk too short", lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHII", 1, 1, 16000, 32000)))
+    ),
+    "infer-wav-8-bit": (
+        2, "8-bit samples unsupported",
+        lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHIIHH", 1, 1, 16000, 16000, 1, 8))),
+    ),
+    "infer-wav-0-channels": (
+        2, "invalid channel count",
+        lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHIIHH", 1, 0, 16000, 32000, 2, 16))),
+    ),
     "train-checkpoint-every-negative": (
         1, "checkpoint_every must be >= 0", lambda i: i.train("--checkpoint-every=-3", "--checkpoint-dir", str(i.out))
     ),

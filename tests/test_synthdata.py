@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from lipsync import features, synthdata
-from lipsync.errors import ShapeError
+from lipsync import features, mesh, synthdata
+from lipsync.errors import DataError, ShapeError
 from lipsync.features import FeatureSequence, SurrogateProvider
 from lipsync.synthdata import CorpusManifest, OracleArticulator
 
@@ -181,6 +182,17 @@ class TestGenerateCorpus:
         for split in ("train", "val", "test"):
             for s in synthdata.load_split(manifest, split):
                 assert s.features.n_frames == s.displacements.n_frames
+
+    def test_load_split_names_a_frame_count_mismatch(self, mini_corpus, tmp_path):
+        manifest = mini_corpus["manifest"]
+        item = manifest.split("test")[0]
+        anim = mesh.load_anim(manifest.resolve(item.anim))
+        mesh.save_anim(mesh.DisplacementSequence(frames=anim.frames[:-2], fps=anim.fps), tmp_path / "cut.lsa1")
+        cut = CorpusManifest(items=[dataclasses.replace(item, anim=str(tmp_path / "cut.lsa1"))], root=manifest.root)
+        n = anim.n_frames
+        message = f"item {item.id!r} in test split: {n} feature frames vs {n - 2} displacement frames"
+        with pytest.raises(DataError, match=message):
+            synthdata.load_split(cut, "test")
 
     def test_manifest_round_trip(self, mini_corpus):
         root = mini_corpus["root"]

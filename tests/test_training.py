@@ -3,7 +3,7 @@ import pytest
 
 from conftest import TINY_ARCH, random_features, tiny_net
 from lipsync import model, training
-from lipsync.errors import DataError, ShapeError
+from lipsync.errors import ConfigError, DataError, ShapeError
 from lipsync.mesh import DisplacementSequence
 from lipsync.training import LossConfig, Sample, TrainConfig
 
@@ -331,6 +331,25 @@ class TestTrain:
         assert (tmp_path / "best.lsn1").exists()
         splits = {row.split for row in res.metrics}
         assert splits == {"train", "val"}
+
+    def test_periodic_checkpoints_hold_that_epochs_parameters(self, tmp_path):
+        # epochs 1-2 of a 4-epoch run are those of a 2-epoch run from the same start
+        items = make_corpus(np.random.default_rng(9), 2)
+        at_two, at_four = tiny_net(seed=9), tiny_net(seed=9)
+        training.train(items, at_two, LossConfig(), TrainConfig(learning_rate=1e-3, epochs=2, seed=9))
+        cfg = TrainConfig(learning_rate=1e-3, epochs=4, seed=9, checkpoint_every=2)
+        training.train(items, at_four, LossConfig(), cfg, checkpoint_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0002.lsn1", "epoch_0004.lsn1"]
+        for name, net in (("epoch_0002.lsn1", at_two), ("epoch_0004.lsn1", at_four)):
+            assert model.load_checkpoint(tmp_path / name).flat.tobytes() == net.flat.tobytes()
+        assert at_two.flat.tobytes() != at_four.flat.tobytes()
+
+    def test_periodic_checkpoints_need_a_directory(self):
+        net = tiny_net(seed=9)
+        start = net.flat.copy()
+        with pytest.raises(ConfigError, match="checkpoint_every needs a checkpoint directory"):
+            training.train(make_corpus(np.random.default_rng(9), 1), net, train_cfg=TrainConfig(checkpoint_every=2))
+        assert np.array_equal(net.flat, start)
 
     def test_validation_lp_decreases_early(self, corpus60):
         # default optimizer settings on the 50/5/5 corpus: the first five
