@@ -14,6 +14,12 @@ Example, against a second checkout of the parent commit:
     python3 scripts/ab_pairs.py ../parent . --workload infer_resample \\
         --seeds 100-109 --seconds 50
 
+``--imports N`` first alternates N pairs of fresh-interpreter
+``import lipsync.cli`` runs (numpy included, BLAS on one thread, as
+perfbench's ``setup_s`` times them) and summarizes them the same way; with
+it, ``--workload`` and ``--seeds`` may be left out:
+    python3 scripts/ab_pairs.py ../parent . --imports 30
+
 Each run's metrics line is echoed to stderr as it arrives; ``--json``
 keeps every run's metrics as well. Neither checkout is changed.
 """
@@ -22,12 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 CLAIM_SHARE = 0.9  # of the pairs the change must win
+PINNED = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+_IMPORT = "import time; t = time.perf_counter(); import lipsync.cli; print(time.perf_counter() - t)"
 
 
 def seed_list(text: str) -> list[int]:
@@ -48,6 +58,27 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
         print(f"  run failed in {checkout} (exit {done.returncode}): {done.stderr.strip()[-400:]}", file=sys.stderr)
         return None
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def import_seconds(checkout: Path) -> float | None:
+    """Seconds of one ``import lipsync.cli`` in a fresh interpreter, or None when it failed."""
+    src = str(checkout.resolve() / "src")
+    env = dict(os.environ, **PINNED, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT], cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"  import failed in {checkout} (exit {done.returncode}): {done.stderr.strip()[-400:]}", file=sys.stderr)
+        return None
+    return float(done.stdout)
+
+
+def import_pairs(parent: Path, change: Path, n: int) -> list[dict]:
+    """``n`` pairs of import times, alternating which side goes first."""
+    pairs = []
+    for i in range(n):
+        sides = [("parent", parent), ("change", change)]
+        pairs.append({side: import_seconds(checkout) for side, checkout in (sides if i % 2 == 0 else sides[::-1])})
+        print(f"import pair {i}: {json.dumps(pairs[-1])}", file=sys.stderr)
+    return pairs
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,16 +119,31 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
-    parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 100-109 or 3,5,9")
+    parser.add_argument("--workload", action="append", default=[], help="repeat for several workloads")
+    parser.add_argument("--seeds", type=seed_list, help="e.g. 100-109 or 3,5,9")
+    parser.add_argument("--imports", type=int, default=0, metavar="N", help="pairs of fresh `import lipsync.cli`")
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--json", type=Path, help="write every run's metrics here")
     args = parser.parse_args()
+    if not (args.workload or args.imports):
+        parser.error("give --workload or --imports")
+    if args.workload and not args.seeds:
+        parser.error("--workload needs --seeds")
+
+    record = {}
+    if args.imports:
+        record["imports"] = import_pairs(args.parent, args.change, args.imports)
+        timed = [p for p in record["imports"] if None not in p.values()]
+        pairs = [tuple({"metrics": {"import_s": {"value": p[side]}}, "failed": 0} for side in ("parent", "change"))
+                 for p in timed]
+        print(f"import lipsync.cli: {len(pairs)} of {args.imports} pairs timed, fresh interpreters")
+        # the last line counts failed operations; the line above already counts failed imports
+        print("\n".join(summarize(pairs, {"import_s": "lower"})[:-1]))
+        print()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
-    record = {}
     for workload in args.workload:
         pairs = []
         for n, seed in enumerate(args.seeds):

@@ -17,26 +17,30 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio, evaluation, features, mesh, model, synthdata, training
+# Only what infer, features and export-obj-seq run is imported here; the
+# other handlers import training, evaluation and synthdata when they run.
+from . import audio, features, mesh, model
 from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
 
-# Each train flag and config-file key, and the config field it sets; the
-# field's default is the default and its type the cast.
+# Each train flag and config-file key, and the training config class and
+# field it sets; the field's default is the default and its type the cast.
 TRAIN_FIELDS = {
-    "epochs": (training.TrainConfig, "epochs"),
-    "lr": (training.TrainConfig, "learning_rate"),
-    "w_pos": (training.LossConfig, "w_position"),
-    "w_vel": (training.LossConfig, "w_velocity"),
-    "seed": (training.TrainConfig, "seed"),
-    "checkpoint_every": (training.TrainConfig, "checkpoint_every"),
-    "batch_size": (training.TrainConfig, "batch_size"),
-    "clip_norm": (training.TrainConfig, "clip_norm"),
+    "epochs": ("TrainConfig", "epochs"),
+    "lr": ("TrainConfig", "learning_rate"),
+    "w_pos": ("LossConfig", "w_position"),
+    "w_vel": ("LossConfig", "w_velocity"),
+    "seed": ("TrainConfig", "seed"),
+    "checkpoint_every": ("TrainConfig", "checkpoint_every"),
+    "batch_size": ("TrainConfig", "batch_size"),
+    "clip_norm": ("TrainConfig", "clip_norm"),
 }
 
 
 def _train_cast(key):
+    from . import training
+
     cls, name = TRAIN_FIELDS[key]
-    return type(next(f.default for f in dataclasses.fields(cls) if f.name == name))
+    return type(next(f.default for f in dataclasses.fields(getattr(training, cls)) if f.name == name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,11 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path) -> dict:
     """Plain key=value lines; '#' starts a comment."""
     values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc.reason}")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(UsageError.read_lines(path), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -63,14 +63,17 @@ def _load_config_file(path) -> dict:
 
 
 def _cmd_gen_corpus(args) -> int:
+    from . import synthdata
+
     out_dir = Path(args.out)
+    lo, hi = synthdata.DURATION_RANGE
     head = synthdata.make_head(args.vertices, seed=args.seed)
     provider = features.SurrogateProvider.seeded(args.seed)
     oracle = synthdata.OracleArticulator.seeded(head, seed=args.seed)
     manifest = synthdata.generate_corpus(
         out_dir,
         args.sentences,
-        duration_range=(args.min_dur, args.max_dur),
+        duration_range=(lo if args.min_dur is None else args.min_dur, hi if args.max_dur is None else args.max_dur),
         provider=provider,
         oracle=oracle,
         seed=args.seed,
@@ -95,25 +98,31 @@ def _cmd_features(args) -> int:
 
 
 def _train_configs(args):
-    """(LossConfig, TrainConfig): explicit flags over the --config file over field defaults."""
-    chosen = {}
+    """(LossConfig, TrainConfig): explicit flags over the --config file over field defaults, cast from text."""
+    from . import training
+
+    given = [("--" + key.replace("_", "-"), key, raw) for key, raw in vars(args).items()
+             if key in TRAIN_FIELDS and raw is not None]
     if args.config:
-        for key, raw in _load_config_file(args.config).items():
-            if key not in TRAIN_FIELDS:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                chosen[key] = _train_cast(key)(raw)
-            except ValueError:
-                raise UsageError(f"bad value for config key {key!r}: {raw!r}")
-    chosen.update((key, getattr(args, key)) for key in TRAIN_FIELDS if getattr(args, key) is not None)
-    kwargs = {training.LossConfig: {}, training.TrainConfig: {}}
-    for key, value in chosen.items():
+        given += [(f"config key {key!r}", key, raw) for key, raw in _load_config_file(args.config).items()]
+    kwargs = {"LossConfig": {}, "TrainConfig": {}}
+    for source, key, raw in given:
+        if key not in TRAIN_FIELDS:
+            raise UsageError(f"unknown config key {key!r}")
+        try:
+            value = _train_cast(key)(raw)
+        except ValueError:
+            raise UsageError(f"bad value for {source}: {raw!r}")
+        if source == "--seed" and value < 0:
+            raise UsageError(f"--seed must be >= 0, got {value}")
         cls, name = TRAIN_FIELDS[key]
-        kwargs[cls][name] = value
-    return tuple(cls(**fields) for cls, fields in kwargs.items())
+        kwargs[cls].setdefault(name, value)  # the flags come first, so they win and a bad one is named first
+    return tuple(getattr(training, cls)(**fields) for cls, fields in kwargs.items())
 
 
 def _cmd_train(args) -> int:
+    from . import synthdata, training
+
     loss_cfg, train_cfg = _train_configs(args)
 
     manifest = synthdata.CorpusManifest.load(args.manifest)
@@ -217,12 +226,14 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import evaluation, synthdata
+
     manifest = synthdata.CorpusManifest.load(args.manifest)
     head = mesh.load_obj(args.template, landmark_path=args.landmarks)
     samples = synthdata.load_split(manifest, args.split)
     if not samples:
         raise DataError(f"split {args.split!r} of {args.manifest} has no sentences to score")
-    cfg = evaluation.ProjectionConfig(px_per_unit=args.px_per_unit)
+    cfg = evaluation.ProjectionConfig(**({} if args.px_per_unit is None else {"px_per_unit": args.px_per_unit}))
 
     if args.self_test:
         report = evaluation.evaluate_self(head, samples, cfg)
@@ -261,9 +272,11 @@ def _cmd_export_obj_seq(args) -> int:
 
 
 def _cmd_traj(args) -> int:
+    from . import evaluation
+
     head = mesh.load_obj(args.template, landmark_path=args.landmarks)
     anim = mesh.load_anim(args.anim)
-    cfg = evaluation.ProjectionConfig(px_per_unit=args.px_per_unit)
+    cfg = evaluation.ProjectionConfig(**({} if args.px_per_unit is None else {"px_per_unit": args.px_per_unit}))
     traj = evaluation.project_landmarks(head, anim, cfg=cfg)
     landmark = args.landmark_index
     if landmark is None:
@@ -278,8 +291,8 @@ def _gen_corpus_args(p) -> None:
     p.add_argument("--sentences", type=int, default=20)
     p.add_argument("--vertices", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-dur", type=float, default=synthdata.DURATION_RANGE[0])
-    p.add_argument("--max-dur", type=float, default=synthdata.DURATION_RANGE[1])
+    p.add_argument("--min-dur", type=float)  # the defaults are synthdata.DURATION_RANGE
+    p.add_argument("--max-dur", type=float)
 
 
 def _features_args(p) -> None:
@@ -295,8 +308,8 @@ def _train_args(p) -> None:
     p.add_argument("--metrics", help="CSV metrics log path")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--arch", choices=["conv-lstm", "lstm"], default="conv-lstm")
-    for key in TRAIN_FIELDS:
-        p.add_argument("--" + key.replace("_", "-"), type=_train_cast(key))
+    for key in TRAIN_FIELDS:  # cast by _train_configs
+        p.add_argument("--" + key.replace("_", "-"))
     p.add_argument("--checkpoint-dir")
 
 
@@ -315,7 +328,7 @@ def _eval_args(p) -> None:
     p.add_argument("--checkpoint")
     p.add_argument("--self-test", action="store_true", help="score ground truth against itself")
     p.add_argument("--split", default="test")
-    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
+    p.add_argument("--px-per-unit", type=float)
     p.add_argument("--out", help="JSON report path")
 
 
@@ -334,7 +347,7 @@ def _traj_args(p) -> None:
     p.add_argument("--landmarks", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--landmark-index", type=int, help="defaults to the upper-lip-middle landmark")
-    p.add_argument("--px-per-unit", type=float, default=evaluation.ProjectionConfig.px_per_unit)
+    p.add_argument("--px-per-unit", type=float)
 
 
 # name: (help line, function adding its arguments to a parser, handler)
@@ -374,7 +387,8 @@ def run(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy seeds are non-negative
+        # numpy seeds are non-negative; train's flags are text until _train_configs casts them
+        if isinstance(getattr(args, "seed", None), int) and args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         if not hasattr(args, "checkpoint"):  # a command that loads no network frees the kept one
             _kept = None
@@ -387,6 +401,9 @@ def run(argv) -> int:
         return 1
     except (LipSyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

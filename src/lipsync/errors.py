@@ -76,5 +76,5 @@ class ConfigError(LipSyncError, ValueError):
     """A configuration value is outside its valid range."""
 
 
-class UsageError(LipSyncError):
-    """Bad command-line invocation."""
+class UsageError(LocatedError):
+    """Bad command-line invocation, or a --config file that does not parse."""

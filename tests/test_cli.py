@@ -107,6 +107,18 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
+    # train's flags are parsed as text and cast with the config file's values
+    @pytest.mark.parametrize(
+        "flag, value", [("--epochs", "x"), ("--lr", "abc"), ("--batch-size", "1.5"), ("--seed", "-1")]
+    )
+    def test_bad_train_flag_names_the_flag(self, mini_corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.lsn1"
+        code = run_cli("train", "--manifest", str(mini_corpus["root"] / "corpus.jsonl"), "--out", str(out), flag, value)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["--help"], *([name, "--help"] for name in cli._COMMANDS), [], ["bogus"], ["infer"], ["train", "--epochs", "x"]],
@@ -213,6 +225,19 @@ class TestDataErrors:
         assert "optimizer step" not in err  # the initial weights, not a step, made the loss non-finite
         assert not out.exists()
         assert list((tmp_path / "ckpts").iterdir()) == []
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
+    def test_memory_error_is_exit_2(self, tiny_checkpoint, wav_2s, tmp_path, monkeypatch, capsys, message):
+        def exhausted(net, seq):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(model, "forward", exhausted)
+        out = tmp_path / "o.lsa1"
+        code = run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--wav", str(wav_2s), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: out of memory") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestInfer:
@@ -501,6 +526,28 @@ class TestGenCorpusAndTrain:
             learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5
         )
         assert np.array_equal(seen["net"].flat, model.init_params(4, 40).flat)
+
+    def test_flags_set_every_field(self, mini_corpus, tmp_path, monkeypatch):
+        # the flags are parsed as text and cast with the config file's casts
+        seen = {}
+
+        def fake_train(items, net, loss_cfg, train_cfg, **kwargs):
+            seen.update(loss=loss_cfg, train=train_cfg)
+            return training.TrainResult(best_params=net, metrics=[], best_epoch=0)
+
+        monkeypatch.setattr(training, "train", fake_train)
+        assert run_cli(
+            "train",
+            "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+            "--out", str(tmp_path / "c.lsn1"),
+            "--epochs", "3", "--lr", "0.002", "--w-pos", "2", "--w-vel", "0.25", "--seed", "4",
+            "--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path), "--batch-size", "3", "--clip-norm", "1.5",
+        ) == 0
+        assert seen["loss"] == training.LossConfig(w_position=2.0, w_velocity=0.25)
+        assert seen["train"] == training.TrainConfig(
+            learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5
+        )
+        assert type(seen["loss"].w_position) is float and type(seen["train"].epochs) is int
 
     def test_bad_config_key(self, mini_corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -96,3 +96,16 @@ def test_ab_pairs_summary_counts_wins_and_claims():
     assert rows["train_frames_per_s"][-3:] == ["5/10", "0", "no"]
     assert rows["val_loss_final"][-3:] == ["0/10", "10", "no"]
     assert lines[-1] == "failed operations: parent 0, change 2"
+
+
+def test_ab_pairs_imports_smoke():
+    checkout = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_pairs.py"), str(checkout), str(checkout), "--imports", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "import lipsync.cli: 2 of 2 pairs timed" in proc.stdout
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("import_s "))
+    *_, wins, _, claim = row.split()
+    assert wins.endswith("/2") and claim in ("yes", "no")

@@ -1,61 +1,98 @@
-"""Start-up guard: the commands that serve requests never import scipy, and
+"""Start-up guard: each command imports only the modules it runs, and
 importing the CLI builds no parser.
 
 Importing scipy.fft and scipy.spatial took about 0.4 s of every command's
-start-up. Only gen-corpus needs scipy (the head's convex hull).
+start-up; only gen-corpus needs scipy (the head's convex hull). `infer`,
+`features` and `export-obj-seq` run no training, evaluation or corpus code,
+so they do not import `lipsync.training`, `lipsync.evaluation`,
+`lipsync.synthdata`, nor the `json` and `csv` those bring in.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from lipsync import audio, synthdata
+from lipsync import audio, model, synthdata
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs in a fresh interpreter: argv[1] is a JSON list of (name, command line).
-# Prints the exit code of each command and the scipy modules loaded after it;
-# for the import, the number of parsers built in place of an exit code.
+# Runs in a fresh interpreter over the command line in argv[1:], or the
+# import alone when there is none; imports no watched module itself. Prints
+# the command's exit code (for the import, the number of parsers built) and
+# the watched modules left loaded, as a Python literal.
 _PROBE = """
-import contextlib, io, json, sys
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import contextlib, io, sys
 
 from lipsync import cli
 
-seen = {"import lipsync.cli": [cli._parser.cache_info().currsize, scipy_modules()]}
-for name, argv in json.loads(sys.argv[1]):
+if len(sys.argv) == 1:
+    code = cli._parser.cache_info().currsize
+else:
     with contextlib.redirect_stdout(io.StringIO()):
-        seen[name] = [cli.run(argv), scipy_modules()]
-print(json.dumps(seen))
+        code = cli.run(sys.argv[1:])
+watched = ("lipsync.training", "lipsync.evaluation", "lipsync.synthdata", "json", "csv")
+print([code, sorted(m for m in sys.modules if m in watched or m.split(".")[0] == "scipy")])
 """
 
+HEAVY = ["csv", "json", "lipsync.evaluation", "lipsync.synthdata", "lipsync.training"]
 
-def test_only_gen_corpus_imports_scipy(mini_corpus, tmp_path):
+
+@pytest.fixture(scope="module")
+def loaded(mini_corpus, tmp_path_factory):
+    """{command: (exit code, watched modules loaded)}, each command run in
+    its own fresh interpreter so that no module one loads is seen by the next."""
+    tmp = tmp_path_factory.mktemp("startup")
     root = mini_corpus["root"]
     manifest = str(root / "corpus.jsonl")
     head = ["--template", str(root / "template.obj"), "--landmarks", str(root / "template.landmarks.txt")]
-    wav, net = str(tmp_path / "clip.wav"), str(tmp_path / "net.lsn1")
+    wav, net, anim = str(tmp / "clip.wav"), str(tmp / "net.lsn1"), str(tmp / "a.lsa1")
     audio.save_wav(synthdata.synth_speech(1.0, np.random.default_rng(0)), wav)
-    commands = [
-        ("features", ["features", "--wav", wav, "--out", str(tmp_path / "f.lsf1")]),
-        ("train", ["train", "--manifest", manifest, "--out", net, "--epochs", "1"]),
-        ("infer", ["infer", "--checkpoint", net, "--wav", wav, "--out", str(tmp_path / "a.lsa1")]),
-        ("eval", ["eval", "--manifest", manifest, *head, "--checkpoint", net]),
-        ("gen-corpus", ["gen-corpus", "--out", str(tmp_path / "corpus"), "--sentences", "3", "--vertices", "20"]),
-    ]
+    model.save_checkpoint(model.init_params(0, mini_corpus["head"].n_vertices), net)
+    commands = {
+        "import lipsync.cli": [],
+        "features": ["features", "--wav", wav, "--out", str(tmp / "f.lsf1")],
+        "infer": ["infer", "--checkpoint", net, "--wav", wav, "--out", anim],
+        "export-obj-seq": ["export-obj-seq", "--checkpoint", net, "--wav", wav, *head, "--out", str(tmp / "objs")],
+        "traj": ["traj", "--anim", anim, *head, "--out", str(tmp / "traj.csv")],
+        "train": ["train", "--manifest", manifest, "--out", str(tmp / "trained.lsn1"), "--epochs", "1"],
+        "eval": ["eval", "--manifest", manifest, *head, "--checkpoint", net],
+        "gen-corpus": ["gen-corpus", "--out", str(tmp / "corpus"), "--sentences", "3", "--vertices", "20"],
+    }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert all(code == 0 for code, _ in seen.values()), seen
-    for name in ("import lipsync.cli", "features", "train", "infer", "eval"):
-        assert seen[name][1] == [], f"{name} loaded {seen[name][1]}"
-    assert "scipy.spatial" in seen["gen-corpus"][1]
+    seen = {}
+    for name, argv in commands.items():  # in order: traj reads the animation infer writes
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[name] = ast.literal_eval(proc.stdout)
+    return seen
+
+
+def test_every_command_succeeds(loaded):
+    assert loaded["import lipsync.cli"][0] == 0, "importing the CLI built a parser"
+    assert all(code == 0 for name, (code, _) in loaded.items() if name != "import lipsync.cli"), loaded
+
+
+@pytest.mark.parametrize("name", ["import lipsync.cli", "features", "infer", "export-obj-seq"])
+def test_request_commands_load_no_training_evaluation_or_corpus_code(loaded, name):
+    assert not set(loaded[name][1]) & set(HEAVY), f"{name} loaded {loaded[name][1]}"
+
+
+def test_traj_loads_no_training_or_corpus_code(loaded):
+    assert "lipsync.evaluation" in loaded["traj"][1]
+    assert not {"lipsync.training", "lipsync.synthdata"} & set(loaded["traj"][1]), loaded["traj"][1]
+
+
+def test_only_gen_corpus_imports_scipy(loaded):
+    for name, (_, modules) in loaded.items():
+        scipy = [m for m in modules if m.split(".")[0] == "scipy"]
+        if name == "gen-corpus":
+            assert "scipy.spatial" in scipy
+        else:
+            assert scipy == [], f"{name} loaded {scipy}"
