@@ -65,7 +65,6 @@ CHAIN = [
     ("infer-8k", ["infer", "--checkpoint", "net.lsn1", "--wav", "8000.wav", "--out", "8000.lsa1"]),
     ("infer-48k", ["infer", "--checkpoint", "net.lsn1", "--wav", "48000.wav", "--out", "48000.lsa1"]),
     ("features-surrogate", ["features", "--wav", "44100.wav", "--out", "surrogate.lsf1"]),
-    ("features-mfcc", ["features", "--wav", "44100.wav", "--out", "mfcc.lsf1", "--kind", "mfcc"]),
     ("traj", ["traj", "--anim", "16000.lsa1", *HEAD, "--out", "traj.csv"]),
     ("export-obj-seq", ["export-obj-seq", "--checkpoint", "net.lsn1", "--wav", "16000.wav", *HEAD, "--out", "objs"]),
 ]

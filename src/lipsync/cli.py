@@ -15,11 +15,19 @@ import sys
 import time
 from pathlib import Path
 
+# One BLAS thread unless the environment names a count: a product split over
+# threads sums in another order, so a checkpoint's bytes would depend on the
+# cores. BLAS reads these once, when numpy loads, so a caller that imported
+# numpy first keeps its own setting.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 # Only what infer, features and export-obj-seq run is imported here; the
 # other handlers import training, evaluation and synthdata when they run.
-from . import audio, features, mesh, model
+from . import features, mesh, model
 from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
 
 # Each train flag and config-file key, and the training config class and
@@ -87,11 +95,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    frames = audio.mfcc_from_wav(args.wav)
-    if args.kind == "surrogate":
-        seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(args.seed))
-    else:
-        seq = features.mfcc_features(frames)
+    seq = features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
     features.save_features(seq, args.out)
     print(f"wrote {seq.n_frames} x {seq.dim} feature frames to {args.out}")
     return 0
@@ -201,16 +205,13 @@ def _network(path) -> model.NetworkParams:
     """
     global _kept
     start = time.time_ns()
-    try:
-        st = os.stat(path)
-        key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-    except OSError:  # load_checkpoint reports it
-        st = key = None
+    st = os.stat(path)  # a missing file fails here as it would in load_checkpoint
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
     if _kept is not None and _kept[0] == key:
         return _kept[1]
     _kept = None
     net = model.load_checkpoint(path)
-    if st is not None and stat.S_ISREG(st.st_mode) and st.st_ctime_ns < start - _SETTLE_NS:
+    if stat.S_ISREG(st.st_mode) and st.st_ctime_ns < start - _SETTLE_NS:
         net = net.read_only()
         _kept = (key, net)
     return net
@@ -265,8 +266,9 @@ def _cmd_export_obj_seq(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(len(posed)):
-        mesh.save_obj(dataclasses.replace(head, vertices=posed[t]), out_dir / f"frame_{t:04d}.obj")
+    faces = mesh.face_lines(head.faces)  # the same in every frame
+    for t, vertices in enumerate(posed):
+        (out_dir / f"frame_{t:04d}.obj").write_text(mesh.vertex_lines(vertices) + faces)
     print(f"wrote {len(posed)} OBJ frames to {out_dir}")
     return 0
 
@@ -299,7 +301,6 @@ def _features_args(p) -> None:
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=["surrogate", "mfcc"], default="surrogate")
 
 
 def _train_args(p) -> None:

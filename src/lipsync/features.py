@@ -32,7 +32,8 @@ _LOGIT_SCALE = 0.25
 
 class FeatureKind(enum.IntEnum):
     CHAR_PROB_SURROGATE = 0
-    MFCC_RAW = 1
+    # 1 is reserved: it marked raw MFCC rows, which no network reads, so
+    # load_features refuses a file of that kind.
     EXTERNAL = 2
 
 
@@ -119,19 +120,11 @@ def _context_average(frames: np.ndarray, before: int, after: int) -> np.ndarray:
 
 def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSequence:
     """Character-probability style rows from MFCCs, resampled to 60 fps."""
-    if m.n_frames == 0:
-        raise InsufficientFramesError("no MFCC frames to featurize")
     averaged = _context_average(np.asarray(m.frames, dtype=np.float64), _CONTEXT, _CONTEXT)
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
     data = resample_features(simplex, m.source_duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.CHAR_PROB_SURROGATE)
-
-
-def mfcc_features(m: MfccFrames) -> FeatureSequence:
-    """Raw 13-dim MFCC rows resampled to 60 fps (alternative feature path)."""
-    data = resample_features(np.asarray(m.frames, dtype=np.float64), m.source_duration)
-    return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.MFCC_RAW)
 
 
 def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Format
-from .errors import FileFormatError, MeshParseError, TopologyError
+from .errors import MeshParseError, TopologyError
 
 ANIM_MAGIC = b"LSA1"
 _LSA1 = Format(ANIM_MAGIC, "<III")  # T, V, fps
@@ -32,18 +32,16 @@ class TemplateMesh:
     lip_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __post_init__(self):
+        # Faces come from load_obj, which checks each index at its line, or
+        # from make_head's hull; lip_mask is built beside the landmarks.
         v = len(self.vertices)
         if v < 4:
             raise TopologyError(f"mesh needs at least 4 vertices, got {v}")
-        if len(self.faces) and (self.faces.min() < 0 or self.faces.max() >= v):
-            raise TopologyError("face index out of range")
         if len(self.landmarks):
             if self.landmarks.min() < 0 or self.landmarks.max() >= v:
                 raise TopologyError("landmark index out of range")
             if len(np.unique(self.landmarks)) != len(self.landmarks):
                 raise TopologyError("landmark indices must be unique")
-        if len(self.lip_mask) != len(self.landmarks):
-            raise TopologyError("lip mask length must match landmark count")
 
     @property
     def n_vertices(self) -> int:
@@ -150,10 +148,18 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
     )
 
 
+def vertex_lines(vertices) -> str:
+    """OBJ ``v`` records of a (V, 3) array, 8 decimals, one format call."""
+    return ("v %.8f %.8f %.8f\n" * len(vertices)) % tuple(np.ravel(vertices).tolist())
+
+
+def face_lines(faces) -> str:
+    """OBJ ``f`` records of a (F, 3) array of 0-based indices, one format call."""
+    return ("f %d %d %d\n" * len(faces)) % tuple((np.ravel(faces) + 1).tolist())
+
+
 def save_obj(mesh: TemplateMesh, path, landmark_path=None) -> None:
-    lines = [f"v {x:.8f} {y:.8f} {z:.8f}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(vertex_lines(mesh.vertices) + face_lines(mesh.faces))
     if landmark_path is not None and len(mesh.landmarks):
         save_landmarks(mesh.landmarks, mesh.lip_mask, landmark_path)
 
@@ -170,9 +176,7 @@ def apply_displacements(template: TemplateMesh, d: DisplacementSequence) -> np.n
 def save_anim(d: DisplacementSequence, path) -> None:
     """Write the LSA1 container: magic | u32 T | u32 V | u32 fps | f32 offsets."""
     frames = np.ascontiguousarray(d.frames, dtype="<f4")
-    t, v, c = frames.shape
-    if c != 3:
-        raise FileFormatError("displacement frames must be T x V x 3", path=str(path))
+    t, v, _ = frames.shape
     _LSA1.write(path, (t, v, int(d.fps)), frames)
 
 

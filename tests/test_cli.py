@@ -279,12 +279,6 @@ class TestInfer:
         ) == 0
         assert mesh.load_anim(out).n_frames == 120
 
-    def test_mfcc_kind(self, wav_2s, tmp_path):
-        out = tmp_path / "m.lsf1"
-        assert run_cli("features", "--wav", str(wav_2s), "--out", str(out), "--kind", "mfcc") == 0
-        seq = features.load_features(out)
-        assert seq.dim == 13 and seq.kind == FeatureKind.MFCC_RAW
-
 
 class TestCachedParser:
     """run builds one parser per process; no call may see what an earlier
@@ -790,10 +784,10 @@ class _Inputs:
             "--landmarks", landmarks or self.landmarks, "--out", str(self.out), *scorer, *flags,
         ]
 
-    def traj(self, *flags, landmarks=None):
+    def traj(self, *flags, template=None, landmarks=None):
         return [
-            "traj", "--anim", self.anim, "--template", self.template, "--landmarks", landmarks or self.landmarks,
-            "--out", str(self.out), *flags,
+            "traj", "--anim", self.anim, "--template", template or self.template,
+            "--landmarks", landmarks or self.landmarks, "--out", str(self.out), *flags,
         ]
 
     def gen_corpus(self, *flags):
@@ -842,6 +836,26 @@ def _wav_with_fmt(i, fmt: bytes) -> str:
     return i.file("odd.wav", b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
+def _template_times(i, scale) -> str:
+    """The session template with every vertex coordinate times ``scale``."""
+    head = mesh.load_obj(i.template)
+    mesh.save_obj(mesh.TemplateMesh(vertices=head.vertices * scale, faces=head.faces), i.tmp / "big.obj")
+    return str(i.tmp / "big.obj")
+
+
+def _lsn1_without(i, name) -> str:
+    """A V=40 checkpoint that lacks the tensor ``name``."""
+    named = [(key.encode(), arr) for key, arr in model.init_params(0, 40).items() if key != name]
+    write_lsn1(i.tmp / "partial.lsn1", 40, named)
+    return str(i.tmp / "partial.lsn1")
+
+
+def _lsf1_kind_1(i) -> str:
+    """A feature file of 60 rows as wide as the network reads, marked kind 1."""
+    rows = np.zeros((60, features.CHAR_PROB_DIM), dtype="<f4")
+    return i.file("k1.lsf1", b"LSF1" + struct.pack("<IIIB", 60, features.CHAR_PROB_DIM, 60, 1) + rows.tobytes())
+
+
 # case: (exit code, text the one stderr line must hold, command line)
 MALFORMED = {
     "traj-landmark-index-999": (1, "landmark index 999", lambda i: i.traj("--landmark-index", "999")),
@@ -874,7 +888,25 @@ MALFORMED = {
     "manifest-not-utf8": (
         2, "m.jsonl: not UTF-8 text", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i) + b"\xff\n"))
     ),
+    "manifest-duplicate-id": (
+        2, "m.jsonl: duplicate item ids", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i) * 2))
+    ),
+    "landmarks-duplicate-index": (
+        2, "landmark indices must be unique", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\nlip:1\n"))
+    ),
     "obj-nan-vertex": (2, "h.obj: non-finite vertex", lambda i: i.eval(template=i.file("h.obj", b"v 0 nan 0\n"))),
+    **{
+        f"obj-{defect}": (2, needle, lambda i, face=face: i.eval(template=i.file("h.obj", b"v 0 0 0\n" * 3 + face)))
+        for defect, face, needle in (
+            ("three-vertices", b"", "mesh needs at least 4 vertices, got 3"),
+            ("face-non-numeric", b"f 1 x 3\n", "non-numeric face index 'x' (line 4)"),
+            ("face-two-indices", b"f 1 2\n", "face needs at least 3 indices (line 4)"),
+        )
+    },
+    "traj-px-overflow": (
+        2, "landmark pixel coordinates overflow",
+        lambda i: i.traj("--px-per-unit", "1e300", template=_template_times(i, 1e10)),
+    ),
     "obj-not-utf8": (2, "(line 2)", lambda i: i.eval(template=i.file("h.obj", b"v 0 0 0\n\xff 1 1\n"))),
     "landmarks-not-utf8": (2, "lm.txt: not UTF-8", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\n\xfe\n"))),
     # numpy holds landmark indices as int64
@@ -886,6 +918,10 @@ MALFORMED = {
             ("export-obj-seq", lambda i: i.export_obj_seq(landmarks=i.huge_landmark())),
         )
     },
+    "config-line-without-equals": (
+        1, "c.cfg:3: expected key=value, got 'epochs'",
+        lambda i: i.train("--config", i.file("c.cfg", b"# x\n\nepochs\n")),
+    ),
     "config-not-utf8": (1, "c.cfg: not UTF-8", lambda i: i.train("--config", i.file("c.cfg", b"epochs = 1\n\xff\n"))),
     "gen-corpus-seed-negative": (1, "--seed must be >= 0", lambda i: i.gen_corpus("--seed=-1")),
     "features-seed-negative": (1, "--seed must be >= 0", lambda i: i.features("--seed=-1")),
@@ -944,6 +980,17 @@ MALFORMED = {
     ),
     "infer-checkpoint-rank-65": (
         2, "tensor 'w' has dims", lambda i: i.infer(checkpoint=_lsn1_one_tensor(i, (1,) * 65, bytes(8)))
+    ),
+    "infer-checkpoint-missing": (
+        2, "No such file or directory", lambda i: i.infer(checkpoint=str(i.tmp / "absent.lsn1"))
+    ),
+    "infer-checkpoint-without-fc1": (
+        2, "missing tensor fc1.weight", lambda i: i.infer(checkpoint=_lsn1_without(i, "fc1.weight"))
+    ),
+    # kind 1 marked raw MFCC rows, which no network reads; the code stays reserved
+    "infer-features-kind-1": (
+        2, "unknown feature kind 1 (byte offset 16)",
+        lambda i: ["infer", "--checkpoint", i.checkpoint(), "--features", _lsf1_kind_1(i), "--out", str(i.out)],
     ),
     # the zero dimension leaves no payload to read, so nothing stops the reshape to 2**62 elements
     "infer-checkpoint-zero-dim": (
@@ -1166,3 +1213,23 @@ def test_module_entry_point(tmp_path):
     assert gen.returncode == 0, gen.stderr
     assert len(synthdata.CorpusManifest.load(out / "corpus.jsonl").items) == 3
     assert module().returncode == 1
+
+
+def test_module_entry_point_trains_the_same_bytes_without_a_thread_setting(mini_corpus, tmp_path):
+    # OpenBLAS runs a thread per core unless told otherwise, and a product
+    # split over threads sums in another order
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    unset = {key: value for key, value in os.environ.items() if key not in threads}
+    unset["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(threads, "1")})):
+        out = tmp_path / f"{name}.lsn1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lipsync.cli", "train", "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+             "--out", str(out), "--epochs", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -43,12 +43,6 @@ class TestSurrogate:
             assert seq.n_frames == round(60 * seconds)
             assert seq.dim == 29
 
-    def test_mfcc_raw_kind(self):
-        seq = features.mfcc_features(mfcc_fixture())
-        assert seq.kind == FeatureKind.MFCC_RAW
-        assert seq.dim == 13
-        assert seq.n_frames == 60
-
 
 def reference_context_average(frames, before=2, after=2):
     """Per-row mean over the clamped window: the oracle. With ``before=0``

@@ -20,6 +20,23 @@ f 2 3 4
 
 
 class TestObjIO:
+    def test_one_format_call_writes_the_per_line_text(self, tmp_path):
+        def per_line(vertices, faces):  # the text save_obj wrote one line at a time
+            lines = [f"v {x:.8f} {y:.8f} {z:.8f}" for x, y, z in vertices]
+            lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(0)
+        faces = rng.integers(0, 2000, (3996, 3))
+        for t in range(20):
+            vertices = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-9, 4, (2000, 3))
+            vertices[t : t + 3] = [[-0.0, -1e-12, 1e300], [-5e-9, 5e-9, 1.5e-8], [-1e300, 0.0, 12345678.123456789]]
+            expected = per_line(vertices, faces)
+            assert mesh.vertex_lines(vertices) + mesh.face_lines(faces) == expected
+            if t == 0:
+                mesh.save_obj(TemplateMesh(vertices=vertices, faces=faces), tmp_path / "h.obj")
+                assert (tmp_path / "h.obj").read_text() == expected
+
     def test_tetrahedron(self, tmp_path):
         p = tmp_path / "t.obj"
         p.write_text(TETRA)

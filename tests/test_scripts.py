@@ -27,7 +27,7 @@ def test_output_digest_covers_every_output():
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
     for name in (
         "stdout:train", "stdout:eval-test-self-test", "stdout:export-obj-seq", "corpus/corpus.jsonl",
-        "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "mfcc.lsf1", "traj.csv",
+        "net.lsn1", "metrics.csv", "eval-val-checkpoint.json", "44100.lsa1", "surrogate.lsf1", "traj.csv",
         "objs/frame_0000.obj", "ablation/corpus.jsonl", "stdout:train-lstm-batch3", "lstm.lsn1",
         "stdout:infer-8k", "8000.lsa1", "stdout:infer-48k", "48000.lsa1", "11025.wav", "22050.wav",
         *(f"float64:{rate}.{stage}" for rate in (8000, 11025, 16000, 22050, 44100, 48000)
