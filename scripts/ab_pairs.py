@@ -34,10 +34,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+# The thread pins and the import timing of perfbench's setup_s, so --imports times it the same way.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.run import _IMPORT, PINNED  # noqa: E402
+
 CLAIM_SHARE = 0.9  # of the pairs the change must win
-PINNED = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
-_IMPORT = "import time; t = time.perf_counter(); import lipsync.cli; print(time.perf_counter() - t)"
 
 
 def seed_list(text: str) -> list[int]:

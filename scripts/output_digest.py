@@ -28,21 +28,17 @@ import tempfile
 import time
 from pathlib import Path
 
-# One BLAS thread: a dot product split over threads sums in another order,
-# so the trained checkpoint's bits depend on the thread count. It must be
-# set before numpy is first imported; an explicit setting wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import lipsync  # noqa: E402,F401  (before numpy: sets the one-thread BLAS default)
 import numpy as np  # noqa: E402
 
 from lipsync import audio, cli, features, model, synthdata  # noqa: E402
 from run_ablation import build_corpus  # noqa: E402
 
 CORPUS = ["--manifest", "corpus/corpus.jsonl"]
-HEAD = ["--template", "corpus/template.obj", "--landmarks", "corpus/template.landmarks.txt"]
+TEMPLATE = ["--template", "corpus/template.obj"]
+HEAD = [*TEMPLATE, "--landmarks", "corpus/template.landmarks.txt"]
 
 # (name of the stdout digest, command line)
 CHAIN = [
@@ -66,7 +62,7 @@ CHAIN = [
     ("infer-48k", ["infer", "--checkpoint", "net.lsn1", "--wav", "48000.wav", "--out", "48000.lsa1"]),
     ("features-surrogate", ["features", "--wav", "44100.wav", "--out", "surrogate.lsf1"]),
     ("traj", ["traj", "--anim", "16000.lsa1", *HEAD, "--out", "traj.csv"]),
-    ("export-obj-seq", ["export-obj-seq", "--checkpoint", "net.lsn1", "--wav", "16000.wav", *HEAD, "--out", "objs"]),
+    ("export-obj-seq", ["export-obj-seq", "--checkpoint", "net.lsn1", "--wav", "16000.wav", *TEMPLATE, "--out", "objs"]),
 ]
 
 

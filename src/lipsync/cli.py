@@ -15,14 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-# One BLAS thread unless the environment names a count: a product split over
-# threads sums in another order, so a checkpoint's bytes would depend on the
-# cores. BLAS reads these once, when numpy loads, so a caller that imported
-# numpy first keeps its own setting.
-if "numpy" not in sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
-
 import numpy as np
 
 # Only what infer, features and export-obj-seq run is imported here; the
@@ -254,7 +246,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_obj_seq(args) -> int:
     net = _network(args.checkpoint)
-    head = mesh.load_obj(args.template, landmark_path=args.landmarks)
+    head = mesh.load_obj(args.template)
     if head.n_vertices != net.vertex_count:
         raise TopologyError(
             f"template has {head.n_vertices} vertices but checkpoint decodes {net.vertex_count}; "
@@ -337,7 +329,6 @@ def _export_obj_seq_args(p) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--template", required=True)
-    p.add_argument("--landmarks")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
 

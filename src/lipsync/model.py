@@ -10,13 +10,14 @@ Layer stack (widths for the production preset):
       -> dense 50 linear (low-dimensional embedding)
       -> dense V*3 linear (vertex displacement decoder)
 
-``NetworkParams`` keeps the layers in three lists, ``convs``, ``lstms`` and
-``dense``; the number of LSTMs follows ``ArchConfig.lstm_sizes``. Every
-parameter array is a view into one contiguous float64 vector ``flat``, laid
-out by ``_bind`` from ``_tensors``, the one table of checkpoint tensor names
-and shapes, in its order. ``backward`` returns gradients
-in the same layout, so the optimizer works on whole vectors. Each LSTM holds
-its four gates fused into one (4H, H + input) matrix, row blocks f, i, o, C.
+``NetworkParams.layers`` lists the layers in that order, each a ``Layer``:
+its kind and a weight and a bias; the number of LSTMs follows
+``ArchConfig.lstm_sizes``. Every ``W`` and ``b`` is a view into one
+contiguous float64 vector ``flat``, laid out by ``_bind`` from ``_tensors``,
+the one table of checkpoint tensor names and shapes, in its order.
+``backward`` returns gradients in the same layout, so the optimizer works
+on whole vectors. Each LSTM holds its four gates fused into one
+(4H, H + input) matrix, row blocks f, i, o, C.
 
 Forward starts every sequence from zero LSTM state; ``forward_batch`` steps
 several sequences through each LSTM together, bit-equal to running them one
@@ -43,7 +44,7 @@ from .mesh import DisplacementSequence
 CHECKPOINT_MAGIC = b"LSN1"
 _LSN1 = Format(CHECKPOINT_MAGIC, "<II")  # V, tensor count
 GATES = "fioC"  # row-block order of the fused LSTM gate matrix
-DENSE_LAYERS = (("fc1", "tanh"), ("fc2", "linear"), ("decoder", "linear"))
+DENSE_LAYERS = ("fc1", "fc2", "decoder")  # fc1 is tanh, the others linear
 # Every network reads CHAR_PROB_DIM-wide input. With ArchConfig.use_conv it
 # starts with _N_CONV temporal convolutions of kernel width _CONV_KERNEL.
 _N_CONV = 2
@@ -51,38 +52,19 @@ _CONV_KERNEL = 5
 
 
 @dataclass
-class Conv1dParams:
-    """Temporal convolution weights: kernels (out_ch, in_ch, width), stride 1."""
+class Layer:
+    """One layer: its kind, and its weight and bias as views into ``flat``.
 
-    kernels: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class LstmCellParams:
-    """Fused gate weights over the concatenated [h_prev, x_t] vector.
-
-    ``W`` has shape (4H, H + input_dim) and ``b`` length 4H; both stack the
-    gates in row blocks of H in the order f, i, o, C.
+    ``kind`` is "conv", "lstm", or a dense layer's activation, "tanh" or
+    "linear". ``W`` is (out_ch, in_ch, width) for a conv, (out, in) for a
+    dense layer, and (4H, H + input) for an LSTM, whose gates act on the
+    concatenated [h_prev, x_t] vector and are stacked in row blocks of H
+    in the order f, i, o, C, as is ``b``.
     """
 
+    kind: str
     W: np.ndarray
     b: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
-
-
-@dataclass
-class DenseParams:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray
-    activation: str = "linear"  # tanh | linear
 
 
 @dataclass(frozen=True)
@@ -98,16 +80,10 @@ class ArchConfig:
 
 @dataclass
 class NetworkParams:
-    convs: list[Conv1dParams]
-    lstms: list[LstmCellParams]
-    dense: list[DenseParams]  # fc1, fc2, decoder
+    layers: list[Layer]  # in flat order: convs, LSTMs, then fc1, fc2, decoder
     vertex_count: int
     arch: ArchConfig
-    flat: np.ndarray  # every layer array above is a view into this vector
-
-    @property
-    def layers(self) -> list:
-        return [*self.convs, *self.lstms, *self.dense]
+    flat: np.ndarray  # every W and b is a view into this vector
 
     def items(self):
         """(LSN1 tensor name, view) pairs in ``flat`` order, one per LSTM gate block."""
@@ -133,7 +109,7 @@ def _tensors(arch: ArchConfig, vertex_count: int) -> tuple:
     widths = [CHAR_PROB_DIM, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
     widths += [arch.fc1_size, arch.embedding_size, 3 * vertex_count]
     layers = [f"conv{n}" for n in range(1, n_conv + 1)]
-    layers += [f"lstm{n}" for n in range(1, len(arch.lstm_sizes) + 1)] + [name for name, _ in DENSE_LAYERS]
+    layers += [f"lstm{n}" for n in range(1, len(arch.lstm_sizes) + 1)] + list(DENSE_LAYERS)
     out = []
     for name, i, o in zip(layers, widths, widths[1:]):
         if name.startswith("conv"):
@@ -148,27 +124,24 @@ def _tensors(arch: ArchConfig, vertex_count: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _cuts(arch: ArchConfig, vertex_count: int) -> tuple:
-    """(start, stop, shape) in ``flat`` of each layer array; an LSTM's W or b spans its four gate blocks."""
-    shapes = [(rows * len(GATES) if name.endswith("_f") else rows, *cols)
-              for name, (rows, *cols) in _tensors(arch, vertex_count) if not name.endswith(("_i", "_o", "_C"))]
-    bounds = [0, *itertools.accumulate(math.prod(s) for s in shapes)]
-    return tuple(zip(bounds, bounds[1:], shapes))
+    """(kind, start, stop, shape) in ``flat`` of each layer array, weight before bias; an LSTM's W
+    or b spans its four gate blocks. The kind is the layer name's, or a dense layer's activation."""
+    table = [(name.split(".")[0], (rows * len(GATES) if name.endswith("_f") else rows, *cols))
+             for name, (rows, *cols) in _tensors(arch, vertex_count) if not name.endswith(("_i", "_o", "_C"))]
+    bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape in table)]
+    kinds = dict.fromkeys(DENSE_LAYERS, "linear") | {"fc1": "tanh"}
+    return tuple((kinds.get(layer, layer.rstrip("0123456789")), a, b, shape)
+                 for (layer, shape), a, b in zip(table, bounds, bounds[1:]))
 
 
 def _bind(arch: ArchConfig, vertex_count: int, flat=None) -> NetworkParams:
     """Lay the layers of ``arch`` out as views into one float64 vector, zeros by default."""
     cuts = _cuts(arch, vertex_count)
     if flat is None:
-        flat = np.zeros(cuts[-1][1])
-    views = iter([flat[a:b].reshape(shape) for a, b, shape in cuts])
-    return NetworkParams(
-        convs=[Conv1dParams(next(views), next(views)) for _ in range(_N_CONV if arch.use_conv else 0)],
-        lstms=[LstmCellParams(next(views), next(views)) for _ in arch.lstm_sizes],
-        dense=[DenseParams(next(views), next(views), act) for _, act in DENSE_LAYERS],
-        vertex_count=vertex_count,
-        arch=arch,
-        flat=flat,
-    )
+        flat = np.zeros(cuts[-1][2])
+    views = [flat[a:b].reshape(shape) for _, a, b, shape in cuts]
+    layers = [Layer(kind, w, b) for (kind, *_), w, b in zip(cuts[::2], views[::2], views[1::2])]
+    return NetworkParams(layers=layers, vertex_count=vertex_count, arch=arch, flat=flat)
 
 
 def init_params(seed: int, vertex_count: int, arch: ArchConfig = ArchConfig()) -> NetworkParams:
@@ -202,7 +175,7 @@ class _LstmCache:
     c: np.ndarray
 
 
-def _lstm_forward(p: LstmCellParams, xs: list, tape: bool = True):
+def _lstm_forward(p: Layer, xs: list, tape: bool = True):
     """Run the layer over a list of (T_j, input) sequences stepped together.
 
     Slots hold the sequences longest first, so the ones still running at
@@ -213,10 +186,11 @@ def _lstm_forward(p: LstmCellParams, xs: list, tape: bool = True):
     of each sequence, in input order, and with ``tape`` their backward
     caches (else None). Only h keeps its history without a tape.
     """
-    hid = p.hidden_size
+    hid = p.W.shape[0] // 4
+    width = p.W.shape[1] - hid
     for x in xs:
-        if x.shape[1] != p.input_size:
-            raise ShapeError(f"lstm layer expects input dim {p.input_size}, got {x.shape[1]}")
+        if x.shape[1] != width:
+            raise ShapeError(f"lstm layer expects input dim {width}, got {x.shape[1]}")
     n = len(xs)
     order = sorted(range(n), key=lambda j: -len(xs[j]))
     lengths = [len(xs[j]) for j in order] + [0]
@@ -284,7 +258,7 @@ def _lstm_forward(p: LstmCellParams, xs: list, tape: bool = True):
     return hs, caches if tape else None
 
 
-def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellParams):
+def _lstm_backward(p: Layer, cache: _LstmCache, dh_seq, grad: Layer):
     t_len, hid = dh_seq.shape
     w_h = p.W[:, :hid]  # a contiguous copy would move bits of dpre_t @ w_h at small H
     f, i, o, g = (cache.gates[:, k * hid : (k + 1) * hid] for k in range(4))
@@ -319,9 +293,9 @@ def _lstm_backward(p: LstmCellParams, cache: _LstmCache, dh_seq, grad: LstmCellP
     return dpre @ p.W[:, hid:]
 
 
-def _conv_forward(p: Conv1dParams, x: np.ndarray):
+def _conv_forward(p: Layer, x: np.ndarray):
     t_len, in_ch = x.shape
-    out_ch, expected, k = p.kernels.shape
+    out_ch, expected, k = p.W.shape
     if in_ch != expected:
         raise ShapeError(f"conv expects {expected} channels, got {in_ch}")
     pad = (k - 1) // 2
@@ -329,46 +303,43 @@ def _conv_forward(p: Conv1dParams, x: np.ndarray):
     xp[pad : pad + t_len] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, in_ch, k)
     flat = windows.reshape(t_len, in_ch * k)
-    pre = flat @ p.kernels.reshape(out_ch, in_ch * k).T + p.bias
+    pre = flat @ p.W.reshape(out_ch, in_ch * k).T + p.b
     y = np.maximum(pre, 0.0)
     return y, (xp, flat, pre > 0.0)
 
 
-def _conv_backward(p: Conv1dParams, cache, dy: np.ndarray, grad: Conv1dParams):
+def _conv_backward(p: Layer, cache, dy: np.ndarray, grad: Layer):
     xp, flat, mask = cache
-    k = p.kernels.shape[2]
+    k = p.W.shape[2]
     pad = (k - 1) // 2
     t_len = len(dy)
     dpre = dy * mask
-    grad.kernels[...] = (dpre.T @ flat).reshape(p.kernels.shape)
-    grad.bias[...] = dpre.sum(axis=0)
+    grad.W[...] = (dpre.T @ flat).reshape(p.W.shape)
+    grad.b[...] = dpre.sum(axis=0)
     dxp = np.zeros_like(xp)
     for j in range(k):
-        dxp[j : j + t_len] += dpre @ p.kernels[:, :, j]
+        dxp[j : j + t_len] += dpre @ p.W[:, :, j]
     return dxp[pad : pad + t_len]
 
 
-def _dense_forward(p: DenseParams, x: np.ndarray):
-    y = x @ p.weight.T + p.bias
-    if p.activation == "tanh":
+def _dense_forward(p: Layer, x: np.ndarray):
+    y = x @ p.W.T + p.b
+    if p.kind == "tanh":
         y = np.tanh(y)
     return y, (x, y)
 
 
-def _dense_backward(p: DenseParams, cache, dy: np.ndarray, grad: DenseParams):
+def _dense_backward(p: Layer, cache, dy: np.ndarray, grad: Layer):
     x, y = cache
-    dpre = dy * (1.0 - y**2) if p.activation == "tanh" else dy
-    grad.weight[...] = dpre.T @ x
-    grad.bias[...] = dpre.sum(axis=0)
-    return dpre @ p.weight
+    dpre = dy * (1.0 - y**2) if p.kind == "tanh" else dy
+    grad.W[...] = dpre.T @ x
+    grad.b[...] = dpre.sum(axis=0)
+    return dpre @ p.W
 
 
-_FORWARD = {Conv1dParams: _conv_forward, DenseParams: _dense_forward}
-_BACKWARD = {
-    Conv1dParams: _conv_backward,
-    LstmCellParams: _lstm_backward,
-    DenseParams: _dense_backward,
-}
+# Layer.kind -> primitive; the LSTM forward steps every sequence together, in _run_layers.
+_FORWARD = {"conv": _conv_forward, "tanh": _dense_forward, "linear": _dense_forward}
+_BACKWARD = {"conv": _conv_backward, "lstm": _lstm_backward, "tanh": _dense_backward, "linear": _dense_backward}
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +367,10 @@ def _run_layers(net: NetworkParams, xs: list, tapes=None) -> list:
     """Network outputs for a list of (T_j, D) inputs; when ``tapes`` is a
     list, each layer appends its per-sequence caches to it."""
     for layer in net.layers:
-        if isinstance(layer, LstmCellParams):
+        if layer.kind == "lstm":
             xs, caches = _lstm_forward(layer, xs, tapes is not None)
         else:
-            xs, caches = zip(*(_FORWARD[type(layer)](layer, x) for x in xs))
+            xs, caches = zip(*(_FORWARD[layer.kind](layer, x) for x in xs))
         if tapes is not None:
             tapes.append(caches)
         del caches  # otherwise a layer's buffers live on while the next one runs
@@ -456,7 +427,7 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=
     grads = _bind(net.arch, net.vertex_count, out)
     d = upstream.reshape(len(upstream), -1)
     for layer, grad, tape in reversed(list(zip(net.layers, grads.layers, cache.layers))):
-        d = _BACKWARD[type(layer)](layer, tape, d, grad)
+        d = _BACKWARD[layer.kind](layer, tape, d, grad)
     return grads
 
 

@@ -89,7 +89,6 @@ class OracleArticulator:
     readout: np.ndarray  # (D, K)
     smoothing: float = 0.6
     anticipation: int = 0
-    lip_vertex_mask: np.ndarray | None = None
 
     @classmethod
     def seeded(
@@ -112,9 +111,7 @@ class OracleArticulator:
         flat = raw.reshape(v * 3, _N_CODES)
         flat = flat / np.linalg.norm(flat, axis=0, keepdims=True)
         readout = rng.standard_normal((CHAR_PROB_DIM, _N_CODES)) * _READOUT_SCALE
-        return cls(
-            basis=flat, readout=readout, smoothing=smoothing, anticipation=anticipation, lip_vertex_mask=lip_mask
-        )
+        return cls(basis=flat, readout=readout, smoothing=smoothing, anticipation=anticipation)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -20,11 +21,26 @@ from lipsync import model, training
 from lipsync.errors import ConfigError, DataError, FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
 from lipsync.mesh import DisplacementSequence
-from lipsync.model import ArchConfig, Conv1dParams, LstmCellParams
+from lipsync.model import ArchConfig, Layer
 
 
 def zero_cell(hidden, input_dim):
-    return LstmCellParams(W=np.zeros((4 * hidden, hidden + input_dim)), b=np.zeros(4 * hidden))
+    return Layer("lstm", np.zeros((4 * hidden, hidden + input_dim)), np.zeros(4 * hidden))
+
+
+def lstms(net):
+    """The layers of kind "lstm" in ``net``, in order."""
+    return [layer for layer in net.layers if layer.kind == "lstm"]
+
+
+def hidden_size(cell):
+    """Hidden width H of an LSTM layer."""
+    return cell.W.shape[0] // 4
+
+
+def input_size(cell):
+    """Input width of an LSTM layer."""
+    return cell.W.shape[1] - hidden_size(cell)
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
@@ -34,7 +50,7 @@ def lstm_step(p, x_t, h_prev, c_prev):
     C_t = f * C_prev + i * C~,  h_t = o * tanh(C_t), where W_f is the first
     row block of ``p.W``.
     """
-    hid = p.hidden_size
+    hid = hidden_size(p)
     a = p.W @ np.concatenate([h_prev, x_t]) + p.b
     f, i, o = (1.0 / (1.0 + np.exp(-a[: 3 * hid]))).reshape(3, hid)
     c_t = f * c_prev + i * np.tanh(a[3 * hid :])
@@ -46,7 +62,7 @@ def reference_lstm_forward(p, x):
     batched recurrence. Returns the h rows, the C rows and the gate rows
     (sigmoid f, i, o and the candidate tanh) that the backward reads."""
     t_len = len(x)
-    hid = p.hidden_size
+    hid = hidden_size(p)
     pre = x @ p.W[:, hid:].T + p.b
     w_h = p.W[:, :hid]
     c = np.empty((t_len, hid))
@@ -102,10 +118,10 @@ def reference_forward(net, feats):
     """Network output frames for one sequence through the per-sequence LSTM oracle."""
     x = np.asarray(feats.data, dtype=np.float64)
     for layer in net.layers:
-        if isinstance(layer, LstmCellParams):
+        if layer.kind == "lstm":
             x, _, _ = reference_lstm_forward(layer, x)
         else:
-            x, _ = model._FORWARD[type(layer)](layer, x)
+            x, _ = model._FORWARD[layer.kind](layer, x)
     return x.reshape(len(x), net.vertex_count, 3)
 
 
@@ -133,10 +149,7 @@ class TestLstmStep:
         # independent oracle: the cell update evaluated scalar by scalar
         rng = np.random.default_rng(9)
         hidden, input_dim = 2, 3
-        p = LstmCellParams(
-            W=rng.standard_normal((4 * hidden, hidden + input_dim)),
-            b=rng.standard_normal(4 * hidden),
-        )
+        p = Layer("lstm", rng.standard_normal((4 * hidden, hidden + input_dim)), rng.standard_normal(4 * hidden))
         x = rng.standard_normal(input_dim)
         h_prev = rng.standard_normal(hidden)
         c_prev = rng.standard_normal(hidden)
@@ -172,11 +185,11 @@ class TestLstmStep:
     def test_layer_matches_repeated_steps(self):
         rng = np.random.default_rng(4)
         net = tiny_net(seed=4)
-        for cell in (net.lstms[0], net.lstms[2]):
-            x = rng.standard_normal((12, cell.input_size))
+        for cell in (lstms(net)[0], lstms(net)[2]):
+            x = rng.standard_normal((12, input_size(cell)))
             (h_seq,), (cache,) = model._lstm_forward(cell, [x])
-            h = np.zeros(cell.hidden_size)
-            c = np.zeros(cell.hidden_size)
+            h = np.zeros(hidden_size(cell))
+            c = np.zeros(hidden_size(cell))
             for t in range(12):
                 h, c = lstm_step(cell, x[t], h, c)
                 assert np.allclose(h_seq[t], h, atol=1e-12)
@@ -185,13 +198,13 @@ class TestLstmStep:
     def test_layer_backward_matches_per_gate_reference(self):
         # reference: BPTT written with one product per gate block
         rng = np.random.default_rng(11)
-        cell = tiny_net(seed=11).lstms[1]
-        hid = cell.hidden_size
-        x = rng.standard_normal((10, cell.input_size))
+        cell = lstms(tiny_net(seed=11))[1]
+        hid = hidden_size(cell)
+        x = rng.standard_normal((10, input_size(cell)))
         dh_seq = rng.standard_normal((10, hid))
         _, (cache,) = model._lstm_forward(cell, [x])
         tanh_c = np.tanh(cache.c)
-        grad = zero_cell(hid, cell.input_size)
+        grad = zero_cell(hid, input_size(cell))
         dx = model._lstm_backward(cell, cache, dh_seq, grad)
 
         blocks = [slice(k * hid, (k + 1) * hid) for k in range(4)]
@@ -220,35 +233,35 @@ class TestConv1d:
     def test_delta_kernel_is_relu_identity(self):
         kernels = np.zeros((1, 1, 5))
         kernels[0, 0, 2] = 1.0
-        p = Conv1dParams(kernels=kernels, bias=np.zeros(1))
+        p = Layer("conv", kernels, np.zeros(1))
         x = np.array([[-1.0], [2.0], [-3.0], [4.0], [0.5]])
         out = conv1d_forward(p, x)
         assert np.array_equal(out, np.maximum(x, 0.0))
 
     def test_zero_input_gives_relu_bias(self):
         rng = np.random.default_rng(1)
-        p = Conv1dParams(kernels=rng.standard_normal((4, 2, 5)), bias=rng.standard_normal(4))
+        p = Layer("conv", rng.standard_normal((4, 2, 5)), rng.standard_normal(4))
         out = conv1d_forward(p, np.zeros((6, 2)))
-        assert np.allclose(out, np.tile(np.maximum(p.bias, 0.0), (6, 1)), atol=1e-15)
+        assert np.allclose(out, np.tile(np.maximum(p.b, 0.0), (6, 1)), atol=1e-15)
 
     def test_matches_naive_sliding_window(self):
         # oracle: O(T * k) triple loop over zero-padded input
         rng = np.random.default_rng(2)
-        p = Conv1dParams(kernels=rng.standard_normal((2, 3, 5)), bias=rng.standard_normal(2))
+        p = Layer("conv", rng.standard_normal((2, 3, 5)), rng.standard_normal(2))
         x = rng.standard_normal((7, 3))
         expected = np.zeros((7, 2))
         for t in range(7):
             for o in range(2):
-                acc = p.bias[o]
+                acc = p.b[o]
                 for k in range(5):
                     src = t + k - 2
                     if 0 <= src < 7:
-                        acc += float(p.kernels[o, :, k] @ x[src])
+                        acc += float(p.W[o, :, k] @ x[src])
                 expected[t, o] = max(acc, 0.0)
         assert np.allclose(conv1d_forward(p, x), expected, atol=1e-12)
 
     def test_channel_mismatch(self):
-        p = Conv1dParams(kernels=np.zeros((2, 3, 5)), bias=np.zeros(2))
+        p = Layer("conv", np.zeros((2, 3, 5)), np.zeros(2))
         with pytest.raises(ShapeError):
             conv1d_forward(p, np.zeros((4, 4)))
 
@@ -311,8 +324,8 @@ class TestBatchedForward:
     def check_layer(self, lengths, tape):
         # without a tape, C alternates between two rows and only h is returned
         rng = np.random.default_rng(12)
-        cell = tiny_net(seed=12).lstms[0]
-        xs = [rng.standard_normal((t, cell.input_size)) for t in lengths]
+        cell = lstms(tiny_net(seed=12))[0]
+        xs = [rng.standard_normal((t, input_size(cell))) for t in lengths]
         hs, caches = model._lstm_forward(cell, xs, tape)
         assert len(hs) == len(xs)
         assert len(caches) == len(xs) if tape else caches is None
@@ -323,7 +336,7 @@ class TestBatchedForward:
                 cache = caches[j]
                 assert np.array_equal(cache.c, c_ref)
                 assert np.array_equal(cache.gates, gates_ref)
-                assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, cell.hidden_size)), h_ref])[:-1])
+                assert np.array_equal(cache.h_prev, np.vstack([np.zeros((1, hidden_size(cell))), h_ref])[:-1])
                 assert cache.x is x
 
     @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no-tape"])
@@ -404,11 +417,11 @@ def layer_cases():
     """(id, cell) for the four production LSTM shapes, every tiny-net LSTM,
     and one LSTM over 29-dim input for each hidden size 1..7."""
     for name, net in (("production", model.init_params(0, 5)), ("tiny", tiny_net(seed=9))):
-        for n, cell in enumerate(net.lstms, start=1):
-            yield f"{name}-lstm{n}-{cell.hidden_size}x{cell.input_size}", cell
+        for n, cell in enumerate(lstms(net), start=1):
+            yield f"{name}-lstm{n}-{hidden_size(cell)}x{input_size(cell)}", cell
     for hid in range(1, 8):
-        cell = model.init_params(hid, 5, ArchConfig(use_conv=False, lstm_sizes=(hid,))).lstms[0]
-        yield f"hidden{hid}-{hid}x{cell.input_size}", cell
+        cell = model.init_params(hid, 5, ArchConfig(use_conv=False, lstm_sizes=(hid,))).layers[0]
+        yield f"hidden{hid}-{hid}x{input_size(cell)}", cell
 
 
 LAYERS = dict(layer_cases())
@@ -418,15 +431,15 @@ class TestLayerBackwardBits:
     """Forward and backward of one layer against the per-step oracles, bit for bit."""
 
     def check_backward(self, cell, x, cache, rng):
-        hid = cell.hidden_size
+        hid = hidden_size(cell)
         dh_seq = rng.standard_normal((len(x), hid))
         h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
         h_prev = np.vstack([np.zeros((1, hid)), h_ref])[:-1]
-        want = zero_cell(hid, cell.input_size)
+        want = zero_cell(hid, input_size(cell))
         dx_want = reference_lstm_backward(
             cell, model._LstmCache(x=x, h_prev=h_prev, gates=gates_ref, c=c_ref), dh_seq, want
         )
-        got = zero_cell(hid, cell.input_size)
+        got = zero_cell(hid, input_size(cell))
         dx = model._lstm_backward(cell, cache, dh_seq, got)
         assert np.array_equal(dx, dx_want)
         assert np.array_equal(got.W, want.W)
@@ -438,7 +451,7 @@ class TestLayerBackwardBits:
         # one sequence: every step runs a single-sequence segment
         cell = LAYERS[layer]
         rng = np.random.default_rng(t_len)
-        x = rng.standard_normal((t_len, cell.input_size))
+        x = rng.standard_normal((t_len, input_size(cell)))
         _, (cache,) = model._lstm_forward(cell, [x])
         self.check_backward(cell, x, cache, rng)
 
@@ -451,7 +464,7 @@ class TestLayerBackwardBits:
         # segment after the shorter ones stop
         cell = LAYERS[layer]
         rng = np.random.default_rng(len(lengths))
-        xs = [rng.standard_normal((t, cell.input_size)) for t in lengths]
+        xs = [rng.standard_normal((t, input_size(cell))) for t in lengths]
         hs, caches = model._lstm_forward(cell, xs)
         for x, h, cache in zip(xs, hs, caches):
             h_ref, c_ref, gates_ref = reference_lstm_forward(cell, x)
@@ -513,7 +526,7 @@ class TestBackward:
         upstream = rng.standard_normal((8, 5, 3))
         _, tape = model.forward_with_cache(net, feats)
         grads = model.backward(net, tape, upstream)
-        assert np.allclose(grads.dense[-1].bias, upstream.reshape(8, -1).sum(axis=0), atol=1e-12)
+        assert np.allclose(grads.layers[-1].b, upstream.reshape(8, -1).sum(axis=0), atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         assert max_gradient_error(seed=0) < 1e-4
@@ -558,9 +571,9 @@ class TestInitParams:
 
     def test_forget_gate_bias_is_one(self):
         net = model.init_params(0, 5, TINY_ARCH)
-        assert len(net.lstms) == 4
-        for cell in net.lstms:
-            hid = cell.hidden_size
+        assert len(lstms(net)) == 4
+        for cell in lstms(net):
+            hid = hidden_size(cell)
             assert np.array_equal(cell.b[:hid], np.ones(hid))
             assert np.array_equal(cell.b[hid:], np.zeros(3 * hid))
 
@@ -575,10 +588,10 @@ class TestInitParams:
         def limit(fan_in, fan_out):
             return np.sqrt(6.0 / (fan_in + fan_out))
 
-        assert np.abs(net.convs[0].kernels).max() <= limit(29 * 5, 4 * 5)
-        assert np.abs(net.lstms[0].W).max() <= limit(6 + 4, 6)
-        assert np.abs(net.dense[0].weight).max() <= limit(3, 10)
-        assert np.abs(net.dense[2].weight).max() <= limit(6, 27)
+        assert np.abs(net.layers[0].W).max() <= limit(29 * 5, 4 * 5)
+        assert np.abs(lstms(net)[0].W).max() <= limit(6 + 4, 6)
+        assert np.abs(net.layers[-3].W).max() <= limit(3, 10)
+        assert np.abs(net.layers[-1].W).max() <= limit(6, 27)
 
     def test_parameter_count_production_preset(self):
         # closed-form total of the production shape chain with V = 5713
@@ -610,7 +623,7 @@ class TestCheckpoint:
         net = tiny_net(seed=14, use_conv=False)
         model.save_checkpoint(net, tmp_path / "n.lsn1")
         back = model.load_checkpoint(tmp_path / "n.lsn1")
-        assert back.convs == []
+        assert "conv" not in [layer.kind for layer in back.layers]
         assert back.arch == ArchConfig(lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6, use_conv=False)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -798,8 +811,8 @@ class TestLayout:
     def test_gate_names_are_row_blocks(self):
         net = tiny_net(seed=2)
         named = dict(net.items())
-        cell = net.lstms[1]
-        hid = cell.hidden_size
+        cell = lstms(net)[1]
+        hid = hidden_size(cell)
         for k, gate in enumerate("fioC"):
             assert np.array_equal(named[f"lstm2.W_{gate}"], cell.W[k * hid : (k + 1) * hid])
             assert np.array_equal(named[f"lstm2.b_{gate}"], cell.b[k * hid : (k + 1) * hid])
@@ -808,7 +821,7 @@ class TestLayout:
         net = tiny_net(seed=2)
         dup = net.copy()
         assert np.array_equal(dup.flat, net.flat) and dup.arch == net.arch
-        dup.lstms[0].W[0, 0] += 1.0
+        lstms(dup)[0].W[0, 0] += 1.0
         assert not np.array_equal(dup.flat, net.flat)
         assert not np.shares_memory(dup.flat, net.flat)
         assert all(np.shares_memory(arr, dup.flat) for _, arr in dup.items())
@@ -822,7 +835,7 @@ def depth_arch(sizes):
 class TestLstmDepth:
     def test_builds_requested_layers(self, sizes):
         net = model.init_params(0, 5, depth_arch(sizes))
-        assert [c.hidden_size for c in net.lstms] == list(sizes)
+        assert [hidden_size(c) for c in lstms(net)] == list(sizes)
         out = model.forward(net, random_features(np.random.default_rng(0), 7))
         assert out.frames.shape == (7, 5, 3)
 
@@ -835,3 +848,29 @@ class TestLstmDepth:
 
     def test_gradients_match_finite_differences(self, sizes):
         assert max_gradient_error(seed=2, arch=depth_arch(sizes)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [ArchConfig(), ArchConfig(use_conv=False), depth_arch((6, 3)), depth_arch((6, 6, 3, 3, 3))],
+    ids=["production", "no-conv", "2-lstm", "5-lstm"],
+)
+def test_layers_are_kinds_over_the_tensor_table(arch):
+    net = model.init_params(3, 5, arch)
+    n_conv = 2 if arch.use_conv else 0
+    assert [layer.kind for layer in net.layers] == (
+        ["conv"] * n_conv + ["lstm"] * len(arch.lstm_sizes) + ["tanh", "linear", "linear"]
+    )
+
+    def start(arr):
+        return (arr.__array_interface__["data"][0] - net.flat.__array_interface__["data"][0]) // net.flat.itemsize
+
+    # items() names each layer's weight tensors, then its bias tensors (an LSTM's four gate blocks each)
+    tables = [[view for _, view in group] for _, group in itertools.groupby(net.items(), lambda i: i[0].split(".")[0])]
+    assert len(tables) == len(net.layers)
+    for layer, views in zip(net.layers, tables):
+        half = len(views) // 2
+        for arr, pieces in ((layer.W, views[:half]), (layer.b, views[half:])):
+            assert np.shares_memory(arr, net.flat)
+            assert start(arr) == start(pieces[0]) and arr.size == sum(p.size for p in pieces)
+            assert np.array_equal(arr, np.concatenate(pieces))

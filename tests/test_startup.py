@@ -49,7 +49,8 @@ def loaded(mini_corpus, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("startup")
     root = mini_corpus["root"]
     manifest = str(root / "corpus.jsonl")
-    head = ["--template", str(root / "template.obj"), "--landmarks", str(root / "template.landmarks.txt")]
+    template = ["--template", str(root / "template.obj")]
+    head = [*template, "--landmarks", str(root / "template.landmarks.txt")]
     wav, net, anim = str(tmp / "clip.wav"), str(tmp / "net.lsn1"), str(tmp / "a.lsa1")
     audio.save_wav(synthdata.synth_speech(1.0, np.random.default_rng(0)), wav)
     model.save_checkpoint(model.init_params(0, mini_corpus["head"].n_vertices), net)
@@ -57,7 +58,7 @@ def loaded(mini_corpus, tmp_path_factory):
         "import lipsync.cli": [],
         "features": ["features", "--wav", wav, "--out", str(tmp / "f.lsf1")],
         "infer": ["infer", "--checkpoint", net, "--wav", wav, "--out", anim],
-        "export-obj-seq": ["export-obj-seq", "--checkpoint", net, "--wav", wav, *head, "--out", str(tmp / "objs")],
+        "export-obj-seq": ["export-obj-seq", "--checkpoint", net, "--wav", wav, *template, "--out", str(tmp / "objs")],
         "traj": ["traj", "--anim", anim, *head, "--out", str(tmp / "traj.csv")],
         "train": ["train", "--manifest", manifest, "--out", str(tmp / "trained.lsn1"), "--epochs", "1"],
         "eval": ["eval", "--manifest", manifest, *head, "--checkpoint", net],
@@ -96,3 +97,16 @@ def test_only_gen_corpus_imports_scipy(loaded):
             assert "scipy.spatial" in scipy
         else:
             assert scipy == [], f"{name} loaded {scipy}"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "1"]), ("2", ["2", "1"])], ids=["unset", "openblas-2"])
+def test_importing_a_lipsync_module_sets_one_blas_thread_unless_the_environment_names_a_count(preset, expected):
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = f"import os, lipsync.model; print([os.environ.get(var) for var in {threads!r}])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == expected
