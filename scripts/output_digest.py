@@ -75,9 +75,7 @@ def sha256(data: bytes) -> str:
 
 def float64_stages(wav_path, net):
     """(stage name, float64 array) for each step of infer's path from a WAV to the network output."""
-    w = audio.load_wav(wav_path)
-    if w.sample_rate != audio.CANONICAL_RATE:
-        w = audio.resample(w)
+    w = audio.resample(audio.load_wav(wav_path))
     frames = audio.mfcc(w)
     seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(0))
     out = model.forward(net, seq)

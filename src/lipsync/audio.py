@@ -369,8 +369,5 @@ def mfcc(w: Waveform) -> MfccFrames:
 
 
 def mfcc_from_wav(path) -> MfccFrames:
-    """The WAV front end: load, resample to 16 kHz when needed, MFCC."""
-    w = load_wav(path)
-    if w.sample_rate != CANONICAL_RATE:
-        w = resample(w)
-    return mfcc(w)
+    """The WAV front end: load, resample to 16 kHz, MFCC."""
+    return mfcc(resample(load_wav(path)))

@@ -120,6 +120,10 @@ def _cmd_train(args) -> int:
     from . import synthdata, training
 
     loss_cfg, train_cfg = _train_configs(args)
+    # Both files are written after the last epoch; a missing directory is refused before the first.
+    for flag, path in (("--out", args.out), ("--metrics", args.metrics)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise NotADirectoryError(f"{flag} {path}: no directory {str(Path(path).parent)!r} to write it in")
 
     manifest = synthdata.CorpusManifest.load(args.manifest)
     train_items = synthdata.load_split(manifest, "train")

@@ -134,18 +134,12 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
             faces += [(corner[0], a, b) for a, b in zip(corner[1:-1], corner[2:])]
         # everything else (vn, vt, o, g, usemtl, ...) is ignored
 
-    if landmark_path is not None:
-        landmarks, lip_mask = load_landmarks(landmark_path)
-    else:
-        landmarks = np.zeros(0, dtype=int)
-        lip_mask = np.zeros(0, dtype=bool)
-
-    return TemplateMesh(
-        vertices=np.asarray(vertices, dtype=np.float64),
-        faces=np.asarray(faces, dtype=int).reshape(-1, 3),
-        landmarks=landmarks,
-        lip_mask=lip_mask,
-    )
+    vertices = np.asarray(vertices, dtype=np.float64)
+    faces = np.asarray(faces, dtype=int).reshape(-1, 3)
+    if landmark_path is None:
+        return TemplateMesh(vertices=vertices, faces=faces)
+    landmarks, lip_mask = load_landmarks(landmark_path)
+    return TemplateMesh(vertices=vertices, faces=faces, landmarks=landmarks, lip_mask=lip_mask)
 
 
 def vertex_lines(vertices) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import CANONICAL_RATE, HOP_SECONDS, WINDOW_SECONDS, Waveform, mfcc
-from .errors import ConfigError, FileFormatError, ShapeError
+from .errors import ConfigError, DataError, FileFormatError, ShapeError
 from .features import (
     CHAR_PROB_DIM,
     FeatureSequence,
@@ -26,7 +26,6 @@ from .features import (
     surrogate_features,
 )
 from .mesh import DisplacementSequence, TemplateMesh, load_anim, save_anim
-from .training import Sample, _validate_items
 
 # Head frame: x right, y up, z out of the face.
 _SEMI_AXES = np.array([0.55, 0.68, 0.60])
@@ -121,6 +120,22 @@ class CorpusItem:
     anim: str
     split: str
     duration: float | None = None  # seconds; written by generate_corpus, not read back
+
+
+@dataclass
+class Sample:
+    """One corpus item: features paired with ground-truth displacements, frame for frame."""
+
+    id: str
+    features: FeatureSequence
+    displacements: DisplacementSequence
+
+    def __post_init__(self):
+        if self.features.n_frames != self.displacements.n_frames:
+            raise DataError(
+                f"item {self.id!r}: {self.features.n_frames} feature frames vs "
+                f"{self.displacements.n_frames} displacement frames"
+            )
 
 
 @dataclass
@@ -309,19 +324,13 @@ def generate_corpus(
     return manifest
 
 
-def load_split(manifest: CorpusManifest, split: str):
-    """Samples (id, features, displacements) for one split of the corpus.
-
-    A sample whose feature and displacement frame counts differ raises DataError naming it.
-    """
-    samples = []
-    for item in manifest.split(split):
-        samples.append(
-            Sample(
-                id=item.id,
-                features=load_features(manifest.resolve(item.features)),
-                displacements=load_anim(manifest.resolve(item.anim)),
-            )
+def load_split(manifest: CorpusManifest, split: str) -> list[Sample]:
+    """The Samples of one split of the corpus, in manifest order; each checks its own frame counts."""
+    return [
+        Sample(
+            id=item.id,
+            features=load_features(manifest.resolve(item.features)),
+            displacements=load_anim(manifest.resolve(item.anim)),
         )
-    _validate_items(samples, split)
-    return samples
+        for item in manifest.split(split)
+    ]

@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .features import FeatureSequence
-from .mesh import DisplacementSequence
 from .model import NetworkParams, backward, forward_batch, forward_with_cache, save_checkpoint
 
 _ADAM_BLOCK = 1 << 15  # vector elements per Adam pass
@@ -62,15 +60,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
             raise ConfigError("clip_norm must be finite and non-negative")
-
-
-@dataclass
-class Sample:
-    """One corpus item: features paired with ground-truth displacements."""
-
-    id: str
-    features: FeatureSequence
-    displacements: DisplacementSequence
 
 
 @dataclass
@@ -175,15 +164,6 @@ def clip_gradients(grads: np.ndarray, max_norm: float):
 # training loop
 
 
-def _validate_items(items, split):
-    for s in items:
-        if s.features.n_frames != s.displacements.n_frames:
-            raise DataError(
-                f"item {s.id!r} in {split} split: {s.features.n_frames} feature frames vs "
-                f"{s.displacements.n_frames} displacement frames"
-            )
-
-
 def evaluate_loss(items, net: NetworkParams, cfg: LossConfig):
     """Mean per-item (lp, lv) of the current parameters over a sample list."""
     lps, lvs = [], []
@@ -230,8 +210,6 @@ def train(
     val_items = list(val_items)
     if not train_items:
         raise DataError("training corpus is empty")
-    _validate_items(train_items, "train")
-    _validate_items(val_items, "validation")
 
     rng = np.random.default_rng(train_cfg.seed)
     state = AdamState.zeros(net)

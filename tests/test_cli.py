@@ -498,6 +498,26 @@ class TestGenCorpusAndTrain:
         rows = metrics.read_text().splitlines()[1:]
         assert max(int(r.split(",")[0]) for r in rows) == 1
 
+    @pytest.mark.parametrize("flag", ["--out", "--metrics"])
+    def test_output_in_missing_directory_refused_before_training(self, mini_corpus, tmp_path, monkeypatch, capsys, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", never)
+        missing = str(tmp_path / "nodir" / "x")
+        assert run_cli(
+            "train",
+            "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+            "--out", str(tmp_path / "c.lsn1"),
+            "--metrics", str(tmp_path / "m.csv"),
+            "--epochs", "3",
+            flag, missing,  # the last of a repeated flag wins
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and missing in err
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_sets_every_field(self, mini_corpus, tmp_path, monkeypatch):
         seen = {}
 
@@ -942,6 +962,12 @@ MALFORMED = {
         2, "network parameters hold NaN or inf",
         lambda i: i.train("--lr", "1.7e308", "--clip-norm", "0", manifest=_one_sentence(i)),
     ),
+    "train-out-directory-missing": (
+        2, "no directory", lambda i: i.train("--out", str(i.tmp / "nodir" / "x.lsn1"))
+    ),
+    "train-metrics-directory-missing": (
+        2, "no directory", lambda i: i.train("--metrics", str(i.tmp / "nodir" / "m.csv"))
+    ),
     "train-no-train-sentences": (
         1, "manifest has no training items", lambda i: i.train(manifest=_one_sentence(i, split="test"))
     ),
@@ -949,10 +975,10 @@ MALFORMED = {
         1, "checkpoint_every needs a checkpoint directory", lambda i: i.train("--checkpoint-every", "2")
     ),
     "eval-self-test-frame-count-mismatch": (
-        2, "item 's0000' in test split:", lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"))
+        2, "item 's0000': ", lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"))
     ),
     "eval-checkpoint-frame-count-mismatch": (
-        2, "item 's0000' in test split:",
+        2, "item 's0000': ",
         lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"), scorer=("--checkpoint", i.checkpoint())),
     ),
     "eval-no-scorer": (1, "eval needs --checkpoint", lambda i: i.eval(scorer=())),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipsync import evaluation, features, model, synthdata, training
+from lipsync import evaluation, features, model, synthdata
 from lipsync.errors import ConfigError, DataError, InsufficientFramesError, ShapeError, TopologyError
 from lipsync.evaluation import ProjectionConfig
 from lipsync.mesh import DisplacementSequence, TemplateMesh
@@ -182,7 +182,7 @@ class TestEvaluate:
     def test_one_frame_sentence_is_insufficient_frames(self, mini_corpus):
         head = mini_corpus["head"]
         (first, *rest) = synthdata.load_split(mini_corpus["manifest"], "test")
-        short = training.Sample(
+        short = synthdata.Sample(
             id="one-frame",
             features=features.FeatureSequence(data=first.features.data[:1]),
             displacements=DisplacementSequence(frames=first.displacements.frames[:1]),

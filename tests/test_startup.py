@@ -5,7 +5,8 @@ Importing scipy.fft and scipy.spatial took about 0.4 s of every command's
 start-up; only gen-corpus needs scipy (the head's convex hull). `infer`,
 `features` and `export-obj-seq` run no training, evaluation or corpus code,
 so they do not import `lipsync.training`, `lipsync.evaluation`,
-`lipsync.synthdata`, nor the `json` and `csv` those bring in.
+`lipsync.synthdata`, nor the `json` and `csv` those bring in. `eval` and
+`gen-corpus` train nothing, so they do not import `lipsync.training`.
 """
 
 import ast
@@ -88,6 +89,15 @@ def test_request_commands_load_no_training_evaluation_or_corpus_code(loaded, nam
 def test_traj_loads_no_training_or_corpus_code(loaded):
     assert "lipsync.evaluation" in loaded["traj"][1]
     assert not {"lipsync.training", "lipsync.synthdata"} & set(loaded["traj"][1]), loaded["traj"][1]
+
+
+# scipy.spatial imports numpy.testing, which imports csv, so gen-corpus is
+# held to training alone.
+@pytest.mark.parametrize(
+    "name, absent", [("eval", {"lipsync.training", "csv"}), ("gen-corpus", {"lipsync.training"})], ids=["eval", "gen-corpus"]
+)
+def test_eval_and_gen_corpus_load_no_training_code(loaded, name, absent):
+    assert not absent & set(loaded[name][1]), f"{name} loaded {loaded[name][1]}"
 
 
 def test_only_gen_corpus_imports_scipy(loaded):

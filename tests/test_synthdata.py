@@ -192,7 +192,7 @@ class TestGenerateCorpus:
         mesh.save_anim(mesh.DisplacementSequence(frames=anim.frames[:-2], fps=anim.fps), tmp_path / "cut.lsa1")
         cut = CorpusManifest(items=[dataclasses.replace(item, anim=str(tmp_path / "cut.lsa1"))], root=manifest.root)
         n = anim.n_frames
-        message = f"item {item.id!r} in test split: {n} feature frames vs {n - 2} displacement frames"
+        message = f"item {item.id!r}: {n} feature frames vs {n - 2} displacement frames"
         with pytest.raises(DataError, match=message):
             synthdata.load_split(cut, "test")
 

@@ -5,7 +5,8 @@ from conftest import TINY_ARCH, random_features, tiny_net
 from lipsync import model, training
 from lipsync.errors import ConfigError, DataError, ShapeError
 from lipsync.mesh import DisplacementSequence
-from lipsync.training import LossConfig, Sample, TrainConfig
+from lipsync.synthdata import Sample
+from lipsync.training import LossConfig, TrainConfig
 
 
 def dyadic(rng, shape, denom=8):
@@ -265,13 +266,12 @@ class TestTrain:
 
     def test_frame_mismatch_names_item(self):
         rng = np.random.default_rng(0)
-        bad = Sample(
-            id="broken",
-            features=random_features(rng, 10),
-            displacements=DisplacementSequence(frames=np.zeros((9, 5, 3))),
-        )
         with pytest.raises(DataError, match="broken"):
-            training.train([bad], tiny_net(), LossConfig(), TrainConfig())
+            Sample(
+                id="broken",
+                features=random_features(rng, 10),
+                displacements=DisplacementSequence(frames=np.zeros((9, 5, 3))),
+            )
 
     def test_overfits_single_sample(self):
         # teacher-student sanity run: the target is representable, so 200
