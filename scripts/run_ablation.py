@@ -44,11 +44,11 @@ ABLATION = {
     "train_seeds": (0, 1, 2, 3),
 }
 
-VARIANTS = {  # label: (temporal conv front end, velocity loss weight)
-    "lstm": (False, 0.0),
-    "lstm+v": (False, 0.5),
-    "conv": (True, 0.0),
-    "conv+v": (True, 0.5),
+VARIANTS = {  # label: (network, velocity loss weight); the LSTM-only network has no conv channels
+    "lstm": (ArchConfig(conv_channels=0), 0.0),
+    "lstm+v": (ArchConfig(conv_channels=0), 0.5),
+    "conv": (ArchConfig(), 0.0),
+    "conv+v": (ArchConfig(), 0.5),
 }
 
 
@@ -73,8 +73,8 @@ def build_corpus(out, cfg=ABLATION):
 def run_matrix(head, train_items, test_items, cfg=ABLATION):
     """Train every variant for every seed; yields (seed, label, trained network, test EvalReport)."""
     for seed in cfg["train_seeds"]:
-        for label, (use_conv, w_vel) in VARIANTS.items():
-            net = model.init_params(seed, cfg["vertices"], ArchConfig(use_conv=use_conv))
+        for label, (arch, w_vel) in VARIANTS.items():
+            net = model.init_params(seed, cfg["vertices"], arch)
             training.train(
                 train_items,
                 net,

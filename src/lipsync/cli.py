@@ -120,9 +120,13 @@ def _cmd_train(args) -> int:
     from . import synthdata, training
 
     loss_cfg, train_cfg = _train_configs(args)
-    # Both files are written after the last epoch; a missing directory is refused before the first.
+    # Both files are written after the last epoch; what would stop either write is refused before the first.
+    if args.metrics and Path(args.metrics).resolve() == Path(args.out).resolve():
+        raise UsageError(f"--out and --metrics name the same file {args.out!r}")
     for flag, path in (("--out", args.out), ("--metrics", args.metrics)):
-        if path is not None and not Path(path).parent.is_dir():
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(f"{flag} {path}: is a directory")
+        if path and not Path(path).parent.is_dir():
             raise NotADirectoryError(f"{flag} {path}: no directory {str(Path(path).parent)!r} to write it in")
 
     manifest = synthdata.CorpusManifest.load(args.manifest)
@@ -132,7 +136,7 @@ def _cmd_train(args) -> int:
         raise UsageError("manifest has no training items")
 
     vertex_count = train_items[0].displacements.n_vertices
-    arch = model.ArchConfig(use_conv=(args.arch == "conv-lstm"))
+    arch = model.ArchConfig() if args.arch == "conv-lstm" else model.ArchConfig(conv_channels=0)
     net = model.init_params(train_cfg.seed, vertex_count, arch)
 
     def sink(event):
@@ -159,8 +163,6 @@ def _cmd_train(args) -> int:
 
 
 def _infer_features(args) -> features.FeatureSequence:
-    if bool(args.wav) == bool(args.features):
-        raise UsageError("provide exactly one of --wav or --features")
     if args.wav:
         return features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
     return features.load_features(args.features)
@@ -236,8 +238,6 @@ def _cmd_eval(args) -> int:
         report = evaluation.evaluate_self(head, samples, cfg)
         label = "ground truth"
     else:
-        if not args.checkpoint:
-            raise UsageError("eval needs --checkpoint (or --self-test)")
         net = _network(args.checkpoint)
         report = evaluation.evaluate(net, head, samples, cfg)
         label = Path(args.checkpoint).stem
@@ -312,8 +312,9 @@ def _train_args(p) -> None:
 
 def _infer_args(p) -> None:
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--wav")
-    p.add_argument("--features")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--wav")
+    source.add_argument("--features")
     p.add_argument("--out", required=True, help="animation (.lsa1) path to write")
     p.add_argument("--seed", type=int, default=0, help="feature provider seed")
 
@@ -322,8 +323,9 @@ def _eval_args(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--landmarks", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--self-test", action="store_true", help="score ground truth against itself")
+    scorer = p.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--checkpoint")
+    scorer.add_argument("--self-test", action="store_true", help="score ground truth against itself")
     p.add_argument("--split", default="test")
     p.add_argument("--px-per-unit", type=float)
     p.add_argument("--out", help="JSON report path")

@@ -44,9 +44,9 @@ from .mesh import DisplacementSequence
 CHECKPOINT_MAGIC = b"LSN1"
 _LSN1 = Format(CHECKPOINT_MAGIC, "<II")  # V, tensor count
 GATES = "fioC"  # row-block order of the fused LSTM gate matrix
-DENSE_LAYERS = ("fc1", "fc2", "decoder")  # fc1 is tanh, the others linear
-# Every network reads CHAR_PROB_DIM-wide input. With ArchConfig.use_conv it
-# starts with _N_CONV temporal convolutions of kernel width _CONV_KERNEL.
+DENSE_LAYERS = {"fc1": "tanh", "fc2": "linear", "decoder": "linear"}  # name: activation
+# Every network reads CHAR_PROB_DIM-wide input. With ArchConfig.conv_channels
+# it starts with _N_CONV temporal convolutions of kernel width _CONV_KERNEL.
 _N_CONV = 2
 _CONV_KERNEL = 5
 
@@ -69,13 +69,12 @@ class Layer:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Shape knobs; the defaults are the production preset."""
+    """Shape knobs; the defaults are the production preset. No conv channels is the LSTM-only network."""
 
     conv_channels: int = 32
     lstm_sizes: tuple[int, ...] = (128, 128, 64, 64)
     fc1_size: int = 128
     embedding_size: int = 50
-    use_conv: bool = True
 
 
 @dataclass
@@ -105,7 +104,7 @@ class NetworkParams:
 def _tensors(arch: ArchConfig, vertex_count: int) -> tuple:
     """(LSN1 tensor name, shape) in ``flat`` order, the one table of parameter shapes: conv, LSTM,
     then dense layers, each weight before its bias, an LSTM's split into its gate row blocks."""
-    n_conv = _N_CONV if arch.use_conv else 0
+    n_conv = _N_CONV if arch.conv_channels else 0
     widths = [CHAR_PROB_DIM, *[arch.conv_channels] * n_conv, *arch.lstm_sizes]
     widths += [arch.fc1_size, arch.embedding_size, 3 * vertex_count]
     layers = [f"conv{n}" for n in range(1, n_conv + 1)]
@@ -129,8 +128,7 @@ def _cuts(arch: ArchConfig, vertex_count: int) -> tuple:
     table = [(name.split(".")[0], (rows * len(GATES) if name.endswith("_f") else rows, *cols))
              for name, (rows, *cols) in _tensors(arch, vertex_count) if not name.endswith(("_i", "_o", "_C"))]
     bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape in table)]
-    kinds = dict.fromkeys(DENSE_LAYERS, "linear") | {"fc1": "tanh"}
-    return tuple((kinds.get(layer, layer.rstrip("0123456789")), a, b, shape)
+    return tuple((DENSE_LAYERS.get(layer, layer.rstrip("0123456789")), a, b, shape)
                  for (layer, shape), a, b in zip(table, bounds, bounds[1:]))
 
 
@@ -535,14 +533,12 @@ def _arch_from_dims(dims: dict, path: str) -> ArchConfig:
             raise FileFormatError(f"missing tensor {name}", path=path)
         return dims[name][0]
 
-    use_conv = "conv1.kernels" in dims
     n_lstm = 0
     while f"lstm{n_lstm + 1}.W_f" in dims:
         n_lstm += 1
     return ArchConfig(
-        conv_channels=rows("conv1.kernels") if use_conv else ArchConfig.conv_channels,
+        conv_channels=rows("conv1.kernels") if "conv1.kernels" in dims else 0,
         lstm_sizes=tuple(rows(f"lstm{n}.W_f") for n in range(1, n_lstm + 1)),
         fc1_size=rows("fc1.weight"),
         embedding_size=rows("fc2.weight"),
-        use_conv=use_conv,
     )

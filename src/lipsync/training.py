@@ -75,7 +75,7 @@ class MetricRow:
 class TrainResult:
     best_params: NetworkParams
     metrics: list[MetricRow]
-    best_epoch: int
+    best_epoch: int  # the epoch whose parameters best_params holds
 
 
 def _loss_terms(pred, truth, cfg: LossConfig):
@@ -199,7 +199,8 @@ def train(
     ``net`` is updated in place and ends at the last epoch's parameters.
     Epoch order is shuffled deterministically from the seed. Emits per-epoch
     train/validation metrics through ``sink`` (a callable taking an event
-    dict) and retains the parameters of the best validation epoch. A
+    dict) and retains the parameters of the best validation epoch, or of the
+    last epoch when there are no validation items. A
     non-finite training or validation loss, or gradient norm, raises DataError.
     Every ``checkpoint_every`` epochs the parameters go to ``checkpoint_dir``,
     which that setting needs (ConfigError without it).
@@ -218,14 +219,15 @@ def train(
     step_grad = np.empty_like(net.flat)
     item_grad = np.empty_like(net.flat) if train_cfg.batch_size > 1 else None
     metrics: list[MetricRow] = []
-    best = (np.inf, None, 0)
+    # Each improvement overwrites the one copy of the best epoch's parameters;
+    # without a validation split they are the last epoch's, held by net itself.
+    best = net.copy() if val_items else net
+    best_total, best_epoch = np.inf, train_cfg.epochs
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    def emit(event):
-        if sink is not None:
-            sink(event)
+    emit = sink or (lambda event: None)
 
     def log_row(epoch, split, lp, lv):
         total = loss_cfg.total(lp, lv)
@@ -272,22 +274,16 @@ def train(
             if not math.isfinite(vlp + vlv):
                 raise DataError(f"epoch {epoch}: non-finite validation loss")
             vtotal = log_row(epoch, "val", vlp, vlv)
-            if vtotal < best[0]:
-                # The kept copy is allocated once; each later improvement overwrites it.
-                if best[1] is None:
-                    kept = net.copy()
-                else:
-                    kept = best[1]
-                    np.copyto(kept.flat, net.flat)
-                best = (vtotal, kept, epoch)
+            if vtotal < best_total:
+                np.copyto(best.flat, net.flat)
+                best_total, best_epoch = vtotal, epoch
                 if ckpt_dir is not None:
                     save_checkpoint(net, ckpt_dir / "best.lsn1")
 
         if train_cfg.checkpoint_every > 0 and epoch % train_cfg.checkpoint_every == 0:
             save_checkpoint(net, ckpt_dir / f"epoch_{epoch:04d}.lsn1")
 
-    best_params = best[1] if best[1] is not None else net
-    return TrainResult(best_params=best_params, metrics=metrics, best_epoch=best[2])
+    return TrainResult(best_params=best, metrics=metrics, best_epoch=best_epoch)
 
 
 def write_metrics_csv(metrics, path) -> None:

@@ -25,13 +25,11 @@ from run_ablation import ABLATION, build_corpus, run_matrix  # noqa: E402
 # Reduced stack for gradient checks and fast unit tests: conv channels 4,
 # LSTM 6/6/3/3, small dense head, 5 vertices.
 TINY_ARCH = ArchConfig(conv_channels=4, lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6)
-TINY_ARCH_NO_CONV = ArchConfig(
-    conv_channels=4, lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6, use_conv=False
-)
+TINY_ARCH_NO_CONV = ArchConfig(conv_channels=0, lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6)
 
 
-def tiny_net(seed=0, vertices=5, use_conv=True):
-    return model.init_params(seed, vertices, TINY_ARCH if use_conv else TINY_ARCH_NO_CONV)
+def tiny_net(seed=0, vertices=5, conv=True):
+    return model.init_params(seed, vertices, TINY_ARCH if conv else TINY_ARCH_NO_CONV)
 
 
 # Tiny networks whose LSN1 files are consistent with an input 13 wide
@@ -43,7 +41,7 @@ def other_width_tensors(defect):
     """(name bytes, array) pairs of a tiny network with the ``defect`` of
     ``OTHER_WIDTHS``: no command writes such a file."""
     named = []
-    for name, arr in tiny_net(use_conv=defect != "lstm-13-wide").items():
+    for name, arr in tiny_net(conv=defect != "lstm-13-wide").items():
         if defect == "conv-13-wide" and name == "conv1.kernels":
             arr = arr[:, :13]
         elif defect == "lstm-13-wide" and name.startswith("lstm1.W_"):
@@ -119,16 +117,14 @@ def reference_load(path):
             raise fail(f"missing tensor {name}")
         return tensors[name].shape[0]
 
-    use_conv = "conv1.kernels" in tensors
     n_lstm = 0
     while f"lstm{n_lstm + 1}.W_f" in tensors:
         n_lstm += 1
     arch = ArchConfig(
-        conv_channels=rows("conv1.kernels") if use_conv else ArchConfig.conv_channels,
+        conv_channels=rows("conv1.kernels") if "conv1.kernels" in tensors else 0,
         lstm_sizes=tuple(rows(f"lstm{n}.W_f") for n in range(1, n_lstm + 1)),
         fc1_size=rows("fc1.weight"),
         embedding_size=rows("fc2.weight"),
-        use_conv=use_conv,
     )
     layout = model._tensors(arch, vertex_count)
     for name, shape in layout:

@@ -518,6 +518,25 @@ class TestGenCorpusAndTrain:
         assert err.startswith("error:") and err.count("\n") == 1 and missing in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", ["--out", "--metrics"])
+    def test_output_that_is_a_directory_refused_before_training(self, mini_corpus, tmp_path, monkeypatch, capsys, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", never)
+        (tmp_path / "d").mkdir()
+        assert run_cli(
+            "train",
+            "--manifest", str(mini_corpus["root"] / "corpus.jsonl"),
+            "--out", str(tmp_path / "c.lsn1"),
+            "--metrics", str(tmp_path / "m.csv"),
+            flag, str(tmp_path / "d"),
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} {tmp_path / 'd'}: is a directory\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "d"] and not list((tmp_path / "d").iterdir())
+
     def test_config_file_sets_every_field(self, mini_corpus, tmp_path, monkeypatch):
         seen = {}
 
@@ -968,6 +987,12 @@ MALFORMED = {
     "train-metrics-directory-missing": (
         2, "no directory", lambda i: i.train("--metrics", str(i.tmp / "nodir" / "m.csv"))
     ),
+    "train-out-is-a-directory": (2, ": is a directory", lambda i: i.train("--out", str(i.tmp))),
+    "train-metrics-is-a-directory": (2, ": is a directory", lambda i: i.train("--metrics", str(i.tmp))),
+    # the CSV would overwrite the checkpoint, whichever way the path is spelled
+    "train-metrics-same-as-out": (
+        1, "--out and --metrics name the same file", lambda i: i.train("--metrics", f"{i.tmp}/../{i.tmp.name}/out")
+    ),
     "train-no-train-sentences": (
         1, "manifest has no training items", lambda i: i.train(manifest=_one_sentence(i, split="test"))
     ),
@@ -981,7 +1006,15 @@ MALFORMED = {
         2, "item 's0000': ",
         lambda i: i.eval(manifest=_one_sentence(i, cut=2, split="test"), scorer=("--checkpoint", i.checkpoint())),
     ),
-    "eval-no-scorer": (1, "eval needs --checkpoint", lambda i: i.eval(scorer=())),
+    "eval-no-scorer": (1, "one of the arguments --checkpoint --self-test is required", lambda i: i.eval(scorer=())),
+    "eval-checkpoint-and-self-test": (
+        1, "not allowed with", lambda i: i.eval(scorer=("--self-test", "--checkpoint", str(i.tmp / "absent.lsn1")))
+    ),
+    "infer-wav-and-features": (1, "not allowed with", lambda i: i.infer("--features", str(i.tmp / "f.lsf1"))),
+    "infer-neither-wav-nor-features": (
+        1, "one of the arguments --wav --features is required",
+        lambda i: ["infer", "--checkpoint", i.checkpoint(), "--out", str(i.out)],
+    ),
     "infer-wav-fmt-chunk-short": (
         2, "fmt chunk too short", lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHII", 1, 1, 16000, 32000)))
     ),

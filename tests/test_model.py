@@ -290,7 +290,7 @@ class TestForward:
         assert np.allclose(short[:6], long[:6], atol=1e-9, rtol=1e-9)
 
     def test_prefix_property_lstm_only_is_exact(self):
-        net = tiny_net(seed=7, use_conv=False)
+        net = tiny_net(seed=7, conv=False)
         feats = random_features(np.random.default_rng(8), 20)
         short = model.forward(net, FeatureSequence(data=feats.data[:10])).frames
         long = model.forward(net, feats).frames
@@ -359,7 +359,7 @@ class TestBatchedForward:
         [
             TINY_ARCH,
             ArchConfig(),
-            ArchConfig(use_conv=False),
+            ArchConfig(conv_channels=0),
             ArchConfig(conv_channels=4, lstm_sizes=(6, 3), fc1_size=10, embedding_size=6),
             ArchConfig(conv_channels=4, lstm_sizes=(6, 6, 3, 3, 3), fc1_size=10, embedding_size=6),
         ],
@@ -390,11 +390,11 @@ class TestBatchedForward:
         feats = random_features(np.random.default_rng(5), 137)
         assert np.array_equal(model.forward(net, feats).frames, reference_forward(net, feats))
 
-    @pytest.mark.parametrize("use_conv", [True, False], ids=["conv", "lstm-only"])
-    def test_read_only_parameters_give_the_same_bytes(self, use_conv):
+    @pytest.mark.parametrize("conv", [True, False], ids=["conv", "lstm-only"])
+    def test_read_only_parameters_give_the_same_bytes(self, conv):
         # the forward only reads the parameters: a network bound over a
         # read-only flat raises on any write, and must give the same output
-        net = tiny_net(seed=7, use_conv=use_conv)
+        net = tiny_net(seed=7, conv=conv)
         frozen = net.read_only()
         assert not frozen.flat.flags.writeable and np.shares_memory(frozen.flat, net.flat)
         rng = np.random.default_rng(7)
@@ -420,7 +420,7 @@ def layer_cases():
         for n, cell in enumerate(lstms(net), start=1):
             yield f"{name}-lstm{n}-{hidden_size(cell)}x{input_size(cell)}", cell
     for hid in range(1, 8):
-        cell = model.init_params(hid, 5, ArchConfig(use_conv=False, lstm_sizes=(hid,))).layers[0]
+        cell = model.init_params(hid, 5, ArchConfig(conv_channels=0, lstm_sizes=(hid,))).layers[0]
         yield f"hidden{hid}-{hid}x{input_size(cell)}", cell
 
 
@@ -620,11 +620,11 @@ class TestCheckpoint:
             assert np.array_equal(arr_a, arr_b), name_a
 
     def test_round_trip_without_conv(self, tmp_path):
-        net = tiny_net(seed=14, use_conv=False)
+        net = tiny_net(seed=14, conv=False)
         model.save_checkpoint(net, tmp_path / "n.lsn1")
         back = model.load_checkpoint(tmp_path / "n.lsn1")
         assert "conv" not in [layer.kind for layer in back.layers]
-        assert back.arch == ArchConfig(lstm_sizes=(6, 6, 3, 3), fc1_size=10, embedding_size=6, use_conv=False)
+        assert back.arch == net.arch
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_refused_and_file_kept(self, tmp_path, value):
@@ -675,11 +675,10 @@ class TestCheckpoint:
 
 ARCHS = st.builds(
     ArchConfig,
-    conv_channels=st.integers(1, 4),
+    conv_channels=st.integers(0, 4),
     lstm_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
     fc1_size=st.integers(1, 5),
     embedding_size=st.integers(1, 4),
-    use_conv=st.booleans(),
 )
 
 
@@ -714,6 +713,7 @@ class TestLoaderMatchesReference:
             return
         got = model.load_checkpoint(path)
         assert (got.vertex_count, got.arch) == want[:2]
+        assert got.arch == arch
         assert got.flat.tobytes() == want[2].tobytes() == net.flat.tobytes()
         assert got.flat.dtype == np.float64 and got.flat.flags.writeable
 
@@ -852,12 +852,12 @@ class TestLstmDepth:
 
 @pytest.mark.parametrize(
     "arch",
-    [ArchConfig(), ArchConfig(use_conv=False), depth_arch((6, 3)), depth_arch((6, 6, 3, 3, 3))],
+    [ArchConfig(), ArchConfig(conv_channels=0), depth_arch((6, 3)), depth_arch((6, 6, 3, 3, 3))],
     ids=["production", "no-conv", "2-lstm", "5-lstm"],
 )
 def test_layers_are_kinds_over_the_tensor_table(arch):
     net = model.init_params(3, 5, arch)
-    n_conv = 2 if arch.use_conv else 0
+    n_conv = 2 if arch.conv_channels else 0
     assert [layer.kind for layer in net.layers] == (
         ["conv"] * n_conv + ["lstm"] * len(arch.lstm_sizes) + ["tanh", "linear", "linear"]
     )

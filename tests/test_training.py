@@ -332,6 +332,22 @@ class TestTrain:
         splits = {row.split for row in res.metrics}
         assert splits == {"train", "val"}
 
+    def test_best_params_are_those_of_the_best_validation_epoch(self, tmp_path):
+        rng = np.random.default_rng(11)
+        items, val = make_corpus(rng, 2), make_corpus(rng, 2)
+        # at this rate the last epoch's validation loss is above the third's
+        cfg = TrainConfig(learning_rate=3e-3, epochs=4, seed=11, checkpoint_every=1)
+        res = training.train(items, tiny_net(seed=11), LossConfig(), cfg, val_items=val, checkpoint_dir=tmp_path)
+        totals = [row.total for row in res.metrics if row.split == "val"]
+        assert res.best_epoch == 1 + totals.index(min(totals)) < cfg.epochs
+        saved = model.load_checkpoint(tmp_path / f"epoch_{res.best_epoch:04d}.lsn1")
+        assert res.best_params.flat.tobytes() == saved.flat.tobytes()
+
+    def test_without_validation_the_last_epoch_is_best(self):
+        net = tiny_net(seed=10)
+        res = training.train(make_corpus(np.random.default_rng(10), 2), net, LossConfig(), TrainConfig(epochs=3))
+        assert res.best_epoch == 3 and res.best_params is net
+
     def test_periodic_checkpoints_hold_that_epochs_parameters(self, tmp_path):
         # epochs 1-2 of a 4-epoch run are those of a 2-epoch run from the same start
         items = make_corpus(np.random.default_rng(9), 2)
