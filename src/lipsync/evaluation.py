@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientFramesError, ShapeError
 from .mesh import DisplacementSequence, TemplateMesh
-from .model import NetworkParams, forward_batch
+from .model import NetworkParams, predictions
 
 METRIC_KEYS = ("pos_all", "pos_lip", "vel_all", "vel_lip")
 _METRIC_LABELS = {
@@ -114,32 +114,32 @@ def default_lip_landmark(mesh: TemplateMesh) -> int:
 
 
 def _aggregate(mesh: TemplateMesh, samples, predictions, cfg: ProjectionConfig) -> EvalReport:
-    """Landmark metrics of each sample's prediction, taken from the iterable
-    ``predictions`` in sample order, against ground truth, pooled over every
-    (frame, landmark) pair so that long sentences weigh more."""
+    """Landmark metrics of each sample's prediction against ground truth, pooled over every
+    (frame, landmark) pair so that long sentences weigh more. ``predictions`` yields
+    ``(j, prediction of samples[j])`` in any order; every sum is taken in sample order."""
     if not samples:
         raise DataError("no samples to score")
     lip_cols = _lip_columns(mesh)
+    for s in samples:
+        if s.displacements.n_frames < 2:
+            raise InsufficientFramesError(
+                f"sentence {s.id!r} has {s.displacements.n_frames} frame(s); velocity error needs at least two"
+            )
+    sums = [None] * len(samples)  # per sample, a (sum, size) pair per metric
+    for j, pred in predictions:
+        dist, vel = _distances(
+            project_landmarks(mesh, pred, cfg=cfg), project_landmarks(mesh, samples[j].displacements, cfg=cfg)
+        )
+        del pred  # otherwise it lives on while the next batch runs
+        sums[j] = [(d.sum(), d.size) for d in (dist, dist[:, lip_cols], vel, vel[:, lip_cols])]  # METRIC_KEYS order
+
     totals = {k: [0.0, 0] for k in METRIC_KEYS}
     per_sentence = {}
-    for s, pred in zip(samples, predictions):
-        dist, vel = _distances(
-            project_landmarks(mesh, pred, cfg=cfg), project_landmarks(mesh, s.displacements, cfg=cfg)
-        )
-        if not len(vel):
-            raise InsufficientFramesError(
-                f"sentence {s.id!r} has {len(dist)} frame(s); velocity error needs at least two"
-            )
-        sums = {
-            "pos_all": (dist.sum(), dist.size),
-            "pos_lip": (dist[:, lip_cols].sum(), dist[:, lip_cols].size),
-            "vel_all": (vel.sum(), vel.size),
-            "vel_lip": (vel[:, lip_cols].sum(), vel[:, lip_cols].size),
-        }
-        per_sentence[s.id] = {k: sums[k][0] / sums[k][1] for k in METRIC_KEYS}
-        for k in METRIC_KEYS:
-            totals[k][0] += sums[k][0]
-            totals[k][1] += sums[k][1]
+    for s, pairs in zip(samples, sums):
+        per_sentence[s.id] = {k: total / size for k, (total, size) in zip(METRIC_KEYS, pairs)}
+        for k, (total, size) in zip(METRIC_KEYS, pairs):
+            totals[k][0] += total
+            totals[k][1] += size
 
     pooled = {k: totals[k][0] / totals[k][1] for k in METRIC_KEYS}
     if not np.isfinite(list(pooled.values())).all():
@@ -158,12 +158,12 @@ def evaluate(
         raise ShapeError(
             f"checkpoint decodes {net.vertex_count} vertices, mesh has {mesh.n_vertices}"
         )
-    return _aggregate(mesh, samples, forward_batch(net, [s.features for s in samples]), cfg)
+    return _aggregate(mesh, samples, predictions(net, [s.features for s in samples]), cfg)
 
 
 def evaluate_self(mesh: TemplateMesh, samples, cfg: ProjectionConfig = ProjectionConfig()) -> EvalReport:
     """Ground truth against itself; a correct pipeline reports all zeros."""
-    return _aggregate(mesh, samples, [s.displacements for s in samples], cfg)
+    return _aggregate(mesh, samples, enumerate(s.displacements for s in samples), cfg)
 
 
 def format_table(reports: dict) -> str:

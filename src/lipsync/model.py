@@ -21,8 +21,10 @@ on whole vectors. Each LSTM holds its four gates fused into one
 
 Forward starts every sequence from zero LSTM state; ``forward_batch`` steps
 several sequences through each LSTM together, bit-equal to running them one
-at a time. Backward is full backpropagation through time against a cache
-captured during the forward pass of one sequence. All math is float64.
+at a time, and ``predictions`` runs a list of them in length-sorted batches
+of at most ``_BATCH_FRAMES`` padded frames. Backward is full backpropagation
+through time against a cache captured during the forward pass of one
+sequence. All math is float64.
 """
 
 from __future__ import annotations
@@ -69,12 +71,21 @@ class Layer:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Shape knobs; the defaults are the production preset. No conv channels is the LSTM-only network."""
+    """Shape knobs; the defaults are the production preset. No conv channels is the LSTM-only network,
+    and empty ``lstm_sizes`` a network with no LSTM, which trains, saves and loads like any other."""
 
     conv_channels: int = 32
     lstm_sizes: tuple[int, ...] = (128, 128, 64, 64)
     fc1_size: int = 128
     embedding_size: int = 50
+
+    def __post_init__(self):
+        for name, least in (("conv_channels", 0), ("lstm_sizes", 1), ("fc1_size", 1), ("embedding_size", 1)):
+            value = getattr(self, name)
+            values = value if name == "lstm_sizes" and isinstance(value, tuple) else [value]
+            if not all(isinstance(n, int) and n >= least for n in values):
+                kind = "a tuple of ints" if name == "lstm_sizes" else "an int"
+                raise ConfigError(f"{name} must be {kind} >= {least}, got {value!r}")
 
 
 @dataclass
@@ -343,9 +354,10 @@ _BACKWARD = {"conv": _conv_backward, "lstm": _lstm_backward, "tanh": _dense_back
 # ---------------------------------------------------------------------------
 # full network
 
-# Sequences run through the network together by forward_batch; bounds the
-# memory its batched LSTM buffers take.
-_CHUNK = 8
+# Padded frames (sequences x the batch's longest length) that predictions
+# runs through forward_batch together; bounds the batched LSTM buffers.
+# Larger budgets raise the peak RSS once eval's batches outgrow train's peak.
+_BATCH_FRAMES = 1536
 
 
 @dataclass
@@ -393,16 +405,30 @@ def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
     return _displacements(net, y, feats)
 
 
-def forward_batch(net: NetworkParams, seqs):
-    """Yield ``forward(net, f)`` for each feature sequence f, in input order.
+def forward_batch(net: NetworkParams, seqs) -> list:
+    """``forward(net, f)`` for each feature sequence f, in input order, all run through the network
+    together; each output is bit-equal to the one ``forward`` gives."""
+    ys = _run_layers(net, [_input(feats) for feats in seqs]) if seqs else []
+    return [_displacements(net, y, feats) for y, feats in zip(ys, seqs)]
 
-    Runs ``_CHUNK`` sequences at a time through the network together; each
-    output is bit-equal to the one ``forward`` gives.
-    """
-    seqs = iter(seqs)
-    while chunk := list(itertools.islice(seqs, _CHUNK)):
-        ys = _run_layers(net, [_input(feats) for feats in chunk])
-        yield from (_displacements(net, y, feats) for y, feats in zip(ys, chunk))
+
+def _batches(lengths) -> list:
+    """Index lists of batches, longest first by a stable sort: a batch takes the next sequence while its
+    count times its first length stays within ``_BATCH_FRAMES``, and a longer sequence runs alone."""
+    batches = []
+    for j in sorted(range(len(lengths)), key=lambda j: -lengths[j]):
+        if batches and (len(batches[-1]) + 1) * lengths[batches[-1][0]] <= _BATCH_FRAMES:
+            batches[-1].append(j)
+        else:
+            batches.append([j])
+    return batches
+
+
+def predictions(net: NetworkParams, seqs):
+    """Yield ``(j, forward(net, seqs[j]))`` for every j, one ``_batches`` batch at a time."""
+    for batch in _batches([feats.n_frames for feats in seqs]):
+        # forward_batch is looked up in the module on each call, so a profiler's wrapper times every batch
+        yield from zip(batch, forward_batch(net, [seqs[j] for j in batch]))
 
 
 def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=None) -> NetworkParams:

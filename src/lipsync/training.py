@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .model import NetworkParams, backward, forward_batch, forward_with_cache, save_checkpoint
+from .model import NetworkParams, backward, forward_with_cache, predictions, save_checkpoint
 
 _ADAM_BLOCK = 1 << 15  # vector elements per Adam pass
 _ADAM_BETA1 = 0.9
@@ -166,11 +166,10 @@ def clip_gradients(grads: np.ndarray, max_norm: float):
 
 def evaluate_loss(items, net: NetworkParams, cfg: LossConfig):
     """Mean per-item (lp, lv) of the current parameters over a sample list."""
-    lps, lvs = [], []
-    for s, pred in zip(items, forward_batch(net, [s.features for s in items])):
-        lp, lv, _, _ = _loss_terms(pred, s.displacements, cfg)
-        lps.append(lp)
-        lvs.append(lv)
+    lps, lvs = [0.0] * len(items), [0.0] * len(items)
+    for j, pred in predictions(net, [s.features for s in items]):
+        lps[j], lvs[j], _, _ = _loss_terms(pred, items[j].displacements, cfg)
+        del pred  # otherwise it lives on while the next batch runs
     return float(np.mean(lps)), float(np.mean(lvs))
 
 

@@ -366,7 +366,7 @@ class TestBatchedForward:
         ids=["tiny", "production", "lstm-only", "2-lstm", "5-lstm"],
     )
     def test_matches_per_sequence_oracle(self, arch):
-        # lengths 1..120 in shuffled order span 15 chunks of unequal lengths
+        # lengths 1..120 in shuffled order, all run through the network together
         rng = np.random.default_rng(3)
         net = model.init_params(3, 5, arch)
         seqs = [random_features(rng, t) for t in shuffled_lengths(3)]
@@ -376,14 +376,33 @@ class TestBatchedForward:
             assert out.fps == feats.fps
             assert np.array_equal(out.frames, reference_forward(net, feats))
 
-    @pytest.mark.parametrize("chunk", [1, 3, 23, 200])
-    def test_chunk_size_does_not_change_outputs(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 45, 120, 400])
+    def test_chunk_size_does_not_change_outputs(self, budget, monkeypatch):
+        # lengths 1..40 in 40, 26, 9 and 3 batches of at most budget padded frames
         rng = np.random.default_rng(4)
         net = tiny_net(seed=4)
         seqs = [random_features(rng, t) for t in shuffled_lengths(4, longest=40)]
-        monkeypatch.setattr(model, "_CHUNK", chunk)
-        for feats, out in zip(seqs, model.forward_batch(net, seqs)):
+        monkeypatch.setattr(model, "_BATCH_FRAMES", budget)
+        outs = dict(model.predictions(net, seqs))
+        assert sorted(outs) == list(range(len(seqs)))
+        for feats, out in zip(seqs, (outs[j] for j in range(len(seqs)))):
             assert np.array_equal(out.frames, reference_forward(net, feats))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 60), max_size=30), budget=st.integers(1, 200))
+    def test_batches_sorted_and_bounded(self, lengths, budget):
+        # the function-scoped monkeypatch fixture would not reset between hypothesis examples
+        saved, model._BATCH_FRAMES = model._BATCH_FRAMES, budget
+        try:
+            batches = model._batches(lengths)
+        finally:
+            model._BATCH_FRAMES = saved
+        order = [j for batch in batches for j in batch]
+        assert sorted(order) == list(range(len(lengths)))
+        assert all(lengths[a] >= lengths[b] for a, b in zip(order, order[1:]))
+        assert all(a < b for a, b in zip(order, order[1:]) if lengths[a] == lengths[b])
+        for batch in batches:
+            assert len(batch) == 1 or len(batch) * lengths[batch[0]] <= budget
 
     def test_single_sequence_forward_matches_oracle(self):
         net = model.init_params(0, 5)
@@ -680,6 +699,52 @@ ARCHS = st.builds(
     fc1_size=st.integers(1, 5),
     embedding_size=st.integers(1, 4),
 )
+# ArchConfig keyword arguments, in range or out: negative and zero sizes,
+# no LSTM, a list in place of the tuple, and sizes that are not ints
+ARCH_FIELDS = st.fixed_dictionaries(
+    {
+        "conv_channels": st.integers(-2, 4),
+        "lstm_sizes": st.lists(st.one_of(st.integers(-1, 4), st.just(2.0)), max_size=4).flatmap(
+            lambda sizes: st.sampled_from([tuple(sizes), sizes])
+        ),
+        "fc1_size": st.one_of(st.integers(-1, 5), st.just(None)),
+        "embedding_size": st.integers(-1, 4),
+    }
+)
+
+
+class TestArchConfig:
+    @settings(max_examples=80, deadline=None)
+    @given(fields=ARCH_FIELDS, vertices=st.integers(1, 4))
+    def test_refused_or_round_trips(self, tmp_path_factory, fields, vertices):
+        sizes = fields["lstm_sizes"]
+        valid = (
+            isinstance(sizes, tuple)
+            and all(isinstance(n, int) and n >= 1 for n in sizes)
+            and fields["conv_channels"] >= 0
+            and all(isinstance(fields[k], int) and fields[k] >= 1 for k in ("fc1_size", "embedding_size"))
+        )
+        if not valid:
+            with pytest.raises(ConfigError) as info:
+                ArchConfig(**fields)
+            bad = [k for k in fields if k in str(info.value)]
+            assert len(bad) == 1
+            with pytest.raises(ConfigError):
+                ArchConfig(**{**ArchConfig().__dict__, bad[0]: fields[bad[0]]})
+            return
+        arch = ArchConfig(**fields)
+        path = tmp_path_factory.mktemp("arch") / "a.lsn1"
+        model.save_checkpoint(model.init_params(0, vertices, arch), path)
+        assert model.load_checkpoint(path).arch == arch
+
+    @pytest.mark.parametrize("tensor", [b"conv1.kernels", b"lstm2.W_f", b"fc2.weight"])
+    def test_checkpoint_with_a_zero_size_is_a_format_error(self, tmp_path, tensor):
+        # zero rows would describe a size ArchConfig refuses; the loader refuses the tensor first
+        named = [(n, np.zeros((0, *a.shape[1:])) if n == tensor else a) for n, a in
+                 ((name.encode(), arr) for name, arr in tiny_net().items())]
+        write_lsn1(tmp_path / "z.lsn1", 5, named)
+        with pytest.raises(FileFormatError, match=f"tensor '{tensor.decode()}' has dims"):
+            model.load_checkpoint(tmp_path / "z.lsn1")
 
 
 class TestLoaderMatchesReference:

@@ -254,11 +254,12 @@ class TestTrain:
 
     def test_validation_loss_matches_per_sequence_forward(self, monkeypatch):
         # validation runs the batched forward; its means must be those of
-        # one forward per item, across chunks of 2 over unequal lengths
+        # one forward per item, across batches (12, 9) and (7, 3, 1) of at
+        # most 24 padded frames, in item order
         rng = np.random.default_rng(6)
         items = [s for t_len in (7, 1, 12, 3, 9) for s in make_corpus(rng, 1, t_len=t_len)]
         net = tiny_net(seed=6)
-        monkeypatch.setattr(model, "_CHUNK", 2)
+        monkeypatch.setattr(model, "_BATCH_FRAMES", 24)
         terms = [training._loss_terms(model.forward(net, s.features), s.displacements, LossConfig()) for s in items]
         lp, lv = training.evaluate_loss(items, net, LossConfig())
         assert lp == float(np.mean([t[0] for t in terms]))
