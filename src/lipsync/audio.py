@@ -366,8 +366,3 @@ def mfcc(w: Waveform) -> MfccFrames:
     energies = power @ _MEL_FBANK.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     return MfccFrames(frames=_cepstra(log_energies), source_duration=w.duration)
-
-
-def mfcc_from_wav(path) -> MfccFrames:
-    """The WAV front end: load, resample to 16 kHz, MFCC."""
-    return mfcc(resample(load_wav(path)))

@@ -162,26 +162,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _infer_features(args) -> features.FeatureSequence:
-    if args.wav:
-        return features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
-    return features.load_features(args.features)
-
-
-def _animate(net, seq):
-    """The network's displacements for ``seq`` and their float32 frames,
-    refused if they could not be written.
-
-    An LSA1 file holds float32 and its loader refuses NaN and inf, so an
-    output that overflows float32 is an error, not a file.
-    """
-    disp = model.forward(net, seq)
-    frames32 = disp.frames.astype("<f4")
-    if not np.isfinite(frames32).all():
-        raise DataError("network output holds NaN, inf or values beyond float32; nothing written")
-    return disp, frames32
-
-
 # The last network that _network loaded from a settled regular file, bound
 # read-only, with that file's stat key; None when there is none.
 _kept = None
@@ -217,9 +197,12 @@ def _network(path) -> model.NetworkParams:
 
 def _cmd_infer(args) -> int:
     net = _network(args.checkpoint)
-    seq = _infer_features(args)
-    disp, frames32 = _animate(net, seq)
-    mesh.save_anim(mesh.DisplacementSequence(frames=frames32, fps=disp.fps), args.out)
+    if args.wav:
+        seq = features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
+    else:
+        seq = features.load_features(args.features)
+    disp = model.forward(net, seq)
+    mesh.save_anim(disp, args.out)
     print(f"wrote {disp.n_frames} frames x {disp.n_vertices} vertices to {args.out}")
     return 0
 
@@ -257,8 +240,10 @@ def _cmd_export_obj_seq(args) -> int:
             "the topology must match the training template"
         )
     seq = features.features_from_wav(args.wav, features.SurrogateProvider.seeded(args.seed))
-    disp, _ = _animate(net, seq)
-    posed = mesh.apply_displacements(head, disp)
+    posed = mesh.apply_displacements(head, model.forward(net, seq))
+    # OBJ text is written frame by frame, so a non-finite vertex is refused before the first frame.
+    if not np.isfinite(posed).all():
+        raise DataError("network output holds NaN or inf; nothing written")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

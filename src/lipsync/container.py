@@ -1,9 +1,9 @@
 """The binary container shared by LSF1, LSA1 and LSN1.
 
 Each file is a 4-byte magic, a little-endian ``struct`` header, then the
-payload. ``Format`` owns the header and size checks and reads each payload
-from the file straight into its array; the format modules decide what the
-header fields mean.
+payload. ``Format`` owns the header and size checks, refuses NaN and inf on
+both sides, and reads each payload from the file straight into its array;
+the format modules decide what the header fields mean.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import DataError, FileFormatError
 
 
 def read_into(fh, out: np.ndarray, path, offset: int) -> np.ndarray:
@@ -50,7 +50,10 @@ class Format:
         return len(self.magic) + struct.calcsize(self.header)
 
     def write(self, path, fields, *payload) -> None:
-        """Write the magic and header, then each payload buffer in turn."""
+        """Write the magic and header, then each payload buffer in turn; an array
+        chunk holding NaN or inf, which the loader refuses, is refused before the path is touched."""
+        if not all(np.isfinite(chunk).all() for chunk in payload if isinstance(chunk, np.ndarray)):
+            raise DataError(f"{path}: NaN or inf in the {self.magic.decode()} payload; not written")
         # A regular file is replaced, not truncated: file systems that flush a
         # truncated file on close make rewriting one several times slower.
         # Links, devices and FIFOs are opened as they are.

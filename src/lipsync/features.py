@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MFCC_FRAME_RATE, N_CEPSTRA, MfccFrames, mfcc_from_wav
+from .audio import MFCC_FRAME_RATE, N_CEPSTRA, MfccFrames, load_wav, mfcc, resample
 from .container import Format
 from .errors import FileFormatError, InsufficientFramesError
 
@@ -129,7 +129,7 @@ def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSeq
 
 def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:
     """Full front end: load WAV, resample to 16 kHz, MFCC, surrogate rows."""
-    return surrogate_features(mfcc_from_wav(path), provider)
+    return surrogate_features(mfcc(resample(load_wav(path))), provider)
 
 
 def save_features(f: FeatureSequence, path) -> None:

@@ -122,7 +122,7 @@ class TestWavMutation:
             return
         assert len(audio.resample(w).samples) <= 2 * len(w.samples)
         try:
-            audio.mfcc_from_wav(path)
+            audio.mfcc(audio.resample(w))
         except LipSyncError:
             pass
 

@@ -855,6 +855,15 @@ def _lsn1_one_tensor(i, dims, payload=b""):
     return i.file("bad.lsn1", b"LSN1" + struct.pack("<II", 40, 1) + table + payload)
 
 
+def _decoder_bias_1e39(i) -> str:
+    """A V=40 checkpoint whose decoder bias, and so every output offset, is 1e39."""
+    path = i.tmp / "big.lsn1"
+    net = model.init_params(0, 40)
+    dict(net.items())["decoder.bias"][:] = 1e39
+    model.save_checkpoint(net, path)
+    return str(path)
+
+
 def _manifest_line(i, **changes):
     line = json.loads(Path(i.manifest).read_text().splitlines()[0])
     return (json.dumps({**line, **changes}) + "\n").encode()
@@ -978,7 +987,7 @@ MALFORMED = {
     "train-w-pos-1e308": (2, "epoch 1: non-finite gradient norm on items", lambda i: i.train("--w-pos", "1e308")),
     # no validation split checks the weights of the last step, which overflow to inf
     "train-non-finite-weights-not-saved": (
-        2, "network parameters hold NaN or inf",
+        2, "out: NaN or inf in the LSN1 payload; not written",
         lambda i: i.train("--lr", "1.7e308", "--clip-norm", "0", manifest=_one_sentence(i)),
     ),
     "train-out-directory-missing": (
@@ -1034,7 +1043,13 @@ MALFORMED = {
     "infer-wav-rate-1000003hz": (2, "sample rate 1000003 Hz outside", lambda i: i.infer(wav=i.wav(rate=1_000_003, n=200))),
     "infer-wav-rate-7999hz": (2, "sample rate 7999 Hz outside", lambda i: i.infer(wav=i.wav(rate=7999))),
     # finite weights whose output overflows: an LSA1 or OBJ holding NaN would be written
-    "infer-output-not-finite": (2, "network output holds NaN", lambda i: i.infer(checkpoint=i.checkpoint(1e200))),
+    "infer-output-not-finite": (
+        2, "out: NaN or inf in the LSA1 payload; not written", lambda i: i.infer(checkpoint=i.checkpoint(1e200))
+    ),
+    # finite in float64, but every offset is inf in an LSA1 file
+    "infer-output-beyond-float32": (
+        2, "out: NaN or inf in the LSA1 payload; not written", lambda i: i.infer(checkpoint=_decoder_bias_1e39(i))
+    ),
     "export-obj-seq-output-not-finite": (
         2, "network output holds NaN", lambda i: i.export_obj_seq(checkpoint=i.checkpoint(1e200))
     ),
@@ -1071,6 +1086,17 @@ class TestMalformedInputs:
         # a warning is a stderr line too when the CLI runs outside pytest
         assert [str(w.message) for w in recwarn] == []
         assert not inputs.out.exists()
+
+    def test_export_obj_seq_writes_vertices_beyond_float32(self, mini_corpus, tmp_path, capsys):
+        # OBJ text holds the float64 vertices, so only NaN or inf stops an export
+        inputs = _Inputs(mini_corpus, tmp_path)
+        assert run_cli(*inputs.export_obj_seq(checkpoint=_decoder_bias_1e39(inputs))) == 0
+        assert capsys.readouterr().err == ""
+        frames = sorted(inputs.out.glob("frame_*.obj"))
+        assert frames
+        for frame in frames:
+            vertices = mesh.load_obj(frame).vertices
+            assert np.isfinite(vertices).all() and np.abs(vertices).max() > np.finfo(np.float32).max
 
     # Each property runs in-process and only asks that every value gets an exit code.
     @settings(max_examples=30, deadline=None)

@@ -1,4 +1,4 @@
-"""The shared container: its writer, its non-finite check, and the
+"""The shared container: its writer, its non-finite checks, and the
 byte-mutation properties of the LSF1, LSA1 and LSN1 loaders and of the
 commands that read them."""
 
@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import os
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -25,7 +26,7 @@ from conftest import (
     tiny_net,
 )
 from lipsync import cli, container, features, mesh, model
-from lipsync.errors import FileFormatError, LipSyncError
+from lipsync.errors import DataError, FileFormatError, LipSyncError
 
 LOADERS = {"LSF1": features.load_features, "LSA1": mesh.load_anim, "LSN1": model.load_checkpoint}
 # LSF1 and LSA1: the reference reader, and the loader's result as the tuple it returns
@@ -63,6 +64,66 @@ class TestFormatWrite:
     def test_dev_null(self):
         self.FMT.write(os.devnull, (7,), b"ab")
         assert Path(os.devnull).is_char_device()
+
+
+def _write(fmt, values, path):
+    """Write ``values`` as the payload of a small ``fmt`` file: 2 x 3 LSF1 rows,
+    a 1 x 2 x 3 LSA1 animation, or the last parameters of a tiny network."""
+    values = np.asarray(values, dtype=np.float64)
+    if fmt == "LSF1":
+        features.save_features(features.FeatureSequence(data=values.reshape(2, 3)), path)
+    elif fmt == "LSA1":
+        mesh.save_anim(mesh.DisplacementSequence(frames=values.reshape(1, 2, 3)), path)
+    else:
+        net = tiny_net(seed=2)
+        net.flat[-len(values):] = values
+        model.save_checkpoint(net, path)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+# Payload values each loader refuses. A float64 above float32's largest is
+# inf once an LSF1 or LSA1 writer casts it, and fits in an LSN1 file.
+UNWRITABLE = [(fmt, value) for fmt in LOADERS for value in (np.nan, np.inf, -np.inf)]
+UNWRITABLE += [(fmt, 2 * F32_MAX) for fmt in ("LSF1", "LSA1")]
+
+
+class TestNonFiniteRefusedOnWrite:
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-file", "existing-file"])
+    @pytest.mark.parametrize("fmt, value", UNWRITABLE)
+    def test_refused_before_the_path_is_touched(self, tmp_path, fmt, value, existing):
+        path = tmp_path / f"out.{fmt.lower()}"
+        if existing:
+            _write(fmt, np.arange(6.0), path)
+            before = path.read_bytes()
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: NaN or inf in the {fmt} payload; not written$"):
+            with np.errstate(over="ignore"):  # the float32 cast of 2 * F32_MAX
+                _write(fmt, [1.0, 2.0, value, 4.0, 5.0, 6.0], path)
+        if existing:
+            assert path.read_bytes() == before
+        else:
+            assert not path.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fmt=st.sampled_from(["LSF1", "LSA1"]),
+        values=st.lists(st.floats(-F32_MAX, F32_MAX), min_size=6, max_size=6),
+    )
+    @example(fmt="LSF1", values=[F32_MAX, -F32_MAX, 1e-45, -1e-45, 5e-324, -0.0])
+    @example(fmt="LSA1", values=[F32_MAX, -F32_MAX, 1e-45, -1e-45, 5e-324, -0.0])
+    def test_float32_formats_round_trip_every_finite_cast(self, tmp_path_factory, fmt, values):
+        path = tmp_path_factory.mktemp("rt") / "out"
+        _write(fmt, values, path)
+        back = features.load_features(path).data if fmt == "LSF1" else mesh.load_anim(path).frames
+        assert back.ravel().view("<u4").tolist() == np.asarray(values, dtype="<f4").view("<u4").tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+    @example(values=[F32_MAX, -F32_MAX, 1.7976931348623157e308, 5e-324, -5e-324, -0.0])
+    def test_lsn1_round_trips_every_finite_value(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("rt") / "out"
+        _write("LSN1", values, path)
+        back = model.load_checkpoint(path).flat[-6:]
+        assert back.view("<u8").tolist() == np.asarray(values, dtype="<f8").view("<u8").tolist()
 
 
 class TestCheckFinite:

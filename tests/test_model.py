@@ -18,7 +18,7 @@ from conftest import (
     write_lsn1,
 )
 from lipsync import model, training
-from lipsync.errors import ConfigError, DataError, FileFormatError, ShapeError, StateError
+from lipsync.errors import ConfigError, FileFormatError, ShapeError, StateError
 from lipsync.features import FeatureSequence
 from lipsync.mesh import DisplacementSequence
 from lipsync.model import ArchConfig, Layer
@@ -644,18 +644,6 @@ class TestCheckpoint:
         back = model.load_checkpoint(tmp_path / "n.lsn1")
         assert "conv" not in [layer.kind for layer in back.layers]
         assert back.arch == net.arch
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameters_refused_and_file_kept(self, tmp_path, value):
-        # the loader would refuse such a file, so the writer refuses it first
-        path = tmp_path / "n.lsn1"
-        model.save_checkpoint(tiny_net(seed=1), path)
-        before = path.read_bytes()
-        net = tiny_net(seed=2)
-        net.flat[-1] = value
-        with pytest.raises(DataError, match=f"network parameters hold NaN or inf; {path} not written"):
-            model.save_checkpoint(net, path)
-        assert path.read_bytes() == before
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.lsn1").write_bytes(b"WRNG" + b"\x00" * 16)
