@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lipsync import evaluation, model, synthdata, training
 from lipsync.features import SurrogateProvider
 from lipsync.model import ArchConfig
-from lipsync.training import LossConfig, TrainConfig
+from lipsync.training import TrainConfig
 
 # The corpus is fixed; the four seeds vary initialization and epoch order.
 # The oracle anticipates two future feature frames (mouth leads sound), so
@@ -78,8 +78,7 @@ def run_matrix(head, train_items, test_items, cfg=ABLATION):
             training.train(
                 train_items,
                 net,
-                LossConfig(w_velocity=w_vel),
-                TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed),
+                TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed, w_velocity=w_vel),
             )
             yield seed, label, net, evaluation.evaluate(net, head, test_items)
 

@@ -22,25 +22,24 @@ import numpy as np
 from . import features, mesh, model
 from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
 
-# Each train flag and config-file key, and the training config class and
-# field it sets; the field's default is the default and its type the cast.
+# Each train flag and config-file key, and the TrainConfig field it sets;
+# the field's default is the default and its type the cast.
 TRAIN_FIELDS = {
-    "epochs": ("TrainConfig", "epochs"),
-    "lr": ("TrainConfig", "learning_rate"),
-    "w_pos": ("LossConfig", "w_position"),
-    "w_vel": ("LossConfig", "w_velocity"),
-    "seed": ("TrainConfig", "seed"),
-    "checkpoint_every": ("TrainConfig", "checkpoint_every"),
-    "batch_size": ("TrainConfig", "batch_size"),
-    "clip_norm": ("TrainConfig", "clip_norm"),
+    "epochs": "epochs",
+    "lr": "learning_rate",
+    "w_pos": "w_position",
+    "w_vel": "w_velocity",
+    "seed": "seed",
+    "checkpoint_every": "checkpoint_every",
+    "batch_size": "batch_size",
+    "clip_norm": "clip_norm",
 }
 
 
 def _train_cast(key):
     from . import training
 
-    cls, name = TRAIN_FIELDS[key]
-    return type(next(f.default for f in dataclasses.fields(getattr(training, cls)) if f.name == name))
+    return type(next(f.default for f in dataclasses.fields(training.TrainConfig) if f.name == TRAIN_FIELDS[key]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,14 +93,14 @@ def _cmd_features(args) -> int:
 
 
 def _train_configs(args):
-    """(LossConfig, TrainConfig): explicit flags over the --config file over field defaults, cast from text."""
+    """The TrainConfig of explicit flags over the --config file over field defaults, cast from text."""
     from . import training
 
     given = [("--" + key.replace("_", "-"), key, raw) for key, raw in vars(args).items()
              if key in TRAIN_FIELDS and raw is not None]
     if args.config:
         given += [(f"config key {key!r}", key, raw) for key, raw in _load_config_file(args.config).items()]
-    kwargs = {"LossConfig": {}, "TrainConfig": {}}
+    kwargs = {}
     for source, key, raw in given:
         if key not in TRAIN_FIELDS:
             raise UsageError(f"unknown config key {key!r}")
@@ -111,15 +110,14 @@ def _train_configs(args):
             raise UsageError(f"bad value for {source}: {raw!r}")
         if source == "--seed" and value < 0:
             raise UsageError(f"--seed must be >= 0, got {value}")
-        cls, name = TRAIN_FIELDS[key]
-        kwargs[cls].setdefault(name, value)  # the flags come first, so they win and a bad one is named first
-    return tuple(getattr(training, cls)(**fields) for cls, fields in kwargs.items())
+        kwargs.setdefault(TRAIN_FIELDS[key], value)  # the flags come first, so they win and a bad one is named first
+    return training.TrainConfig(**kwargs)
 
 
 def _cmd_train(args) -> int:
     from . import synthdata, training
 
-    loss_cfg, train_cfg = _train_configs(args)
+    train_cfg = _train_configs(args)
     # Both files are written after the last epoch; what would stop either write is refused before the first.
     if args.metrics and Path(args.metrics).resolve() == Path(args.out).resolve():
         raise UsageError(f"--out and --metrics name the same file {args.out!r}")
@@ -147,13 +145,7 @@ def _cmd_train(args) -> int:
             )
 
     result = training.train(
-        train_items,
-        net,
-        loss_cfg,
-        train_cfg,
-        val_items=val_items,
-        sink=sink,
-        checkpoint_dir=args.checkpoint_dir,
+        train_items, net, train_cfg, val_items=val_items, sink=sink, checkpoint_dir=args.checkpoint_dir
     )
     model.save_checkpoint(result.best_params, args.out)
     if args.metrics:

@@ -134,7 +134,8 @@ def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:
 
 def save_features(f: FeatureSequence, path) -> None:
     """Write the LSF1 container: magic | u32 T | u32 D | u32 fps | u8 kind | f32 rows."""
-    data = np.ascontiguousarray(f.data, dtype="<f4")
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, which the write refuses
+        data = np.ascontiguousarray(f.data, dtype="<f4")
     _LSF1.write(path, (*data.shape, int(f.fps), int(f.kind)), data)
 
 

@@ -169,7 +169,8 @@ def apply_displacements(template: TemplateMesh, d: DisplacementSequence) -> np.n
 
 def save_anim(d: DisplacementSequence, path) -> None:
     """Write the LSA1 container: magic | u32 T | u32 V | u32 fps | f32 offsets."""
-    frames = np.ascontiguousarray(d.frames, dtype="<f4")
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, which the write refuses
+        frames = np.ascontiguousarray(d.frames, dtype="<f4")
     t, v, _ = frames.shape
     _LSA1.write(path, (t, v, int(d.fps)), frames)
 

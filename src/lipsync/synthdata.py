@@ -167,7 +167,8 @@ class CorpusManifest:
                 if not all(isinstance(value, str) for value in text.values()):
                     raise TypeError("id, features, anim and split must be strings")
                 items.append(CorpusItem(**text))
-            except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object, or a non-string field
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                # TypeError: not an object, or a non-string field; RecursionError: nested too deep to parse
                 raise FileFormatError(f"bad manifest line: {exc}", path=str(path), line=lineno)
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):

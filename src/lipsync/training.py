@@ -25,20 +25,6 @@ _ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    w_position: float = 1.0
-    w_velocity: float = 0.5
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0 for w in (self.w_position, self.w_velocity)):
-            raise ConfigError("loss weights must be finite and non-negative")
-
-    def total(self, lp, lv):
-        """w_pos * lp + w_vel * lv, for the loss terms and for their gradients."""
-        return self.w_position * lp + self.w_velocity * lv
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 10
@@ -46,8 +32,12 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     batch_size: int = 1  # sequences accumulated per optimizer step
     clip_norm: float = 5.0
+    w_position: float = 1.0
+    w_velocity: float = 0.5
 
     def __post_init__(self):
+        if not all(math.isfinite(w) and w >= 0 for w in (self.w_position, self.w_velocity)):
+            raise ConfigError("loss weights must be finite and non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be finite and positive")
         if self.epochs < 1:
@@ -60,6 +50,10 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
             raise ConfigError("clip_norm must be finite and non-negative")
+
+    def total(self, lp, lv):
+        """w_pos * lp + w_vel * lv, for the loss terms and for their gradients."""
+        return self.w_position * lp + self.w_velocity * lv
 
 
 @dataclass
@@ -78,7 +72,7 @@ class TrainResult:
     best_epoch: int  # the epoch whose parameters best_params holds
 
 
-def _loss_terms(pred, truth, cfg: LossConfig):
+def _loss_terms(pred, truth, cfg: TrainConfig = TrainConfig()):
     """(lp, lv, total, dTotal/dPred), each term a mean over the frames it sums.
 
     Each sum of squares is taken first and then divided by its frame count,
@@ -108,7 +102,7 @@ def _loss_terms(pred, truth, cfg: LossConfig):
     return lp, lv, cfg.total(lp, lv), cfg.total(grad_p, grad_v)
 
 
-def loss_total(pred, truth, cfg: LossConfig = LossConfig()):
+def loss_total(pred, truth, cfg: TrainConfig = TrainConfig()):
     """Weighted combined loss and its analytic gradient w.r.t. the prediction."""
     _, _, total, grad = _loss_terms(pred, truth, cfg)
     return total, grad
@@ -164,11 +158,11 @@ def clip_gradients(grads: np.ndarray, max_norm: float):
 # training loop
 
 
-def evaluate_loss(items, net: NetworkParams, cfg: LossConfig):
+def evaluate_loss(items, net: NetworkParams):
     """Mean per-item (lp, lv) of the current parameters over a sample list."""
     lps, lvs = [0.0] * len(items), [0.0] * len(items)
     for j, pred in predictions(net, [s.features for s in items]):
-        lps[j], lvs[j], _, _ = _loss_terms(pred, items[j].displacements, cfg)
+        lps[j], lvs[j], _, _ = _loss_terms(pred, items[j].displacements)
         del pred  # otherwise it lives on while the next batch runs
     return float(np.mean(lps)), float(np.mean(lvs))
 
@@ -187,7 +181,6 @@ def _after_step(net: NetworkParams, state: AdamState) -> str:
 def train(
     train_items,
     net: NetworkParams,
-    loss_cfg: LossConfig = LossConfig(),
     train_cfg: TrainConfig = TrainConfig(),
     val_items=(),
     sink=None,
@@ -229,7 +222,7 @@ def train(
     emit = sink or (lambda event: None)
 
     def log_row(epoch, split, lp, lv):
-        total = loss_cfg.total(lp, lv)
+        total = train_cfg.total(lp, lv)
         metrics.append(MetricRow(epoch=epoch, split=split, lp=lp, lv=lv, total=total))
         emit({"event": "epoch", "split": split, "epoch": epoch, "lp": lp, "lv": lv})
         return total
@@ -243,7 +236,7 @@ def train(
             for n, idx in enumerate(batch):
                 s = train_items[idx]
                 pred, tape = forward_with_cache(net, s.features)
-                lp, lv, _, dpred = _loss_terms(pred, s.displacements, loss_cfg)
+                lp, lv, _, dpred = _loss_terms(pred, s.displacements, train_cfg)
                 if not math.isfinite(lp + lv):
                     raise DataError(
                         f"epoch {epoch}: non-finite training loss on item {s.id!r}{_after_step(net, state)}"
@@ -269,7 +262,7 @@ def train(
         log_row(epoch, "train", float(np.mean(epoch_lp)), float(np.mean(epoch_lv)))
 
         if val_items:
-            vlp, vlv = evaluate_loss(val_items, net, loss_cfg)
+            vlp, vlv = evaluate_loss(val_items, net)
             if not math.isfinite(vlp + vlv):
                 raise DataError(f"epoch {epoch}: non-finite validation loss")
             vtotal = log_row(epoch, "val", vlp, vlv)

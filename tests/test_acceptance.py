@@ -14,7 +14,7 @@ from conftest import ABLATION, random_features, tiny_net
 from lipsync import audio, cli, evaluation, features, mesh, model, synthdata, training
 from lipsync.features import SurrogateProvider
 from lipsync.mesh import DisplacementSequence
-from lipsync.training import LossConfig, TrainConfig
+from lipsync.training import TrainConfig
 
 
 def report(capsys, number, name, ok, detail):
@@ -45,7 +45,7 @@ def test_1_gradient_fidelity(capsys):
         rng = np.random.default_rng(seed + 500)
         feats = random_features(rng, 9)
         truth = DisplacementSequence(frames=rng.standard_normal((9, 5, 3)) * 0.1)
-        cfg = LossConfig()
+        cfg = TrainConfig()
         pred, tape = model.forward_with_cache(net, feats)
         _, dpred = training.loss_total(pred, truth, cfg)
         grads = model.backward(net, tape, dpred)
@@ -83,7 +83,7 @@ def test_2_loss_gradient_fidelity(capsys):
         rng = np.random.default_rng(seed)
         pred = rng.standard_normal((3, 2, 3))
         truth = rng.standard_normal((3, 2, 3))
-        cfg = LossConfig()
+        cfg = TrainConfig()
         _, grad = training.loss_total(pred, truth, cfg)
         it = np.nditer(pred, flags=["multi_index"])
         for _ in it:
@@ -127,7 +127,6 @@ def test_4_learnability(capsys, corpus60):
     res = training.train(
         corpus60["train"],
         net,
-        LossConfig(),
         TrainConfig(learning_rate=2e-3, epochs=40, seed=11),
         val_items=corpus60["val"],
     )

@@ -540,8 +540,8 @@ class TestGenCorpusAndTrain:
     def test_config_file_sets_every_field(self, mini_corpus, tmp_path, monkeypatch):
         seen = {}
 
-        def fake_train(items, net, loss_cfg, train_cfg, **kwargs):
-            seen.update(net=net, loss=loss_cfg, train=train_cfg)
+        def fake_train(items, net, train_cfg, **kwargs):
+            seen.update(net=net, train=train_cfg)
             return training.TrainResult(best_params=net, metrics=[], best_epoch=0)
 
         monkeypatch.setattr(training, "train", fake_train)
@@ -556,9 +556,9 @@ class TestGenCorpusAndTrain:
             "--out", str(tmp_path / "c.lsn1"),
             "--config", str(cfg),
         ) == 0
-        assert seen["loss"] == training.LossConfig(w_position=2.0, w_velocity=0.25)
         assert seen["train"] == training.TrainConfig(
-            learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5
+            learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5,
+            w_position=2.0, w_velocity=0.25,
         )
         assert np.array_equal(seen["net"].flat, model.init_params(4, 40).flat)
 
@@ -566,8 +566,8 @@ class TestGenCorpusAndTrain:
         # the flags are parsed as text and cast with the config file's casts
         seen = {}
 
-        def fake_train(items, net, loss_cfg, train_cfg, **kwargs):
-            seen.update(loss=loss_cfg, train=train_cfg)
+        def fake_train(items, net, train_cfg, **kwargs):
+            seen.update(train=train_cfg)
             return training.TrainResult(best_params=net, metrics=[], best_epoch=0)
 
         monkeypatch.setattr(training, "train", fake_train)
@@ -578,11 +578,11 @@ class TestGenCorpusAndTrain:
             "--epochs", "3", "--lr", "0.002", "--w-pos", "2", "--w-vel", "0.25", "--seed", "4",
             "--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path), "--batch-size", "3", "--clip-norm", "1.5",
         ) == 0
-        assert seen["loss"] == training.LossConfig(w_position=2.0, w_velocity=0.25)
         assert seen["train"] == training.TrainConfig(
-            learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5
+            learning_rate=0.002, epochs=3, seed=4, checkpoint_every=2, batch_size=3, clip_norm=1.5,
+            w_position=2.0, w_velocity=0.25,
         )
-        assert type(seen["loss"].w_position) is float and type(seen["train"].epochs) is int
+        assert type(seen["train"].w_position) is float and type(seen["train"].epochs) is int
 
     def test_bad_config_key(self, mini_corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -934,6 +934,9 @@ MALFORMED = {
     ),
     "manifest-path-not-string": (
         2, "(line 1)", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i, features=None)))
+    ),
+    "manifest-nested-json": (
+        2, "m.jsonl: bad manifest line", lambda i: i.eval(manifest=i.file("m.jsonl", b"[" * 5000 + b"\n"))
     ),
     "manifest-not-utf8": (
         2, "m.jsonl: not UTF-8 text", lambda i: i.eval(manifest=i.file("m.jsonl", _manifest_line(i) + b"\xff\n"))

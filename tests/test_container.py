@@ -96,7 +96,8 @@ class TestNonFiniteRefusedOnWrite:
             _write(fmt, np.arange(6.0), path)
             before = path.read_bytes()
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: NaN or inf in the {fmt} payload; not written$"):
-            with np.errstate(over="ignore"):  # the float32 cast of 2 * F32_MAX
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the float32 cast of 2 * F32_MAX must not warn first
                 _write(fmt, [1.0, 2.0, value, 4.0, 5.0, 6.0], path)
         if existing:
             assert path.read_bytes() == before
@@ -124,6 +125,14 @@ class TestNonFiniteRefusedOnWrite:
         _write("LSN1", values, path)
         back = model.load_checkpoint(path).flat[-6:]
         assert back.view("<u8").tolist() == np.asarray(values, dtype="<f8").view("<u8").tolist()
+
+
+class TestReadInto:
+    def test_a_file_cut_after_its_size_was_taken(self):
+        # 4 of the 32 bytes wanted remain after the offset, then readinto returns 0
+        with pytest.raises(FileFormatError, match="truncated tensor payload") as info:
+            container.read_into(io.BytesIO(bytes(8)), np.empty(4), "f", 4)
+        assert info.value.offset == 4
 
 
 class TestCheckFinite:

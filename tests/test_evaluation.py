@@ -98,6 +98,11 @@ class TestErrors:
         assert evaluation.positional_error(a, b) == evaluation.positional_error(b, a)
         assert evaluation.velocity_error(a, b) == evaluation.velocity_error(b, a)
 
+    @pytest.mark.parametrize("metric", [evaluation.positional_error, evaluation.velocity_error])
+    def test_shapes_must_match(self, metric):
+        with pytest.raises(ShapeError, match=r"trajectory shapes differ: \(3, 2, 2\) vs \(4, 2, 2\)"):
+            metric(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
+
     def test_needs_two_frames(self):
         with pytest.raises(InsufficientFramesError):
             evaluation.velocity_error(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))

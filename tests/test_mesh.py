@@ -192,6 +192,11 @@ class TestLandmarkSidecar:
         assert np.array_equal(back_idx, idx)
         assert np.array_equal(back_lip, lip)
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        (tmp_path / "lm.txt").write_text("# lips first\nlip:3\n\n  \n  # face\n11\n")
+        idx, lip = mesh.load_landmarks(tmp_path / "lm.txt")
+        assert idx.tolist() == [3, 11] and lip.tolist() == [True, False]
+
     def test_bad_index(self, tmp_path):
         (tmp_path / "lm.txt").write_text("1\nlip:abc\n")
         with pytest.raises(MeshParseError) as err:

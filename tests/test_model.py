@@ -505,7 +505,7 @@ def max_gradient_error(seed, eps=1e-5, arch=TINY_ARCH):
     rng = np.random.default_rng(seed + 1000)
     feats = random_features(rng, 9)
     truth = DisplacementSequence(frames=rng.standard_normal((9, 5, 3)) * 0.1)
-    cfg = training.LossConfig()
+    cfg = training.TrainConfig()
 
     pred, tape = model.forward_with_cache(net, feats)
     _, dpred = training.loss_total(pred, truth, cfg)

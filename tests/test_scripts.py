@@ -34,6 +34,9 @@ def test_output_digest_covers_every_output():
           for stage in ("resampled", "mfcc", "surrogate", "forward")),
     ):
         assert name in digests
+    # The committed digest pins every output byte; a change that alters bytes
+    # on purpose regenerates the file and says why.
+    assert proc.stdout == (Path(__file__).parent / "output_digest.txt").read_text()
 
 
 def plot(*args):

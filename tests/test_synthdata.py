@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipsync import features, mesh, synthdata
-from lipsync.errors import DataError, ShapeError
+from lipsync.errors import DataError, FileFormatError, ShapeError
 from lipsync.features import FeatureSequence, SurrogateProvider
 from lipsync.synthdata import CorpusManifest, OracleArticulator
 
@@ -129,6 +129,12 @@ class TestArticulate:
         expected_last = (oracle0.basis @ code).reshape(-1, 3)
         assert np.allclose(out.frames[-1], expected_last, atol=1e-12)
 
+    def test_head_without_mouth_vertices_rejected(self):
+        head = synthdata.make_head(60, seed=0)
+        far = dataclasses.replace(head, vertices=head.vertices + 10.0)
+        with pytest.raises(ShapeError, match="no vertices near the mouth"):
+            OracleArticulator.seeded(far, seed=0)
+
     def test_dimension_mismatch(self):
         _, oracle = self.oracle()
         with pytest.raises(ShapeError):
@@ -156,6 +162,8 @@ class TestGenerateCorpus:
         assert synthdata.split_counts(14, (8, 2, 4)) == (8, 2, 4)
         with pytest.raises(ValueError):
             synthdata.split_counts(2)
+        with pytest.raises(ValueError, match=r"split ratio \(0, 1, 1\) leaves no training items for n=3"):
+            synthdata.split_counts(3, (0, 1, 1))
 
     def test_regeneration_is_identical(self, tmp_path):
         head = synthdata.make_head(30, seed=9)
@@ -203,6 +211,18 @@ class TestGenerateCorpus:
         assert {i.split for i in manifest.items} == {"train", "val", "test"}
         first = manifest.items[0]
         assert manifest.resolve(first.features).exists()
+
+    def test_manifest_skips_blank_lines(self, mini_corpus, tmp_path):
+        path = mini_corpus["root"] / "corpus.jsonl"
+        (tmp_path / "m.jsonl").write_text("\n" + path.read_text().replace("\n", "\n\n  \n"))
+        assert CorpusManifest.load(tmp_path / "m.jsonl").items == CorpusManifest.load(path).items
+
+    def test_manifest_nested_too_deep_names_its_line(self, tmp_path):
+        # json recurses once per bracket, so this line exceeds the interpreter's depth limit
+        (tmp_path / "m.jsonl").write_bytes(b"\n" + b"[" * 5000 + b"\n")
+        with pytest.raises(FileFormatError, match=r"m\.jsonl: bad manifest line: .* \(line 2\)$") as info:
+            CorpusManifest.load(tmp_path / "m.jsonl")
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("duration", ['"abc"', "true", "1e400", None])
     def test_manifest_duration_is_not_read(self, mini_corpus, tmp_path, duration):

@@ -6,7 +6,7 @@ from lipsync import model, training
 from lipsync.errors import ConfigError, DataError, ShapeError
 from lipsync.mesh import DisplacementSequence
 from lipsync.synthdata import Sample
-from lipsync.training import LossConfig, TrainConfig
+from lipsync.training import TrainConfig
 
 
 def dyadic(rng, shape, denom=8):
@@ -16,7 +16,7 @@ def dyadic(rng, shape, denom=8):
 
 def loss_terms(pred, truth):
     """(lp, lv): the per-frame mean position and velocity terms."""
-    lp, lv, _, _ = training._loss_terms(pred, truth, LossConfig())
+    lp, lv, _, _ = training._loss_terms(pred, truth, TrainConfig())
     return lp, lv
 
 
@@ -81,14 +81,14 @@ class TestLossTotal:
         rng = np.random.default_rng(5)
         pred = rng.standard_normal((4, 2, 3))
         truth = rng.standard_normal((4, 2, 3))
-        total, _ = training.loss_total(pred, truth, LossConfig(w_position=1.0, w_velocity=0.0))
+        total, _ = training.loss_total(pred, truth, TrainConfig(w_position=1.0, w_velocity=0.0))
         assert total == loss_terms(pred, truth)[0]
 
     def test_default_weights_combine_terms(self):
         rng = np.random.default_rng(6)
         pred = rng.standard_normal((4, 2, 3))
         truth = rng.standard_normal((4, 2, 3))
-        total, _ = training.loss_total(pred, truth, LossConfig())
+        total, _ = training.loss_total(pred, truth, TrainConfig())
         lp, lv = loss_terms(pred, truth)
         assert abs(total - (lp + 0.5 * lv)) < 1e-12
 
@@ -96,7 +96,7 @@ class TestLossTotal:
         rng = np.random.default_rng(7)
         pred = rng.standard_normal((3, 2, 3))
         truth = rng.standard_normal((3, 2, 3))
-        cfg = LossConfig()
+        cfg = TrainConfig()
         _, grad = training.loss_total(pred, truth, cfg)
         eps = 1e-6
         it = np.nditer(pred, flags=["multi_index"])
@@ -114,21 +114,25 @@ class TestLossTotal:
         rng = np.random.default_rng(8)
         pred = rng.standard_normal((4, 2, 3))
         truth = rng.standard_normal((4, 2, 3))
-        base, _ = training.loss_total(pred, truth, LossConfig(w_position=1.0, w_velocity=0.5))
+        base, _ = training.loss_total(pred, truth, TrainConfig(w_position=1.0, w_velocity=0.5))
         for a in (0.0, 0.5, 2.0, 4.0):
             scaled, _ = training.loss_total(
-                pred, truth, LossConfig(w_position=a * 1.0, w_velocity=a * 0.5)
+                pred, truth, TrainConfig(w_position=a * 1.0, w_velocity=a * 0.5)
             )
             assert scaled == a * base
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            LossConfig(w_position=-1.0)
+            TrainConfig(w_position=-1.0)
 
-    @pytest.mark.parametrize("kwargs", [{"w_velocity": float("nan")}, {"w_position": float("inf")}])
+    # the weights are checked first, so a bad rate beside them is not the one named
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"w_velocity": float("nan")}, {"w_position": float("inf")}, {"w_velocity": -1.0, "learning_rate": float("nan")}],
+    )
     def test_non_finite_weights_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            LossConfig(**kwargs)
+        with pytest.raises(ValueError, match="^loss weights must be finite and non-negative$"):
+            TrainConfig(**kwargs)
 
 
 class TestTrainConfig:
@@ -194,7 +198,7 @@ def make_corpus(rng, n_items, t_len=20, vertices=5):
 class TestTrain:
     def test_empty_corpus_raises(self):
         with pytest.raises(DataError):
-            training.train([], tiny_net(), LossConfig(), TrainConfig())
+            training.train([], tiny_net(), TrainConfig())
 
     def test_nan_parameters_raise_and_save_nothing(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -204,7 +208,6 @@ class TestTrain:
             training.train(
                 make_corpus(rng, 2),
                 net,
-                LossConfig(),
                 TrainConfig(checkpoint_every=1),
                 val_items=make_corpus(rng, 1),
                 checkpoint_dir=tmp_path,
@@ -217,7 +220,7 @@ class TestTrain:
         val[0].displacements = DisplacementSequence(frames=np.full_like(val[0].displacements.frames, np.nan))
         with pytest.raises(DataError, match="non-finite validation loss"):
             training.train(
-                make_corpus(rng, 1), tiny_net(), LossConfig(), TrainConfig(), val_items=val,
+                make_corpus(rng, 1), tiny_net(), TrainConfig(), val_items=val,
                 checkpoint_dir=tmp_path,
             )
         assert list(tmp_path.iterdir()) == []
@@ -229,7 +232,7 @@ class TestTrain:
         net = tiny_net()
         start = net.flat.copy()
         with np.errstate(all="ignore"), pytest.raises(DataError) as info:
-            training.train(items, net, LossConfig(w_position=1e308), TrainConfig(batch_size=2))
+            training.train(items, net, TrainConfig(batch_size=2, w_position=1e308))
         assert str(info.value).startswith("epoch 1: non-finite gradient norm on items 'i")
         assert str(info.value).count("'i") == 2
         assert np.array_equal(net.flat, start)
@@ -244,12 +247,12 @@ class TestTrain:
         grads = []
         for s in items:
             pred, tape = model.forward_with_cache(expected, s.features)
-            _, dpred = training.loss_total(pred, s.displacements, LossConfig())
+            _, dpred = training.loss_total(pred, s.displacements, TrainConfig())
             grads.append(model.backward(expected, tape, dpred).flat)
         mean = (grads[0] + grads[1]) / 2
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, clip_norm=0.0)
         training.adam_step(expected, mean, training.AdamState.zeros(expected), cfg)
-        training.train(items, net, LossConfig(), cfg)
+        training.train(items, net, cfg)
         assert np.allclose(net.flat, expected.flat, rtol=0, atol=1e-15)
 
     def test_validation_loss_matches_per_sequence_forward(self, monkeypatch):
@@ -260,8 +263,8 @@ class TestTrain:
         items = [s for t_len in (7, 1, 12, 3, 9) for s in make_corpus(rng, 1, t_len=t_len)]
         net = tiny_net(seed=6)
         monkeypatch.setattr(model, "_BATCH_FRAMES", 24)
-        terms = [training._loss_terms(model.forward(net, s.features), s.displacements, LossConfig()) for s in items]
-        lp, lv = training.evaluate_loss(items, net, LossConfig())
+        terms = [training._loss_terms(model.forward(net, s.features), s.displacements, TrainConfig()) for s in items]
+        lp, lv = training.evaluate_loss(items, net)
         assert lp == float(np.mean([t[0] for t in terms]))
         assert lv == float(np.mean([t[1] for t in terms]))
 
@@ -281,7 +284,7 @@ class TestTrain:
         items = make_corpus(rng, 1, t_len=40)
         net = tiny_net(seed=3)
         res = training.train(
-            items, net, LossConfig(), TrainConfig(learning_rate=1e-2, epochs=200, seed=3)
+            items, net, TrainConfig(learning_rate=1e-2, epochs=200, seed=3)
         )
         totals = [row.total for row in res.metrics if row.split == "train"]
         assert totals[-1] < 0.01 * totals[0]
@@ -293,7 +296,7 @@ class TestTrain:
         for _ in range(2):
             net = tiny_net(seed=4)
             res = training.train(
-                items, net, LossConfig(), TrainConfig(learning_rate=1e-3, epochs=4, seed=4)
+                items, net, TrainConfig(learning_rate=1e-3, epochs=4, seed=4)
             )
             runs.append([(r.epoch, r.split, r.lp, r.lv, r.total) for r in res.metrics])
         assert runs[0] == runs[1]
@@ -309,7 +312,6 @@ class TestTrain:
         training.train(
             items,
             tiny_net(seed=5),
-            LossConfig(),
             TrainConfig(learning_rate=1e-3, epochs=1, seed=5),
             sink=events.append,
         )
@@ -323,7 +325,6 @@ class TestTrain:
         res = training.train(
             items,
             net,
-            LossConfig(),
             TrainConfig(learning_rate=1e-3, epochs=3, seed=6),
             val_items=val,
             checkpoint_dir=tmp_path,
@@ -338,7 +339,7 @@ class TestTrain:
         items, val = make_corpus(rng, 2), make_corpus(rng, 2)
         # at this rate the last epoch's validation loss is above the third's
         cfg = TrainConfig(learning_rate=3e-3, epochs=4, seed=11, checkpoint_every=1)
-        res = training.train(items, tiny_net(seed=11), LossConfig(), cfg, val_items=val, checkpoint_dir=tmp_path)
+        res = training.train(items, tiny_net(seed=11), cfg, val_items=val, checkpoint_dir=tmp_path)
         totals = [row.total for row in res.metrics if row.split == "val"]
         assert res.best_epoch == 1 + totals.index(min(totals)) < cfg.epochs
         saved = model.load_checkpoint(tmp_path / f"epoch_{res.best_epoch:04d}.lsn1")
@@ -346,16 +347,16 @@ class TestTrain:
 
     def test_without_validation_the_last_epoch_is_best(self):
         net = tiny_net(seed=10)
-        res = training.train(make_corpus(np.random.default_rng(10), 2), net, LossConfig(), TrainConfig(epochs=3))
+        res = training.train(make_corpus(np.random.default_rng(10), 2), net, TrainConfig(epochs=3))
         assert res.best_epoch == 3 and res.best_params is net
 
     def test_periodic_checkpoints_hold_that_epochs_parameters(self, tmp_path):
         # epochs 1-2 of a 4-epoch run are those of a 2-epoch run from the same start
         items = make_corpus(np.random.default_rng(9), 2)
         at_two, at_four = tiny_net(seed=9), tiny_net(seed=9)
-        training.train(items, at_two, LossConfig(), TrainConfig(learning_rate=1e-3, epochs=2, seed=9))
+        training.train(items, at_two, TrainConfig(learning_rate=1e-3, epochs=2, seed=9))
         cfg = TrainConfig(learning_rate=1e-3, epochs=4, seed=9, checkpoint_every=2)
-        training.train(items, at_four, LossConfig(), cfg, checkpoint_dir=tmp_path)
+        training.train(items, at_four, cfg, checkpoint_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0002.lsn1", "epoch_0004.lsn1"]
         for name, net in (("epoch_0002.lsn1", at_two), ("epoch_0004.lsn1", at_four)):
             assert model.load_checkpoint(tmp_path / name).flat.tobytes() == net.flat.tobytes()
@@ -375,7 +376,6 @@ class TestTrain:
         res = training.train(
             corpus60["train"],
             net,
-            LossConfig(),
             TrainConfig(epochs=5, seed=11),
             val_items=corpus60["val"],
         )
