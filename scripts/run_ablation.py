@@ -13,6 +13,7 @@ Example:
 """
 
 import argparse
+import multiprocessing
 import sys
 import time
 from collections import defaultdict
@@ -70,17 +71,30 @@ def build_corpus(out, cfg=ABLATION):
     return head, synthdata.load_split(manifest, "train"), synthdata.load_split(manifest, "test")
 
 
+def _train_job(job):
+    """Train one (seed, variant) job of the matrix; returns its parameter vector and test EvalReport."""
+    head, train_items, test_items, cfg, seed, arch, w_vel = job
+    net = model.init_params(seed, cfg["vertices"], arch)
+    training.train(
+        train_items,
+        net,
+        TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed, w_velocity=w_vel),
+    )
+    return net.flat, evaluation.evaluate(net, head, test_items)
+
+
 def run_matrix(head, train_items, test_items, cfg=ABLATION):
-    """Train every variant for every seed; yields (seed, label, trained network, test EvalReport)."""
-    for seed in cfg["train_seeds"]:
-        for label, (arch, w_vel) in VARIANTS.items():
-            net = model.init_params(seed, cfg["vertices"], arch)
-            training.train(
-                train_items,
-                net,
-                TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed, w_velocity=w_vel),
-            )
-            yield seed, label, net, evaluation.evaluate(net, head, test_items)
+    """Train every variant for every seed; yields (seed, label, trained network, test EvalReport).
+
+    The jobs run in two spawned worker processes, each with the package's
+    one-thread BLAS default, so every result is the one a serial run gives;
+    they are yielded in seed, then variant order.
+    """
+    jobs = [(seed, label) for seed in cfg["train_seeds"] for label in VARIANTS]
+    args = [(head, train_items, test_items, cfg, seed, *VARIANTS[label]) for seed, label in jobs]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        for (seed, label), (flat, report) in zip(jobs, pool.imap(_train_job, args)):
+            yield seed, label, model._bind(VARIANTS[label][0], cfg["vertices"], flat), report
 
 
 def parse_args():

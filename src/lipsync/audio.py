@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioFormatError, EmptyInputError, UnsupportedAudioError
+from .errors import DataError, FileFormatError
 
 CANONICAL_RATE = 16_000
 WINDOW_SECONDS = 0.025
@@ -88,7 +88,7 @@ def load_wav(path) -> Waveform:
     raw = path.read_bytes()
     view = memoryview(raw)  # chunk bodies are slices of the file's bytes, not copies
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise AudioFormatError("not a RIFF/WAVE file", path=str(path), offset=0)
+        raise FileFormatError("not a RIFF/WAVE file", path=str(path), offset=0)
 
     fmt_chunk = None
     data_chunk = None
@@ -98,7 +98,7 @@ def load_wav(path) -> Waveform:
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
-            raise AudioFormatError("truncated chunk", path=str(path), offset=pos)
+            raise FileFormatError("truncated chunk", path=str(path), offset=pos)
         if chunk_id == b"fmt ":
             fmt_chunk = body
         elif chunk_id == b"data":
@@ -106,23 +106,23 @@ def load_wav(path) -> Waveform:
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt_chunk is None or data_chunk is None:
-        raise AudioFormatError("missing fmt or data chunk", path=str(path), offset=pos)
+        raise FileFormatError("missing fmt or data chunk", path=str(path), offset=pos)
     if len(fmt_chunk) < 16:
-        raise AudioFormatError("fmt chunk too short", path=str(path))
+        raise FileFormatError("fmt chunk too short", path=str(path))
 
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk)
     if audio_format != 1:
-        raise UnsupportedAudioError(f"audio format {audio_format} is not PCM")
+        raise DataError(f"audio format {audio_format} is not PCM")
     if bits != 16:
-        raise UnsupportedAudioError(f"{bits}-bit samples unsupported, expected 16")
+        raise DataError(f"{bits}-bit samples unsupported, expected 16")
     if channels < 1:
-        raise AudioFormatError("invalid channel count", path=str(path))
+        raise FileFormatError("invalid channel count", path=str(path))
     if not _MIN_WAV_RATE <= rate <= _MAX_WAV_RATE:
-        raise UnsupportedAudioError(
+        raise DataError(
             f"{path}: sample rate {rate} Hz outside {_MIN_WAV_RATE}..{_MAX_WAV_RATE} Hz"
         )
     if len(data_chunk) == 0:
-        raise EmptyInputError(f"{path}: data chunk holds no samples")
+        raise DataError(f"{path}: data chunk holds no samples")
 
     frame_bytes = 2 * channels
     usable = len(data_chunk) - len(data_chunk) % frame_bytes
@@ -356,7 +356,7 @@ def mfcc(w: Waveform) -> MfccFrames:
         raise ValueError(f"mfcc expects {CANONICAL_RATE} Hz input, got {w.sample_rate}")
     x = np.asarray(w.samples, dtype=np.float64)
     if len(x) < _WIN:
-        raise EmptyInputError(f"audio shorter than one analysis window ({_WIN} samples)")
+        raise DataError(f"audio shorter than one analysis window ({_WIN} samples)")
 
     emphasized = np.concatenate(([x[0]], x[1:] - PREEMPHASIS * x[:-1]))
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, _WIN)[::_HOP]

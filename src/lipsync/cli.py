@@ -20,7 +20,7 @@ import numpy as np
 # Only what infer, features and export-obj-seq run is imported here; the
 # other handlers import training, evaluation and synthdata when they run.
 from . import features, mesh, model
-from .errors import ConfigError, DataError, LipSyncError, TopologyError, UsageError
+from .errors import ConfigError, DataError, LipSyncError, UsageError
 
 # Each train flag and config-file key, and the TrainConfig field it sets;
 # the field's default is the default and its type the cast.
@@ -227,7 +227,7 @@ def _cmd_export_obj_seq(args) -> int:
     net = _network(args.checkpoint)
     head = mesh.load_obj(args.template)
     if head.n_vertices != net.vertex_count:
-        raise TopologyError(
+        raise DataError(
             f"template has {head.n_vertices} vertices but checkpoint decodes {net.vertex_count}; "
             "the topology must match the training template"
         )

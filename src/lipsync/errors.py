@@ -32,49 +32,17 @@ class LocatedError(LipSyncError):
             raise cls(f"not UTF-8 text: {exc.reason}", path=str(path), line=raw.count(b"\n", 0, exc.start) + 1)
 
 
-class AudioFormatError(LocatedError):
-    """Malformed RIFF/WAVE container."""
-
-
-class UnsupportedAudioError(LipSyncError):
-    """Valid container but a codec or sample layout we do not decode."""
-
-
-class EmptyInputError(LipSyncError):
-    """Input carries no usable samples or frames."""
-
-
-class InsufficientFramesError(LipSyncError):
-    """An operation needs more time steps than the input provides."""
-
-
 class FileFormatError(LocatedError):
-    """Binary feature/animation/checkpoint file violates its format."""
-
-
-class MeshParseError(LocatedError):
-    """Wavefront OBJ or landmark sidecar could not be parsed."""
-
-
-class TopologyError(LipSyncError):
-    """Vertex counts of mesh and animation data disagree."""
-
-
-class ShapeError(LipSyncError):
-    """Array dimensions do not match the operation's contract."""
-
-
-class StateError(LipSyncError):
-    """Operation called out of order, e.g. backward without a forward cache."""
+    """An input file (WAV, OBJ, landmarks, manifest, LSF1/LSA1/LSN1) breaks its format; exit 2 in the CLI."""
 
 
 class DataError(LipSyncError):
-    """Training corpus is empty or internally inconsistent."""
+    """An input parses but cannot be used (a shape, size, codec, count or call order); exit 2 in the CLI."""
 
 
 class ConfigError(LipSyncError, ValueError):
-    """A configuration value is outside its valid range."""
+    """A configuration value is outside its valid range; exit 1 in the CLI."""
 
 
 class UsageError(LocatedError):
-    """Bad command-line invocation, or a --config file that does not parse."""
+    """Bad command-line invocation, or a --config file that does not parse; exit 1 in the CLI."""

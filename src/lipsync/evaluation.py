@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InsufficientFramesError, ShapeError
+from .errors import ConfigError, DataError
 from .mesh import DisplacementSequence, TemplateMesh
 from .model import NetworkParams, predictions
 
@@ -55,7 +55,7 @@ def project_landmarks(
 ) -> np.ndarray:
     """Pixel trajectories (T, L, 2) of the landmark vertices across an animation."""
     if d.n_vertices != mesh.n_vertices:
-        raise ShapeError(
+        raise DataError(
             f"animation has {d.n_vertices} vertices, mesh has {mesh.n_vertices}"
         )
     lm = mesh.landmarks
@@ -73,7 +73,7 @@ def _distances(pred_traj, truth_traj):
     p = np.asarray(pred_traj, dtype=np.float64)
     y = np.asarray(truth_traj, dtype=np.float64)
     if p.shape != y.shape:
-        raise ShapeError(f"trajectory shapes differ: {p.shape} vs {y.shape}")
+        raise DataError(f"trajectory shapes differ: {p.shape} vs {y.shape}")
     return np.linalg.norm(p - y, axis=2), np.linalg.norm((p[1:] - p[:-1]) - (y[1:] - y[:-1]), axis=2)
 
 
@@ -86,7 +86,7 @@ def velocity_error(pred_traj: np.ndarray, truth_traj: np.ndarray) -> float:
     """Mean distance between backward frame differences, from the second frame."""
     vel = _distances(pred_traj, truth_traj)[1]
     if not len(vel):
-        raise InsufficientFramesError("velocity error needs at least two frames")
+        raise DataError("velocity error needs at least two frames")
     return float(vel.mean())
 
 
@@ -104,7 +104,7 @@ def _lip_columns(mesh: TemplateMesh) -> np.ndarray:
     """Positions of the lip-flagged landmarks in the landmark list; there must be some."""
     flagged = np.flatnonzero(mesh.lip_mask)
     if not len(flagged):
-        raise ShapeError("mesh has no lip-flagged landmarks")
+        raise DataError("mesh has no lip-flagged landmarks")
     return flagged
 
 
@@ -122,7 +122,7 @@ def _aggregate(mesh: TemplateMesh, samples, predictions, cfg: ProjectionConfig) 
     lip_cols = _lip_columns(mesh)
     for s in samples:
         if s.displacements.n_frames < 2:
-            raise InsufficientFramesError(
+            raise DataError(
                 f"sentence {s.id!r} has {s.displacements.n_frames} frame(s); velocity error needs at least two"
             )
     sums = [None] * len(samples)  # per sample, a (sum, size) pair per metric
@@ -155,7 +155,7 @@ def evaluate(
 ) -> EvalReport:
     """Run inference on every sample and aggregate the four landmark metrics."""
     if net.vertex_count != mesh.n_vertices:
-        raise ShapeError(
+        raise DataError(
             f"checkpoint decodes {net.vertex_count} vertices, mesh has {mesh.n_vertices}"
         )
     return _aggregate(mesh, samples, predictions(net, [s.features for s in samples]), cfg)

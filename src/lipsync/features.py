@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import MFCC_FRAME_RATE, N_CEPSTRA, MfccFrames, load_wav, mfcc, resample
 from .container import Format
-from .errors import FileFormatError, InsufficientFramesError
+from .errors import DataError, FileFormatError
 
 FEATURE_FPS = 60
 CHAR_PROB_DIM = 29  # 26 letters + apostrophe + space + blank
@@ -83,7 +83,7 @@ def resample_features(data: np.ndarray, duration: float) -> np.ndarray:
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) < 2:
-        raise InsufficientFramesError("feature resampling needs at least two rows")
+        raise DataError("feature resampling needs at least two rows")
     n_out = int(round(FEATURE_FPS * duration))
     times = np.arange(n_out) / FEATURE_FPS
     pos = np.clip(times * MFCC_FRAME_RATE, 0.0, len(data) - 1.0)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Format
-from .errors import MeshParseError, TopologyError
+from .errors import DataError, FileFormatError
 
 ANIM_MAGIC = b"LSA1"
 _LSA1 = Format(ANIM_MAGIC, "<III")  # T, V, fps
@@ -36,12 +36,12 @@ class TemplateMesh:
         # from make_head's hull; lip_mask is built beside the landmarks.
         v = len(self.vertices)
         if v < 4:
-            raise TopologyError(f"mesh needs at least 4 vertices, got {v}")
+            raise DataError(f"mesh needs at least 4 vertices, got {v}")
         if len(self.landmarks):
             if self.landmarks.min() < 0 or self.landmarks.max() >= v:
-                raise TopologyError("landmark index out of range")
+                raise DataError("landmark index out of range")
             if len(np.unique(self.landmarks)) != len(self.landmarks):
-                raise TopologyError("landmark indices must be unique")
+                raise DataError("landmark indices must be unique")
 
     @property
     def n_vertices(self) -> int:
@@ -68,7 +68,7 @@ def load_landmarks(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     indices = []
     lip = []
-    for lineno, line in enumerate(MeshParseError.read_lines(path), start=1):
+    for lineno, line in enumerate(FileFormatError.read_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -78,9 +78,9 @@ def load_landmarks(path) -> tuple[np.ndarray, np.ndarray]:
         try:
             indices.append(int(text))
         except ValueError:
-            raise MeshParseError(f"bad landmark index {text!r}", path=str(path), line=lineno)
+            raise FileFormatError(f"bad landmark index {text!r}", path=str(path), line=lineno)
         if not -(2**63) <= indices[-1] < 2**63:
-            raise MeshParseError(f"landmark index {text} outside int64", path=str(path), line=lineno)
+            raise FileFormatError(f"landmark index {text} outside int64", path=str(path), line=lineno)
         lip.append(is_lip)
     return np.asarray(indices, dtype=int), np.asarray(lip, dtype=bool)
 
@@ -99,20 +99,20 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
     path = Path(path)
     vertices = []
     faces = []
-    for lineno, line in enumerate(MeshParseError.read_lines(path), start=1):
+    for lineno, line in enumerate(FileFormatError.read_lines(path), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
         tag = parts[0]
         if tag == "v":
             if len(parts) < 4:
-                raise MeshParseError("vertex record needs 3 coordinates", path=str(path), line=lineno)
+                raise FileFormatError("vertex record needs 3 coordinates", path=str(path), line=lineno)
             try:
                 xyz = [float(value) for value in parts[1:4]]
             except ValueError:
-                raise MeshParseError(f"non-numeric vertex {line.strip()!r}", path=str(path), line=lineno)
+                raise FileFormatError(f"non-numeric vertex {line.strip()!r}", path=str(path), line=lineno)
             if not all(map(math.isfinite, xyz)):
-                raise MeshParseError(f"non-finite vertex {line.strip()!r}", path=str(path), line=lineno)
+                raise FileFormatError(f"non-finite vertex {line.strip()!r}", path=str(path), line=lineno)
             vertices.append(xyz)
         elif tag == "f":
             corner = []
@@ -121,16 +121,16 @@ def load_obj(path, landmark_path=None) -> TemplateMesh:
                 try:
                     idx = int(head)
                 except ValueError:
-                    raise MeshParseError(f"non-numeric face index {head!r}", path=str(path), line=lineno)
+                    raise FileFormatError(f"non-numeric face index {head!r}", path=str(path), line=lineno)
                 if idx < 0:
                     idx += len(vertices) + 1
                 if not 1 <= idx <= len(vertices):
-                    raise MeshParseError(
+                    raise FileFormatError(
                         f"face index {head} out of range 1..{len(vertices)}", path=str(path), line=lineno
                     )
                 corner.append(idx - 1)
             if len(corner) < 3:
-                raise MeshParseError("face needs at least 3 indices", path=str(path), line=lineno)
+                raise FileFormatError("face needs at least 3 indices", path=str(path), line=lineno)
             faces += [(corner[0], a, b) for a, b in zip(corner[1:-1], corner[2:])]
         # everything else (vn, vt, o, g, usemtl, ...) is ignored
 
@@ -161,7 +161,7 @@ def save_obj(mesh: TemplateMesh, path, landmark_path=None) -> None:
 def apply_displacements(template: TemplateMesh, d: DisplacementSequence) -> np.ndarray:
     """Posed vertices per frame: template + offset, elementwise."""
     if d.n_vertices != template.n_vertices:
-        raise TopologyError(
+        raise DataError(
             f"animation has {d.n_vertices} vertices, template has {template.n_vertices}"
         )
     return template.vertices[None, :, :] + np.asarray(d.frames)

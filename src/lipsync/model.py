@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Format, check_finite, read_into
-from .errors import ConfigError, FileFormatError, ShapeError, StateError
+from .errors import ConfigError, DataError, FileFormatError
 from .features import CHAR_PROB_DIM, FeatureSequence
 from .mesh import DisplacementSequence
 
@@ -199,7 +199,7 @@ def _lstm_forward(p: Layer, xs: list, tape: bool = True):
     width = p.W.shape[1] - hid
     for x in xs:
         if x.shape[1] != width:
-            raise ShapeError(f"lstm layer expects input dim {width}, got {x.shape[1]}")
+            raise DataError(f"lstm layer expects input dim {width}, got {x.shape[1]}")
     n = len(xs)
     order = sorted(range(n), key=lambda j: -len(xs[j]))
     lengths = [len(xs[j]) for j in order] + [0]
@@ -306,7 +306,7 @@ def _conv_forward(p: Layer, x: np.ndarray):
     t_len, in_ch = x.shape
     out_ch, expected, k = p.W.shape
     if in_ch != expected:
-        raise ShapeError(f"conv expects {expected} channels, got {in_ch}")
+        raise DataError(f"conv expects {expected} channels, got {in_ch}")
     pad = (k - 1) // 2
     xp = np.zeros((t_len + k - 1, in_ch))
     xp[pad : pad + t_len] = x
@@ -369,7 +369,7 @@ class ForwardCache:
 def _input(feats: FeatureSequence) -> np.ndarray:
     x = np.asarray(feats.data, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != CHAR_PROB_DIM:
-        raise ShapeError(f"network expects T x {CHAR_PROB_DIM} features, got {x.shape}")
+        raise DataError(f"network expects T x {CHAR_PROB_DIM} features, got {x.shape}")
     return x
 
 
@@ -442,10 +442,10 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=
     a new vector.
     """
     if cache is None:
-        raise StateError("backward needs the cache returned by forward_with_cache")
+        raise DataError("backward needs the cache returned by forward_with_cache")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.out_shape:
-        raise ShapeError(
+        raise DataError(
             f"upstream gradient shape {upstream.shape} does not match forward output {cache.out_shape}"
         )
     grads = _bind(net.arch, net.vertex_count, out)

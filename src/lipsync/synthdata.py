@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import CANONICAL_RATE, HOP_SECONDS, WINDOW_SECONDS, Waveform, mfcc
-from .errors import ConfigError, DataError, FileFormatError, ShapeError
+from .errors import ConfigError, DataError, FileFormatError
 from .features import (
     CHAR_PROB_DIM,
     FeatureSequence,
@@ -103,7 +103,7 @@ class OracleArticulator:
         dist = np.linalg.norm(mesh.vertices - mouth_center, axis=1)
         lip_mask = dist <= _LIP_RADIUS
         if not lip_mask.any():
-            raise ShapeError("no vertices near the mouth; head too coarse for the oracle")
+            raise DataError("no vertices near the mouth; head too coarse for the oracle")
 
         weight = np.where(lip_mask, 1.0, 0.02)
         raw = rng.standard_normal((v, 3, _N_CODES)) * weight[:, None, None]
@@ -225,7 +225,7 @@ def articulate(oracle: OracleArticulator, feats: FeatureSequence) -> Displacemen
     """Ground-truth displacements for a feature sequence (EMA-smoothed codes)."""
     data = np.asarray(feats.data, dtype=np.float64)
     if data.shape[1] != oracle.readout.shape[0]:
-        raise ShapeError(
+        raise DataError(
             f"oracle readout expects {oracle.readout.shape[0]}-dim features, got {data.shape[1]}"
         )
     if oracle.anticipation > 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .model import NetworkParams, backward, forward_with_cache, predictions, save_checkpoint
 
 _ADAM_BLOCK = 1 << 15  # vector elements per Adam pass
@@ -72,40 +72,38 @@ class TrainResult:
     best_epoch: int  # the epoch whose parameters best_params holds
 
 
-def _loss_terms(pred, truth, cfg: TrainConfig = TrainConfig()):
-    """(lp, lv, total, dTotal/dPred), each term a mean over the frames it sums.
-
-    Each sum of squares is taken first and then divided by its frame count,
-    and each gradient is divided in place: that order fixes the bits of the
-    metrics and of every trained checkpoint.
-    """
+def _loss_terms(pred, truth):
+    """(lp, lv, err, d): each term a sum of squares divided by its frame count
+    (that order fixes the bits of the metrics), then the error ``truth - pred``
+    and its backward frame differences, which ``_loss_grad`` reads."""
     p, y = (np.asarray(getattr(a, "frames", a), dtype=np.float64) for a in (pred, truth))
     if p.shape != y.shape:
-        raise ShapeError(f"prediction shape {p.shape} != ground truth shape {y.shape}")
+        raise DataError(f"prediction shape {p.shape} != ground truth shape {y.shape}")
     t_len = len(p)
-
     err = y - p
+    d = err[1:] - err[:-1]
     lp = float((err**2).sum()) / t_len
+    lv = float((d**2).sum()) / (t_len - 1) if t_len >= 2 else 0.0
+    return lp, lv, err, d
+
+
+def _loss_grad(err, d, cfg: TrainConfig):
+    """dTotal/dPred from ``_loss_terms``' err and d; dividing each term in place fixes checkpoint bits."""
+    t_len = len(err)
     grad_p = -2.0 * err
     grad_p /= t_len
-
-    grad_v = np.zeros_like(p)
+    grad_v = np.zeros_like(err)
     if t_len >= 2:
-        d = err[1:] - err[:-1]
-        lv = float((d**2).sum()) / (t_len - 1)
         grad_v[1:] -= 2.0 * d
         grad_v[:-1] += 2.0 * d
         grad_v /= t_len - 1
-    else:
-        lv = 0.0
-
-    return lp, lv, cfg.total(lp, lv), cfg.total(grad_p, grad_v)
+    return cfg.total(grad_p, grad_v)
 
 
 def loss_total(pred, truth, cfg: TrainConfig = TrainConfig()):
     """Weighted combined loss and its analytic gradient w.r.t. the prediction."""
-    _, _, total, grad = _loss_terms(pred, truth, cfg)
-    return total, grad
+    lp, lv, err, d = _loss_terms(pred, truth)
+    return cfg.total(lp, lv), _loss_grad(err, d, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +234,16 @@ def train(
             for n, idx in enumerate(batch):
                 s = train_items[idx]
                 pred, tape = forward_with_cache(net, s.features)
-                lp, lv, _, dpred = _loss_terms(pred, s.displacements, train_cfg)
+                lp, lv, err, d = _loss_terms(pred, s.displacements)
                 if not math.isfinite(lp + lv):
                     raise DataError(
                         f"epoch {epoch}: non-finite training loss on item {s.id!r}{_after_step(net, state)}"
                     )
                 epoch_lp.append(lp)
                 epoch_lv.append(lv)
-                backward(net, tape, dpred, out=step_grad if n == 0 else item_grad)
+                backward(net, tape, _loss_grad(err, d, train_cfg), out=step_grad if n == 0 else item_grad)
                 # Otherwise this tape lives on through the next item's forward.
-                del pred, tape, dpred
+                del pred, tape, err, d
                 if n:
                     step_grad += item_grad
 

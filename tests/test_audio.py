@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import BYTE_MUTATIONS, mutate
 from lipsync import audio, synthdata
-from lipsync.errors import AudioFormatError, EmptyInputError, LipSyncError, UnsupportedAudioError
+from lipsync.errors import DataError, FileFormatError, LipSyncError
 
 
 def wav_bytes(frames, rate=16000, channels=1, bits=16, audio_format=1):
@@ -54,24 +54,24 @@ class TestLoadWav:
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.wav"
         p.write_bytes(b"RIFX" + b"\x00" * 40)
-        with pytest.raises(AudioFormatError):
+        with pytest.raises(FileFormatError, match=r"not a RIFF/WAVE file \(byte offset 0\)"):
             audio.load_wav(p)
 
     def test_truncated_chunk(self, tmp_path):
         raw = wav_bytes(frames=[0] * 100)
         p = tmp_path / "trunc.wav"
         p.write_bytes(raw[:-50])
-        with pytest.raises(AudioFormatError):
+        with pytest.raises(FileFormatError, match="truncated chunk"):
             audio.load_wav(p)
 
     def test_non_pcm_codec(self, tmp_path):
         p = write_wav(tmp_path, "f.wav", frames=[0, 0], audio_format=3)
-        with pytest.raises(UnsupportedAudioError):
+        with pytest.raises(DataError, match="audio format 3 is not PCM"):
             audio.load_wav(p)
 
     def test_zero_length_data(self, tmp_path):
         p = write_wav(tmp_path, "e.wav", frames=[])
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="data chunk holds no samples"):
             audio.load_wav(p)
 
     # 1 Hz is a small file claiming hours of output; 1000003 Hz a kernel of
@@ -79,7 +79,7 @@ class TestLoadWav:
     @pytest.mark.parametrize("rate", [0, 1, 7999, 192_001, 1_000_003, 2**31 - 1])
     def test_rate_outside_range(self, tmp_path, rate):
         p = write_wav(tmp_path, "r.wav", frames=[0] * 200, rate=rate)
-        with pytest.raises(UnsupportedAudioError, match=f"sample rate {rate} Hz"):
+        with pytest.raises(DataError, match=f"sample rate {rate} Hz"):
             audio.load_wav(p)
 
     @pytest.mark.parametrize("rate", [8000, 192_000])
@@ -455,7 +455,7 @@ class TestMfcc:
 
     def test_too_short_raises(self):
         w = audio.Waveform(samples=np.zeros(399), sample_rate=16000)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match=r"audio shorter than one analysis window \(400 samples\)"):
             audio.mfcc(w)
 
     def test_wrong_rate_rejected(self):

@@ -886,6 +886,10 @@ def _wav_with_fmt(i, fmt: bytes) -> str:
     return i.file("odd.wav", b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
+# a 16-byte fmt chunk with its header: 16-bit mono PCM at 16 kHz
+_FMT_CHUNK_16K = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+
+
 def _template_times(i, scale) -> str:
     """The session template with every vertex coordinate times ``scale``."""
     head = mesh.load_obj(i.template)
@@ -948,6 +952,10 @@ MALFORMED = {
         2, "landmark indices must be unique", lambda i: i.eval(landmarks=i.file("lm.txt", b"lip:1\nlip:1\n"))
     ),
     "obj-nan-vertex": (2, "h.obj: non-finite vertex", lambda i: i.eval(template=i.file("h.obj", b"v 0 nan 0\n"))),
+    "eval-obj-vertex-two-coordinates": (
+        2, "h.obj: vertex record needs 3 coordinates (line 1)",
+        lambda i: i.eval(template=i.file("h.obj", b"v 0 0\n" + b"v 0 0 0\n" * 3)),
+    ),
     **{
         f"obj-{defect}": (2, needle, lambda i, face=face: i.eval(template=i.file("h.obj", b"v 0 0 0\n" * 3 + face)))
         for defect, face, needle in (
@@ -1029,6 +1037,11 @@ MALFORMED = {
     ),
     "infer-wav-fmt-chunk-short": (
         2, "fmt chunk too short", lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHII", 1, 1, 16000, 32000)))
+    ),
+    # a 16-byte fmt chunk ends the file at byte 36, where the data chunk should start
+    "infer-wav-no-data-chunk": (
+        2, "odd.wav: missing fmt or data chunk (byte offset 36)",
+        lambda i: i.infer(wav=i.file("odd.wav", b"RIFF" + struct.pack("<I", 28) + b"WAVE" + _FMT_CHUNK_16K)),
     ),
     "infer-wav-8-bit": (
         2, "8-bit samples unsupported",

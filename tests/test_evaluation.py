@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipsync import evaluation, features, model, synthdata
-from lipsync.errors import ConfigError, DataError, InsufficientFramesError, ShapeError, TopologyError
+from lipsync.errors import ConfigError, DataError
 from lipsync.evaluation import ProjectionConfig
 from lipsync.mesh import DisplacementSequence, TemplateMesh
 
@@ -41,12 +41,12 @@ class TestProjection:
         head = small_head()
         landmarks = head.landmarks.copy()
         landmarks[-1] = head.n_vertices
-        with pytest.raises(TopologyError, match="landmark index out of range"):
+        with pytest.raises(DataError, match="landmark index out of range"):
             TemplateMesh(vertices=head.vertices, faces=head.faces, landmarks=landmarks, lip_mask=head.lip_mask)
 
     def test_vertex_count_mismatch(self):
         head = small_head()
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="animation has 5 vertices, mesh has"):
             evaluation.project_landmarks(head, DisplacementSequence(frames=np.zeros((2, 5, 3))))
 
 
@@ -100,11 +100,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("metric", [evaluation.positional_error, evaluation.velocity_error])
     def test_shapes_must_match(self, metric):
-        with pytest.raises(ShapeError, match=r"trajectory shapes differ: \(3, 2, 2\) vs \(4, 2, 2\)"):
+        with pytest.raises(DataError, match=r"trajectory shapes differ: \(3, 2, 2\) vs \(4, 2, 2\)"):
             metric(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
 
     def test_needs_two_frames(self):
-        with pytest.raises(InsufficientFramesError):
+        with pytest.raises(DataError, match="velocity error needs at least two frames"):
             evaluation.velocity_error(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
     def test_pixel_scale_doubles_errors_exactly(self):
@@ -199,7 +199,7 @@ class TestEvaluate:
             lambda samples: evaluation.evaluate_self(head, samples),
             lambda samples: evaluation.evaluate(model.init_params(0, head.n_vertices), head, samples),
         ):
-            with pytest.raises(InsufficientFramesError, match="'one-frame' has 1 frame"):
+            with pytest.raises(DataError, match="'one-frame' has 1 frame"):
                 scorer([first, short, *rest])
 
     def test_first_short_sentence_refused_before_any_forward(self, mini_corpus, monkeypatch):
@@ -220,7 +220,7 @@ class TestEvaluate:
         monkeypatch.setattr(model, "forward_batch", refuse)
         net = model.init_params(0, head.n_vertices)
         for scorer in (evaluation.evaluate_self, lambda h, ss: evaluation.evaluate(net, h, ss)):
-            with pytest.raises(InsufficientFramesError, match="'short-3' has 1 frame"):
+            with pytest.raises(DataError, match="'short-3' has 1 frame"):
                 scorer(head, samples)
 
     def test_memory_bounded_by_one_long_sentence(self):
@@ -251,7 +251,7 @@ class TestEvaluate:
     def test_vertex_count_checked(self, mini_corpus):
         samples = synthdata.load_split(mini_corpus["manifest"], "test")
         net = model.init_params(0, 7)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="checkpoint decodes 7 vertices, mesh has"):
             evaluation.evaluate(net, mini_corpus["head"], samples)
 
     def test_format_table(self):

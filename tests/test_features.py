@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipsync import audio, features
-from lipsync.errors import FileFormatError, InsufficientFramesError
+from lipsync.errors import DataError, FileFormatError
 from lipsync.features import FeatureKind, FeatureSequence, SurrogateProvider
 
 
@@ -109,7 +109,7 @@ class TestResampleFeatures:
         assert np.all(out[2:, 0] == 3.0)
 
     def test_needs_two_rows(self):
-        with pytest.raises(InsufficientFramesError):
+        with pytest.raises(DataError, match="feature resampling needs at least two rows"):
             features.resample_features(np.ones((1, 4)), 0.01)
 
     @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipsync import mesh, synthdata
-from lipsync.errors import FileFormatError, MeshParseError, TopologyError
+from lipsync.errors import DataError, FileFormatError
 from lipsync.mesh import DisplacementSequence, TemplateMesh
 
 TETRA = """\
@@ -70,14 +70,14 @@ class TestObjIO:
     def test_non_numeric_vertex_reports_line(self, tmp_path):
         p = tmp_path / "bad.obj"
         p.write_text("v 0 0 0\nv 1 oops 0\n")
-        with pytest.raises(MeshParseError) as err:
+        with pytest.raises(FileFormatError, match="non-numeric vertex 'v 1 oops 0'") as err:
             mesh.load_obj(p)
         assert err.value.line == 2
 
     def test_face_index_out_of_range(self, tmp_path):
         p = tmp_path / "oob.obj"
         p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")
-        with pytest.raises(MeshParseError) as err:
+        with pytest.raises(FileFormatError, match=r"face index 9 out of range 1\.\.4") as err:
             mesh.load_obj(p)
         assert err.value.line == 5
 
@@ -90,7 +90,7 @@ class TestObjIO:
     def test_face_index_beyond_the_vertices_above(self, tmp_path, face):
         p = tmp_path / "later.obj"
         p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\nv 0 0 1\n")
-        with pytest.raises(MeshParseError, match="out of range 1..3") as err:
+        with pytest.raises(FileFormatError, match="out of range 1..3") as err:
             mesh.load_obj(p)
         assert err.value.line == 4
 
@@ -125,7 +125,7 @@ class TestApplyDisplacements:
     def test_vertex_count_mismatch(self):
         t = self.tetra()
         d = DisplacementSequence(frames=np.zeros((2, 5, 3)))
-        with pytest.raises(TopologyError):
+        with pytest.raises(DataError, match="animation has 5 vertices, template has 4"):
             mesh.apply_displacements(t, d)
 
 
@@ -177,7 +177,7 @@ class TestAnimIO:
         tetra = TemplateMesh(
             vertices=np.eye(4, 3, dtype=float), faces=np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
         )
-        with pytest.raises(TopologyError):
+        with pytest.raises(DataError, match="animation has 6 vertices, template has 4"):
             mesh.apply_displacements(tetra, anim)
 
 
@@ -199,6 +199,6 @@ class TestLandmarkSidecar:
 
     def test_bad_index(self, tmp_path):
         (tmp_path / "lm.txt").write_text("1\nlip:abc\n")
-        with pytest.raises(MeshParseError) as err:
+        with pytest.raises(FileFormatError, match="bad landmark index 'abc'") as err:
             mesh.load_landmarks(tmp_path / "lm.txt")
         assert err.value.line == 2

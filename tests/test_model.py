@@ -18,7 +18,7 @@ from conftest import (
     write_lsn1,
 )
 from lipsync import model, training
-from lipsync.errors import ConfigError, FileFormatError, ShapeError, StateError
+from lipsync.errors import ConfigError, DataError, FileFormatError
 from lipsync.features import FeatureSequence
 from lipsync.mesh import DisplacementSequence
 from lipsync.model import ArchConfig, Layer
@@ -179,7 +179,7 @@ class TestLstmStep:
 
     def test_dimension_mismatch(self):
         p = zero_cell(3, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="lstm layer expects input dim 2, got 5"):
             model._lstm_forward(p, [np.zeros((3, 2)), np.zeros((4, 5))])
 
     def test_layer_matches_repeated_steps(self):
@@ -262,7 +262,7 @@ class TestConv1d:
 
     def test_channel_mismatch(self):
         p = Layer("conv", np.zeros((2, 3, 5)), np.zeros(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="conv expects 3 channels, got 4"):
             conv1d_forward(p, np.zeros((4, 4)))
 
 
@@ -310,7 +310,7 @@ class TestForward:
 
     def test_feature_dim_mismatch(self):
         net = tiny_net()
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"network expects T x 29 features, got \(10, 13\)"):
             model.forward(net, FeatureSequence(data=np.zeros((10, 13))))
 
 
@@ -428,7 +428,7 @@ class TestBatchedForward:
 
     def test_feature_dim_checked(self):
         seqs = [random_features(np.random.default_rng(6), 4), FeatureSequence(data=np.zeros((4, 13)))]
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"network expects T x 29 features, got \(4, 13\)"):
             list(model.forward_batch(tiny_net(), seqs))
 
 
@@ -571,13 +571,15 @@ class TestBackward:
 
     def test_requires_cache(self):
         net = tiny_net()
-        with pytest.raises(StateError):
+        with pytest.raises(DataError, match="backward needs the cache returned by forward_with_cache"):
             model.backward(net, None, np.zeros((4, 5, 3)))
 
     def test_upstream_shape_checked(self):
         net = tiny_net()
         _, tape = model.forward_with_cache(net, random_features(np.random.default_rng(0), 8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            DataError, match=r"upstream gradient shape \(7, 5, 3\) does not match forward output \(8, 5, 3\)"
+        ):
             model.backward(net, tape, np.zeros((7, 5, 3)))
 
 

@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import run_ablation
+
+from lipsync import evaluation, model, training
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,6 +20,28 @@ def test_run_ablation_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "trend summary" in proc.stdout
+
+
+def test_run_matrix_workers_match_serial_training(tmp_path, monkeypatch):
+    # the worker processes return the parameters and reports that training
+    # the same jobs in this process gives, bit for bit and in matrix order
+    variants = {label: run_ablation.VARIANTS[label] for label in ("lstm", "conv+v")}
+    monkeypatch.setattr(run_ablation, "VARIANTS", variants)
+    cfg = dict(run_ablation.ABLATION, sentences=6, vertices=20, epochs=3, train_seeds=(1,))
+    head, train_items, test_items = run_ablation.build_corpus(tmp_path, cfg)
+    pooled = list(run_ablation.run_matrix(head, train_items, test_items, cfg))
+    assert [(seed, label) for seed, label, _, _ in pooled] == [(1, "lstm"), (1, "conv+v")]
+    for seed, label, net, report in pooled:
+        arch, w_vel = variants[label]
+        serial = model.init_params(seed, cfg["vertices"], arch)
+        training.train(
+            train_items,
+            serial,
+            training.TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"], seed=seed, w_velocity=w_vel),
+        )
+        assert net.arch == arch
+        assert np.array_equal(net.flat, serial.flat)
+        assert report == evaluation.evaluate(serial, head, test_items)
 
 
 def test_output_digest_covers_every_output():

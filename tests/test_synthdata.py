@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipsync import features, mesh, synthdata
-from lipsync.errors import DataError, FileFormatError, ShapeError
+from lipsync.errors import DataError, FileFormatError
 from lipsync.features import FeatureSequence, SurrogateProvider
 from lipsync.synthdata import CorpusManifest, OracleArticulator
 
@@ -132,12 +132,12 @@ class TestArticulate:
     def test_head_without_mouth_vertices_rejected(self):
         head = synthdata.make_head(60, seed=0)
         far = dataclasses.replace(head, vertices=head.vertices + 10.0)
-        with pytest.raises(ShapeError, match="no vertices near the mouth"):
+        with pytest.raises(DataError, match="no vertices near the mouth"):
             OracleArticulator.seeded(far, seed=0)
 
     def test_dimension_mismatch(self):
         _, oracle = self.oracle()
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="oracle readout expects 29-dim features, got 13"):
             synthdata.articulate(oracle, FeatureSequence(data=np.zeros((5, 13))))
 
 
