@@ -76,10 +76,10 @@ def sha256(data: bytes) -> str:
 def float64_stages(wav_path, net):
     """(stage name, float64 array) for each step of infer's path from a WAV to the network output."""
     w = audio.resample(audio.load_wav(wav_path))
-    frames = audio.mfcc(w)
-    seq = features.surrogate_features(frames, features.SurrogateProvider.seeded(0))
+    cepstra = audio.mfcc(w)
+    seq = features.surrogate_features(cepstra, w.duration, features.SurrogateProvider.seeded(0))
     out = model.forward(net, seq)
-    return [("resampled", w.samples), ("mfcc", frames.frames), ("surrogate", seq.data), ("forward", out.frames)]
+    return [("resampled", w.samples), ("mfcc", cepstra), ("surrogate", seq.data), ("forward", out.frames)]
 
 
 def wait_until_settled(path):

@@ -51,6 +51,9 @@ _BLOCK_BYTES = 1 << 20
 # when one block holds all of a rate's phases: a coprime rate's number up to
 # 16000 and are rebuilt each call, only those its output uses.
 _TABLE_CACHE_SIZE = 8
+# SubFormat GUID, at bytes 24-40 of a WAVE_FORMAT_EXTENSIBLE (0xFFFE) fmt
+# chunk, that marks its samples as integer PCM.
+_PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -65,25 +68,8 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class MfccFrames:
-    """Cepstral coefficients at ``MFCC_FRAME_RATE`` frames per second.
-
-    ``source_duration`` keeps the exact length of the originating clip in
-    seconds; the frame grid alone underestimates it because only complete
-    analysis windows produce frames.
-    """
-
-    frames: np.ndarray
-    source_duration: float
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
-
 def load_wav(path) -> Waveform:
-    """Read a 16-bit PCM RIFF/WAVE file; stereo is averaged down to mono."""
+    """Read a 16-bit PCM RIFF/WAVE file, plain or extensible; channels are averaged down to mono."""
     path = Path(path)
     raw = path.read_bytes()
     view = memoryview(raw)  # chunk bodies are slices of the file's bytes, not copies
@@ -111,6 +97,8 @@ def load_wav(path) -> Waveform:
         raise FileFormatError("fmt chunk too short", path=str(path))
 
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk)
+    if audio_format == 0xFFFE and fmt_chunk[24:40] == _PCM_SUBFORMAT:
+        audio_format = 1
     if audio_format != 1:
         raise DataError(f"audio format {audio_format} is not PCM")
     if bits != 16:
@@ -344,8 +332,8 @@ def _cepstra(log_energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def mfcc(w: Waveform) -> MfccFrames:
-    """13 mel-frequency cepstral coefficients per 10 ms frame.
+def mfcc(w: Waveform) -> np.ndarray:
+    """(T, N_CEPSTRA) mel-frequency cepstral coefficients, one row per 10 ms frame.
 
     Pipeline: pre-emphasis 0.97, 25 ms Hann window with 10 ms hop, power
     spectrum, 26 triangular mel filters over 0-8000 Hz, log with an absolute
@@ -365,4 +353,4 @@ def mfcc(w: Waveform) -> MfccFrames:
 
     energies = power @ _MEL_FBANK.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    return MfccFrames(frames=_cepstra(log_energies), source_duration=w.duration)
+    return _cepstra(log_energies)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MFCC_FRAME_RATE, N_CEPSTRA, MfccFrames, load_wav, mfcc, resample
+from .audio import MFCC_FRAME_RATE, N_CEPSTRA, load_wav, mfcc, resample
 from .container import Format
 from .errors import DataError, FileFormatError
 
@@ -118,18 +118,20 @@ def _context_average(frames: np.ndarray, before: int, after: int) -> np.ndarray:
     return acc / count[:, None]
 
 
-def surrogate_features(m: MfccFrames, provider: SurrogateProvider) -> FeatureSequence:
-    """Character-probability style rows from MFCCs, resampled to 60 fps."""
-    averaged = _context_average(np.asarray(m.frames, dtype=np.float64), _CONTEXT, _CONTEXT)
+def surrogate_features(cepstra: np.ndarray, duration: float, provider: SurrogateProvider) -> FeatureSequence:
+    """Character-probability style rows from ``mfcc`` rows, resampled to round(60 * duration) rows at 60 fps;
+    ``duration`` is the clip's ``Waveform.duration``, which the MFCC frame grid alone undercounts."""
+    averaged = _context_average(np.asarray(cepstra, dtype=np.float64), _CONTEXT, _CONTEXT)
     logits = averaged @ provider.projection + provider.bias
     simplex = _softmax_rows(logits)
-    data = resample_features(simplex, m.source_duration)
+    data = resample_features(simplex, duration)
     return FeatureSequence(data=data, fps=FEATURE_FPS, kind=FeatureKind.CHAR_PROB_SURROGATE)
 
 
 def features_from_wav(path, provider: SurrogateProvider) -> FeatureSequence:
     """Full front end: load WAV, resample to 16 kHz, MFCC, surrogate rows."""
-    return surrogate_features(mfcc(resample(load_wav(path))), provider)
+    w = resample(load_wav(path))
+    return surrogate_features(mfcc(w), w.duration, provider)
 
 
 def save_features(f: FeatureSequence, path) -> None:

@@ -360,12 +360,6 @@ _BACKWARD = {"conv": _conv_backward, "lstm": _lstm_backward, "tanh": _dense_back
 _BATCH_FRAMES = 1536
 
 
-@dataclass
-class ForwardCache:
-    layers: list  # one tape entry per entry of NetworkParams.layers
-    out_shape: tuple
-
-
 def _input(feats: FeatureSequence) -> np.ndarray:
     x = np.asarray(feats.data, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != CHAR_PROB_DIM:
@@ -392,11 +386,10 @@ def _displacements(net: NetworkParams, y: np.ndarray, feats: FeatureSequence) ->
 
 
 def forward_with_cache(net: NetworkParams, feats: FeatureSequence):
-    """Run the network over a feature sequence and keep the tape for backward."""
+    """The network's output for a feature sequence, and for backward the list of each layer's tape."""
     tapes = []
     (y,) = _run_layers(net, [_input(feats)], tapes)
-    out = _displacements(net, y, feats)
-    return out, ForwardCache(layers=[tape for (tape,) in tapes], out_shape=out.frames.shape)
+    return _displacements(net, y, feats), [tape for (tape,) in tapes]
 
 
 def forward(net: NetworkParams, feats: FeatureSequence) -> DisplacementSequence:
@@ -431,7 +424,7 @@ def predictions(net: NetworkParams, seqs):
         yield from zip(batch, forward_batch(net, [seqs[j] for j in batch]))
 
 
-def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=None) -> NetworkParams:
+def backward(net: NetworkParams, cache: list, upstream: np.ndarray, out=None) -> NetworkParams:
     """Gradients of sum(upstream * output) w.r.t. every parameter.
 
     ``upstream`` is dLoss/dOutput with shape T x V x 3 from a matching
@@ -444,13 +437,13 @@ def backward(net: NetworkParams, cache: ForwardCache, upstream: np.ndarray, out=
     if cache is None:
         raise DataError("backward needs the cache returned by forward_with_cache")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache.out_shape:
-        raise DataError(
-            f"upstream gradient shape {upstream.shape} does not match forward output {cache.out_shape}"
-        )
+    _, y = cache[-1]  # the decoder's output, T x 3V
+    shape = (len(y), y.shape[1] // 3, 3)
+    if upstream.shape != shape:
+        raise DataError(f"upstream gradient shape {upstream.shape} does not match forward output {shape}")
     grads = _bind(net.arch, net.vertex_count, out)
     d = upstream.reshape(len(upstream), -1)
-    for layer, grad, tape in reversed(list(zip(net.layers, grads.layers, cache.layers))):
+    for layer, grad, tape in reversed(list(zip(net.layers, grads.layers, cache))):
         d = _BACKWARD[layer.kind](layer, tape, d, grad)
     return grads
 

@@ -308,7 +308,7 @@ def generate_corpus(
         rng = np.random.default_rng([seed, i])
         duration = float(rng.uniform(lo, hi))
         wav = synth_speech(duration, rng)
-        feats = surrogate_features(mfcc(wav), provider)
+        feats = surrogate_features(mfcc(wav), wav.duration, provider)
         disp = articulate(oracle, feats)
 
         sid = f"s{i:04d}"

@@ -57,18 +57,9 @@ class TrainConfig:
 
 
 @dataclass
-class MetricRow:
-    epoch: int
-    split: str
-    lp: float
-    lv: float
-    total: float
-
-
-@dataclass
 class TrainResult:
     best_params: NetworkParams
-    metrics: list[MetricRow]
+    metrics: list[dict]  # the epoch events train emitted, in order
     best_epoch: int  # the epoch whose parameters best_params holds
 
 
@@ -186,14 +177,14 @@ def train(
 ) -> TrainResult:
     """Full-sequence BPTT over the corpus; one optimizer step per batch.
 
-    ``net`` is updated in place and ends at the last epoch's parameters.
-    Epoch order is shuffled deterministically from the seed. Emits per-epoch
-    train/validation metrics through ``sink`` (a callable taking an event
-    dict) and retains the parameters of the best validation epoch, or of the
-    last epoch when there are no validation items. A
-    non-finite training or validation loss, or gradient norm, raises DataError.
-    Every ``checkpoint_every`` epochs the parameters go to ``checkpoint_dir``,
-    which that setting needs (ConfigError without it).
+    ``net`` is updated in place and ends at the last epoch's parameters; epoch
+    order is shuffled deterministically from the seed. ``sink`` (a callable) gets
+    each epoch's {"event": "epoch", split, epoch, lp, lv, total} dict per split,
+    kept in order as the result's ``metrics``, and each clipped step's {"event":
+    "clip", epoch, norm}. The best validation epoch's parameters are kept, or
+    the last epoch's without validation items. A non-finite loss or gradient
+    norm raises DataError. Every ``checkpoint_every`` epochs the parameters go
+    to ``checkpoint_dir``, which that setting needs (ConfigError without it).
     """
     if train_cfg.checkpoint_every > 0 and checkpoint_dir is None:
         raise ConfigError("checkpoint_every needs a checkpoint directory to write to")
@@ -208,7 +199,7 @@ def train(
     # batch of several items sums theirs into it through a second one.
     step_grad = np.empty_like(net.flat)
     item_grad = np.empty_like(net.flat) if train_cfg.batch_size > 1 else None
-    metrics: list[MetricRow] = []
+    metrics: list[dict] = []
     # Each improvement overwrites the one copy of the best epoch's parameters;
     # without a validation split they are the last epoch's, held by net itself.
     best = net.copy() if val_items else net
@@ -221,8 +212,8 @@ def train(
 
     def log_row(epoch, split, lp, lv):
         total = train_cfg.total(lp, lv)
-        metrics.append(MetricRow(epoch=epoch, split=split, lp=lp, lv=lv, total=total))
-        emit({"event": "epoch", "split": split, "epoch": epoch, "lp": lp, "lv": lv})
+        metrics.append({"event": "epoch", "split": split, "epoch": epoch, "lp": lp, "lv": lv, "total": total})
+        emit(metrics[-1])
         return total
 
     for epoch in range(1, train_cfg.epochs + 1):
@@ -277,9 +268,8 @@ def train(
 
 
 def write_metrics_csv(metrics, path) -> None:
-    """CSV log, one `epoch,split,lp,lv,total` line per row."""
+    """CSV log, one `epoch,split,lp,lv,total` line per epoch event of ``TrainResult.metrics``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "lp", "lv", "total"])
-        for row in metrics:
-            writer.writerow([row.epoch, row.split, repr(row.lp), repr(row.lv), repr(row.total)])
+        writer = csv.DictWriter(fh, ["epoch", "split", "lp", "lv", "total"], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(metrics)

@@ -15,12 +15,12 @@ from lipsync import audio, synthdata
 from lipsync.errors import DataError, FileFormatError, LipSyncError
 
 
-def wav_bytes(frames, rate=16000, channels=1, bits=16, audio_format=1):
-    """Hand-assembled RIFF/WAVE container for fixture files."""
+def wav_bytes(frames, rate=16000, channels=1, bits=16, audio_format=1, extension=b""):
+    """Hand-assembled RIFF/WAVE container for fixture files; ``extension`` follows the 16-byte fmt fields."""
     payload = struct.pack(f"<{len(frames)}h", *frames)
     fmt = struct.pack(
         "<HHIIHH", audio_format, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits
-    )
+    ) + extension
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
@@ -30,6 +30,11 @@ def write_wav(tmp_path, name, **kw):
     p = tmp_path / name
     p.write_bytes(wav_bytes(**kw))
     return p
+
+
+def extensible(subformat_tag):
+    """The 24 bytes a WAVE_FORMAT_EXTENSIBLE fmt chunk adds: cbSize 22, valid bits, channel mask, SubFormat GUID."""
+    return struct.pack("<HHIH", 22, 16, 0, subformat_tag) + bytes.fromhex("000000001000800000aa00389b71")
 
 
 class TestLoadWav:
@@ -67,6 +72,20 @@ class TestLoadWav:
     def test_non_pcm_codec(self, tmp_path):
         p = write_wav(tmp_path, "f.wav", frames=[0, 0], audio_format=3)
         with pytest.raises(DataError, match="audio format 3 is not PCM"):
+            audio.load_wav(p)
+
+    def test_extensible_pcm_averaged(self, tmp_path):
+        # one 6-channel frame: 0.5, 0, -0.5, 0.25, 0, 0 -> mono 0.25 / 6
+        frames = [16384, 0, -16384, 8192, 0, 0]
+        p = write_wav(tmp_path, "x.wav", frames=frames, channels=6, audio_format=0xFFFE, extension=extensible(1))
+        assert np.array_equal(audio.load_wav(p).samples, [0.25 / 6])
+
+    @pytest.mark.parametrize(
+        "extension", [extensible(3), extensible(1)[:-2], b"\0\0"], ids=["float", "guid-cut", "no-guid"]
+    )
+    def test_extensible_without_pcm_subformat(self, tmp_path, extension):
+        p = write_wav(tmp_path, "x.wav", frames=[0, 0], audio_format=0xFFFE, extension=extension)
+        with pytest.raises(DataError, match="audio format 65534 is not PCM"):
             audio.load_wav(p)
 
     def test_zero_length_data(self, tmp_path):
@@ -421,28 +440,27 @@ class TestMfcc:
         m = audio.mfcc(w)
         # every frame identical; energy floor puts the whole log vector at a
         # constant, whose DCT lives entirely in c0
-        assert np.ptp(m.frames, axis=0).max() == 0.0
-        assert np.all(np.abs(m.frames[:, 1:]) < 1e-10)
-        assert abs(m.frames[0, 0]) > 1.0
+        assert np.ptp(m, axis=0).max() == 0.0
+        assert np.all(np.abs(m[:, 1:]) < 1e-10)
+        assert abs(m[0, 0]) > 1.0
 
     def test_one_second_gives_98_frames(self):
         # floor((16000 - 400) / 160) + 1
         m = audio.mfcc(speechlike(1.0))
-        assert m.n_frames == 98
+        assert len(m) == 98
         assert audio.MFCC_FRAME_RATE == 100
-        assert m.source_duration == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(min_value=400, max_value=40000))
     def test_frame_count_formula(self, n):
         w = audio.Waveform(samples=np.zeros(n), sample_rate=16000)
-        assert audio.mfcc(w).n_frames == (n - 400) // 160 + 1
+        assert len(audio.mfcc(w)) == (n - 400) // 160 + 1
 
     def test_gain_shifts_only_c0(self):
         base = speechlike()
-        ref = audio.mfcc(base).frames
+        ref = audio.mfcc(base)
         for gain in (0.1, 0.5, 2.0, 4.0):
-            scaled = audio.mfcc(audio.Waveform(samples=base.samples * gain, sample_rate=16000)).frames
+            scaled = audio.mfcc(audio.Waveform(samples=base.samples * gain, sample_rate=16000))
             assert np.allclose(scaled[:, 1:], ref[:, 1:], rtol=1e-6, atol=1e-9)
             if gain != 1.0:
                 assert not np.allclose(scaled[:, 0], ref[:, 0], rtol=1e-6)
@@ -451,7 +469,7 @@ class TestMfcc:
         w = speechlike()
         a = audio.mfcc(w)
         b = audio.mfcc(w)
-        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a, b)
 
     def test_too_short_raises(self):
         w = audio.Waveform(samples=np.zeros(399), sample_rate=16000)
@@ -499,5 +517,5 @@ class TestCepstra:
     def test_speech_log_energies(self, seed, rate):
         w = synthdata.synth_speech(1.0, np.random.default_rng(seed), sample_rate=rate)
         with mock.patch.object(audio, "_cepstra", wraps=audio._cepstra) as spy:
-            coeffs = audio.mfcc(audio.resample(w)).frames
+            coeffs = audio.mfcc(audio.resample(w))
         assert_same_bits(coeffs, scipy_cepstra(spy.call_args.args[0]))

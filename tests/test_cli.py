@@ -36,6 +36,19 @@ def wav_2s(tmp_path_factory):
     return p
 
 
+def wav_file(fmt: bytes, data: bytes) -> bytes:
+    """A RIFF/WAVE file of this fmt chunk body and data chunk body."""
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def extensible_fmt(channels, rate, subformat_tag) -> bytes:
+    """A 16-bit WAVE_FORMAT_EXTENSIBLE fmt chunk body whose SubFormat GUID starts with ``subformat_tag``
+    (1 PCM, 3 IEEE float)."""
+    fields = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, 2 * channels * rate, 2 * channels, 16, 22, 16, 0)
+    return fields + struct.pack("<H", subformat_tag) + bytes.fromhex("000000001000800000aa00389b71")
+
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     """Untrained full-width network over a tiny 5-vertex decoder."""
@@ -265,6 +278,19 @@ class TestInfer:
         anim = mesh.load_anim(out)
         assert anim.n_frames == 120
         assert anim.n_vertices == 5
+
+    @pytest.mark.parametrize("channels", [1, 6])
+    def test_extensible_header_infers_like_the_plain_file(self, tiny_checkpoint, tmp_path, channels):
+        # each channel of the extensible copy holds the plain 48 kHz file's samples
+        plain = tmp_path / "plain.wav"
+        audio.save_wav(synthdata.synth_speech(1.0, np.random.default_rng(3), sample_rate=48000), plain)
+        samples = np.frombuffer(plain.read_bytes()[44:], dtype="<i2")
+        copy = tmp_path / "extensible.wav"
+        copy.write_bytes(wav_file(extensible_fmt(channels, 48000, 1), np.repeat(samples, channels).tobytes()))
+        for wav in (plain, copy):
+            out = str(wav.with_suffix(".lsa1"))
+            assert run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--wav", str(wav), "--out", out) == 0
+        assert copy.with_suffix(".lsa1").read_bytes() == plain.with_suffix(".lsa1").read_bytes()
 
     def test_features_input(self, tiny_checkpoint, wav_2s, tmp_path):
         feats_path = tmp_path / "f.lsf1"
@@ -882,8 +908,7 @@ def _one_sentence(i, cut=0, **changes):
 
 def _wav_with_fmt(i, fmt: bytes) -> str:
     """A WAV file with this fmt chunk body and one 16-bit sample of data."""
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 2) + bytes(2)
-    return i.file("odd.wav", b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    return i.file("odd.wav", wav_file(fmt, bytes(2)))
 
 
 # a 16-byte fmt chunk with its header: 16-bit mono PCM at 16 kHz
@@ -1046,6 +1071,9 @@ MALFORMED = {
     "infer-wav-8-bit": (
         2, "8-bit samples unsupported",
         lambda i: i.infer(wav=_wav_with_fmt(i, struct.pack("<HHIIHH", 1, 1, 16000, 16000, 1, 8))),
+    ),
+    "infer-wav-extensible-float": (
+        2, "audio format 65534 is not PCM", lambda i: i.infer(wav=_wav_with_fmt(i, extensible_fmt(1, 16000, 3)))
     ),
     "infer-wav-0-channels": (
         2, "invalid channel count",

@@ -15,31 +15,39 @@ def mfcc_fixture(seconds=1.0, seed=0):
     n = int(16000 * seconds)
     t = np.arange(n) / 16000.0
     x = 0.3 * np.sin(2 * np.pi * 300 * t) + 0.1 * rng.standard_normal(n)
-    return audio.mfcc(audio.Waveform(samples=x, sample_rate=16000))
+    w = audio.Waveform(samples=x, sample_rate=16000)
+    return audio.mfcc(w), w.duration
 
 
 class TestSurrogate:
     def test_zero_weights_give_uniform_rows(self):
         provider = SurrogateProvider(projection=np.zeros((13, 29)), bias=np.zeros(29))
-        seq = features.surrogate_features(mfcc_fixture(), provider)
+        seq = features.surrogate_features(*mfcc_fixture(), provider)
         assert np.allclose(seq.data, 1.0 / 29.0, atol=1e-12)
         assert seq.kind == FeatureKind.CHAR_PROB_SURROGATE
 
     def test_rows_are_simplex(self):
-        seq = features.surrogate_features(mfcc_fixture(), SurrogateProvider.seeded(3))
+        seq = features.surrogate_features(*mfcc_fixture(), SurrogateProvider.seeded(3))
         assert seq.data.min() >= 0.0
         assert np.allclose(seq.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
         m = mfcc_fixture(seed=42)
-        a = features.surrogate_features(m, SurrogateProvider.seeded(42))
-        b = features.surrogate_features(m, SurrogateProvider.seeded(42))
+        a = features.surrogate_features(*m, SurrogateProvider.seeded(42))
+        b = features.surrogate_features(*m, SurrogateProvider.seeded(42))
         assert np.array_equal(a.data, b.data)
+
+    def test_frame_count_follows_the_duration_argument(self):
+        # the same cepstra of a 1 s clip: the duration passed, not the 98 MFCC frames, sets the row count
+        cepstra, _ = mfcc_fixture()
+        provider = SurrogateProvider.seeded(0)
+        assert features.surrogate_features(cepstra, 1.0, provider).n_frames == 60
+        assert features.surrogate_features(cepstra, 1.01, provider).n_frames == 61
 
     def test_frame_count_follows_duration(self):
         # 60T frames for a T-second clip, not 60 * (mfcc frames / 100)
         for seconds in (0.5, 1.0, 2.0, 3.7):
-            seq = features.surrogate_features(mfcc_fixture(seconds), SurrogateProvider.seeded(0))
+            seq = features.surrogate_features(*mfcc_fixture(seconds), SurrogateProvider.seeded(0))
             assert seq.n_frames == round(60 * seconds)
             assert seq.dim == 29
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lipsync import features, mesh, synthdata
+from lipsync import audio, features, mesh, synthdata
 from lipsync.errors import DataError, FileFormatError
 from lipsync.features import FeatureSequence, SurrogateProvider
 from lipsync.synthdata import CorpusManifest, OracleArticulator
@@ -98,12 +98,8 @@ class TestArticulate:
 
     def test_smoothing_reduces_jitter(self):
         head, oracle = self.oracle(seed=5)
-        m = features.surrogate_features(
-            __import__("lipsync.audio", fromlist=["mfcc"]).mfcc(
-                synthdata.synth_speech(1.0, np.random.default_rng(5))
-            ),
-            SurrogateProvider.seeded(5),
-        )
+        speech = synthdata.synth_speech(1.0, np.random.default_rng(5))
+        m = features.surrogate_features(audio.mfcc(speech), speech.duration, SurrogateProvider.seeded(5))
         smooth = synthdata.articulate(oracle, m).frames
         raw_codes = m.data @ oracle.readout
         raw = (raw_codes @ oracle.basis.T).reshape(len(raw_codes), -1, 3)

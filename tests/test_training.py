@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -287,7 +289,7 @@ class TestTrain:
         res = training.train(
             items, net, TrainConfig(learning_rate=1e-2, epochs=200, seed=3)
         )
-        totals = [row.total for row in res.metrics if row.split == "train"]
+        totals = [row["total"] for row in res.metrics if row["split"] == "train"]
         assert totals[-1] < 0.01 * totals[0]
 
     def test_deterministic_metrics(self):
@@ -299,7 +301,7 @@ class TestTrain:
             res = training.train(
                 items, net, TrainConfig(learning_rate=1e-3, epochs=4, seed=4)
             )
-            runs.append([(r.epoch, r.split, r.lp, r.lv, r.total) for r in res.metrics])
+            runs.append([(r["epoch"], r["split"], r["lp"], r["lv"], r["total"]) for r in res.metrics])
         assert runs[0] == runs[1]
 
     def test_clip_events_reported(self):
@@ -310,13 +312,22 @@ class TestTrain:
             frames=items[0].displacements.frames * 1e4
         )
         events = []
-        training.train(
-            items,
-            tiny_net(seed=5),
-            TrainConfig(learning_rate=1e-3, epochs=1, seed=5),
-            sink=events.append,
-        )
-        assert any(e["event"] == "clip" for e in events)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, seed=5)
+        training.train(items, tiny_net(seed=5), cfg, sink=events.append)
+        clips = [e for e in events if e["event"] == "clip"]
+        assert clips
+        assert all(math.isfinite(e["norm"]) and e["norm"] > cfg.clip_norm for e in clips)
+
+    def test_one_record_per_epoch(self):
+        # the sink and the result hold the same epoch events, in order
+        rng = np.random.default_rng(8)
+        items, val = make_corpus(rng, 2), make_corpus(rng, 1)
+        events = []
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, seed=8)
+        res = training.train(items, tiny_net(seed=8), cfg, val_items=val, sink=events.append)
+        assert [e for e in events if e["event"] == "epoch"] == res.metrics
+        assert [(r["epoch"], r["split"]) for r in res.metrics] == [(e, s) for e in (1, 2, 3) for s in ("train", "val")]
+        assert all(r["total"] == cfg.total(r["lp"], r["lv"]) for r in res.metrics)
 
     def test_validation_tracking_keeps_best(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -332,7 +343,7 @@ class TestTrain:
         )
         assert res.best_epoch >= 1
         assert (tmp_path / "best.lsn1").exists()
-        splits = {row.split for row in res.metrics}
+        splits = {row["split"] for row in res.metrics}
         assert splits == {"train", "val"}
 
     def test_best_params_are_those_of_the_best_validation_epoch(self, tmp_path):
@@ -341,7 +352,7 @@ class TestTrain:
         # at this rate the last epoch's validation loss is above the third's
         cfg = TrainConfig(learning_rate=3e-3, epochs=4, seed=11, checkpoint_every=1)
         res = training.train(items, tiny_net(seed=11), cfg, val_items=val, checkpoint_dir=tmp_path)
-        totals = [row.total for row in res.metrics if row.split == "val"]
+        totals = [row["total"] for row in res.metrics if row["split"] == "val"]
         assert res.best_epoch == 1 + totals.index(min(totals)) < cfg.epochs
         saved = model.load_checkpoint(tmp_path / f"epoch_{res.best_epoch:04d}.lsn1")
         assert res.best_params.flat.tobytes() == saved.flat.tobytes()
@@ -380,14 +391,14 @@ class TestTrain:
             TrainConfig(epochs=5, seed=11),
             val_items=corpus60["val"],
         )
-        vals = [row.lp for row in res.metrics if row.split == "val"]
+        vals = [row["lp"] for row in res.metrics if row["split"] == "val"]
         assert len(vals) == 5
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 class TestMetricsCsv:
     def test_format(self, tmp_path):
-        rows = [training.MetricRow(epoch=1, split="train", lp=0.5, lv=0.25, total=0.625)]
+        rows = [{"event": "epoch", "split": "train", "epoch": 1, "lp": 0.5, "lv": 0.25, "total": 0.625}]
         training.write_metrics_csv(rows, tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().splitlines()
         assert text[0] == "epoch,split,lp,lv,total"
